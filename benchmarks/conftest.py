@@ -25,7 +25,7 @@ os.environ.setdefault("REPRO_RUNS", "10")
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 #: committed engine microbenchmark baseline (regenerate with
-#: ``repro bench --baseline <prev-rev>``; see docs/PERFORMANCE.md)
+#: ``repro bench``; see docs/PERFORMANCE.md)
 BENCH_ENGINE_JSON = RESULTS_DIR / "BENCH_engine.json"
 
 

@@ -23,7 +23,7 @@ Observability tools (see docs/OBSERVABILITY.md)::
     repro profile [--n 64] [--steps 300] [--seed 0]
     repro profile --engine async [--horizon 60]
     repro bench [--sizes 64,...,1000000 | -n N] [--profile quiet,...]
-                [--ticks T] [--baseline REV] [--out DIR]
+                [--ticks T] [--out DIR]
                 [--backend native|multiprocessing] [--jobs N]
                 [--trace-out bench_trace.json]
     repro chaos [--n 32] [--horizon 80] [--plan crash_burst|stragglers|
@@ -84,9 +84,9 @@ schema-validated NDJSON.  ``--diff`` compares two recorded traces.
 (:mod:`repro.experiments.microbench`) on the columnar engine and writes
 ``results/BENCH_engine.json``; ``-n``/``--profile``/``--ticks`` narrow
 the grid to one size / a profile subset / a fixed tick count (CI smoke
-runs), and ``--baseline REV`` additionally re-runs the engine of an
-older git revision on the same action streams and records the speedup
-(see docs/PERFORMANCE.md).  Multi-run commands
+runs), and each run appends a record to ``bench_history.ndjson``, the
+cross-revision perf trajectory (see docs/PERFORMANCE.md).  Multi-run
+commands
 (``bench``, ``chaos``, and every experiment built on
 ``quality_experiment``) execute through the pluggable batch backend
 selected by ``--backend``/``--jobs`` or ``REPRO_BACKEND`` /
@@ -121,7 +121,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 __all__ = ["main"]
 
@@ -133,34 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "command",
-        choices=[
-            "list",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "table1",
-            "theorem12",
-            "theorem3",
-            "lemma4",
-            "lemma56",
-            "scaling",
-            "async",
-            "baselines",
-            "locality",
-            "sensitivity",
-            "all",
-            "trace",
-            "profile",
-            "bench",
-            "chaos",
-            "churn",
-            "serve",
-            "top",
-            "report",
-            "spans",
-        ],
+        choices=["list", *_COMMANDS, "all", "top"],
         help="artifact to regenerate, an observability tool "
         "(trace/profile/bench/chaos/churn/report/spans), the live "
         "service mode (serve), or the telemetry dashboard (top)",
@@ -350,11 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="measured ticks per point, overriding the per-profile "
         "budget (bench; CI smoke runs)",
     )
-    p.add_argument(
-        "--baseline", type=str, default=None, metavar="REV",
-        help="git revision whose engine to re-run as the dense baseline "
-        "(bench); e.g. HEAD~1",
-    )
     # execution backend options (docs/BACKENDS.md)
     p.add_argument(
         "--backend", type=str, default=None, metavar="NAME",
@@ -370,85 +340,96 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run_one(cmd: str, args: argparse.Namespace) -> str:
-    from repro.experiments import figures, tables
+def _run_fig6(args: argparse.Namespace) -> str:
+    from repro.experiments.figures import figure6
 
-    if cmd == "fig6":
-        res = figures.figure6(trials=args.trials, seed=args.seed)
-        if args.out:
-            res.to_csv(args.out)
-        return res.render()
-    if cmd in ("fig7", "fig8", "fig9", "fig10"):
-        fn = getattr(figures, f"figure{cmd[3:]}")
-        res = fn(runs=args.runs, seed=args.seed)
-        if args.out:
-            res.to_csv(args.out, stem=cmd)
-        return res.render()
-    if cmd == "table1":
-        return tables.table1(runs=args.runs, seed=args.seed).render()
-    if cmd == "theorem12":
-        return tables.theorem12_table(trials=args.trials, seed=args.seed).render()
-    if cmd == "theorem3":
-        return tables.theorem3_table().render()
-    if cmd == "lemma4":
-        return tables.lemma4_table(seed=args.seed).render()
-    if cmd == "lemma56":
-        return tables.lemma56_table(runs=args.runs, seed=args.seed).render()
-    if cmd == "scaling":
-        from repro.experiments.scaling import scaling_experiment
+    res = figure6(trials=args.trials, seed=args.seed)
+    if args.out:
+        res.to_csv(args.out)
+    return res.render()
 
-        return scaling_experiment(
-            runs=args.runs or 3, seed=args.seed
-        ).render()
-    if cmd == "baselines":
-        from repro.experiments.ablations import baseline_comparison
 
-        return baseline_comparison(seed=args.seed).render()
-    if cmd == "locality":
-        from repro.experiments.ablations import locality_study
+def _run_figure(cmd: str, args: argparse.Namespace) -> str:
+    from repro.experiments import figures
 
-        return locality_study(seed=args.seed).render()
-    if cmd == "sensitivity":
-        from repro.experiments.sensitivity import sensitivity_sweep
+    res = getattr(figures, f"figure{cmd[3:]}")(runs=args.runs, seed=args.seed)
+    if args.out:
+        res.to_csv(args.out, stem=cmd)
+    return res.render()
 
-        return sensitivity_sweep(runs=args.runs, seed=args.seed).render()
-    if cmd == "async":
-        from repro.core.async_engine import AsyncEngine, TableRates
-        from repro.experiments.report import render_table
-        from repro.params import LBParams
-        from repro.workload import Section7Workload
 
-        rows = []
-        for latency in (0.0, 0.25, 1.0, 4.0):
-            w = Section7Workload(64, 400, layout_rng=args.seed)
-            eng = AsyncEngine(
-                LBParams(f=1.1, delta=2, C=4),
-                TableRates(*w.phase_tables),
-                latency=latency,
-                seed=args.seed,
-            )
-            res = eng.run(400.0)
-            rows.append(
-                [latency, res.final_cv(), res.total_ops, res.dropped_ops]
-            )
-        return render_table(["latency", "final CV", "ops", "dropped"], rows)
-    if cmd == "trace":
-        return _run_trace(args)
-    if cmd == "profile":
-        return _run_profile(args)
-    if cmd == "bench":
-        return _run_bench(args)
-    if cmd == "chaos":
-        return _run_chaos(args)
-    if cmd == "churn":
-        return _run_churn(args)
-    if cmd == "serve":
-        return _run_serve(args)
-    if cmd == "report":
-        return _run_report(args)
-    if cmd == "spans":
-        return _run_spans(args)
-    raise ValueError(f"unknown command {cmd}")
+def _run_table1(args: argparse.Namespace) -> str:
+    from repro.experiments.tables import table1
+
+    return table1(runs=args.runs, seed=args.seed).render()
+
+
+def _run_theorem12(args: argparse.Namespace) -> str:
+    from repro.experiments.tables import theorem12_table
+
+    return theorem12_table(trials=args.trials, seed=args.seed).render()
+
+
+def _run_theorem3(args: argparse.Namespace) -> str:
+    from repro.experiments.tables import theorem3_table
+
+    return theorem3_table().render()
+
+
+def _run_lemma4(args: argparse.Namespace) -> str:
+    from repro.experiments.tables import lemma4_table
+
+    return lemma4_table(seed=args.seed).render()
+
+
+def _run_lemma56(args: argparse.Namespace) -> str:
+    from repro.experiments.tables import lemma56_table
+
+    return lemma56_table(runs=args.runs, seed=args.seed).render()
+
+
+def _run_scaling(args: argparse.Namespace) -> str:
+    from repro.experiments.scaling import scaling_experiment
+
+    return scaling_experiment(runs=args.runs or 3, seed=args.seed).render()
+
+
+def _run_baselines(args: argparse.Namespace) -> str:
+    from repro.experiments.ablations import baseline_comparison
+
+    return baseline_comparison(seed=args.seed).render()
+
+
+def _run_locality(args: argparse.Namespace) -> str:
+    from repro.experiments.ablations import locality_study
+
+    return locality_study(seed=args.seed).render()
+
+
+def _run_sensitivity(args: argparse.Namespace) -> str:
+    from repro.experiments.sensitivity import sensitivity_sweep
+
+    return sensitivity_sweep(runs=args.runs, seed=args.seed).render()
+
+
+def _run_async(args: argparse.Namespace) -> str:
+    from repro.core.async_engine import AsyncEngine, TableRates
+    from repro.experiments.report import render_table
+    from repro.params import LBParams
+    from repro.workload import Section7Workload
+
+    rows = []
+    for latency in (0.0, 0.25, 1.0, 4.0):
+        w = Section7Workload(64, 400, layout_rng=args.seed)
+        eng = AsyncEngine(
+            LBParams(f=1.1, delta=2, C=4),
+            TableRates(*w.phase_tables),
+            latency=latency,
+            seed=args.seed,
+        )
+        res = eng.run(400.0)
+        rows.append([latency, res.final_cv(), res.total_ops, res.dropped_ops])
+    return render_table(["latency", "final CV", "ops", "dropped"], rows)
 
 
 def _traced_run(args: argparse.Namespace, **observers):
@@ -680,17 +661,11 @@ def _run_bench(args: argparse.Namespace) -> str:
         profiles=profiles,
         params=LBParams(f=args.f, delta=args.delta, C=args.cap),
         ticks=args.ticks,
-        baseline_rev=args.baseline,
         engine_seed=args.seed or 7,
         backend=args.backend,
         jobs=args.jobs,
         trace=args.trace_out is not None,
     )
-    if args.baseline and doc.get("baseline", {}).get("error"):
-        raise SystemExit(
-            f"error: baseline engine for rev {args.baseline!r} could not be "
-            "loaded (bad revision, or core/engine.py missing at that rev)"
-        )
     out_dir = args.out or Path("results")
     path = out_dir / "BENCH_engine.json"
     write_bench_json(path, doc)
@@ -1106,6 +1081,31 @@ def _run_top(args: argparse.Namespace) -> int:
     )
 
 
+#: subcommand name -> runner returning the text to print (``list``,
+#: ``all`` and the interactive ``top`` are dispatched by :func:`main`)
+_COMMANDS: dict[str, Callable[[argparse.Namespace], str]] = {
+    "fig6": _run_fig6,
+    **{f"fig{k}": partial(_run_figure, f"fig{k}") for k in (7, 8, 9, 10)},
+    "table1": _run_table1,
+    "theorem12": _run_theorem12,
+    "theorem3": _run_theorem3,
+    "lemma4": _run_lemma4,
+    "lemma56": _run_lemma56,
+    "scaling": _run_scaling,
+    "async": _run_async,
+    "baselines": _run_baselines,
+    "locality": _run_locality,
+    "sensitivity": _run_sensitivity,
+    "trace": _run_trace,
+    "profile": _run_profile,
+    "bench": _run_bench,
+    "chaos": _run_chaos,
+    "churn": _run_churn,
+    "serve": _run_serve,
+    "report": _run_report,
+    "spans": _run_spans,
+}
+
 _ALL = [
     "theorem12",
     "theorem3",
@@ -1155,7 +1155,7 @@ def main(argv: list[str] | None = None) -> int:
     commands = _ALL if args.command == "all" else [args.command]
     for cmd in commands:
         t0 = time.perf_counter()
-        out = _run_one(cmd, args)
+        out = _COMMANDS[cmd](args)
         dt = time.perf_counter() - t0
         print(f"== {cmd} ({dt:.1f}s) " + "=" * 40)
         print(out)

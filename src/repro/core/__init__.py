@@ -13,7 +13,7 @@
 * :mod:`repro.core.ledger` — the compact active-class representation
   backing the engine's ``d``/``b`` matrices.
 * :mod:`repro.core.columnar` — the struct-of-arrays tick engine: the
-  whole tick as a fused pass pipeline, bit-identical to the scalar
+  whole tick as a fixed pass pipeline, bit-identical to the scalar
   sweep, interactive at n = 10⁵–10⁶ (see docs/PERFORMANCE.md).
 * :mod:`repro.core.rngadvance` — bit-exact RNG fast-forward kernels
   backing the columnar engine's permutation skip.
@@ -28,7 +28,7 @@ from repro.core.selection import (
 )
 from repro.core.opg import OPGResult, simulate_opg
 from repro.core.opgc import DecreaseResult, simulate_decrease, simulate_opgc
-from repro.core.engine import Engine, EngineConfig, TickClassification
+from repro.core.engine import Engine, EngineConfig
 from repro.core.columnar import ColumnarEngine, PassPipeline, TickPass
 from repro.core.ledger import ClassLedger
 from repro.core.borrowing import BorrowCounters
@@ -58,7 +58,6 @@ __all__ = [
     "simulate_decrease",
     "Engine",
     "EngineConfig",
-    "TickClassification",
     "ColumnarEngine",
     "PassPipeline",
     "TickPass",

@@ -1,59 +1,56 @@
-"""Columnar tick engine: one tick as a pipeline of fused array passes.
+"""Columnar tick engine: one tick as a fixed pipeline of array passes.
 
-The PR 3 fast path batches quiet processors but still walks a Python
-list per tick, and every *active* processor (repays, borrows, partner
-selection, deals) runs per-processor Python.  This module keeps the
-struct-of-arrays state the engine already has — ``l``, ``l_old``,
-``d.diag``, ``d.row_sums``, ``b.row_sums`` as numpy columns, the
-ledgers' off-diagonals sparse (CSR export via ``ClassLedger.to_csr``) —
-and expresses the whole tick as an ordered list of **array passes**
-composed by :class:`PassPipeline`, in the compiler-pass style of
-ngraph's transformers: a tick "program" that a fusion step rewrites
-before execution.
+The scalar sweep of :class:`~repro.core.engine.Engine` walks every
+processor in Python each tick.  This module keeps the struct-of-arrays
+state the engine already has — ``l``, ``l_old``, ``d.diag``,
+``d.row_sums``, ``b.row_sums`` as numpy columns, the ledgers'
+off-diagonals sparse (CSR export via ``ClassLedger.to_csr``) — and
+expresses the whole tick as an ordered list of **array passes**
+composed by :class:`PassPipeline`::
 
-The unfused program is::
+    classify -> advance+apply -> residual
 
-    classify -> advance -> apply -> residual
-
-* **classify** — one fused band pass (:meth:`FactorTrigger.quiet_interval`)
-  producing the fast/starved/slow masks, then picks the tick *mode*;
-* **advance** — consume the tick's permutation draw: a bit-exact RNG
-  fast-forward (:class:`~repro.core.rngadvance.PermutationSkipper`)
-  when the permutation's values are never read, the real draw otherwise;
-* **apply** — bulk ±1 application of the fast masks (loads, diagonal,
-  row sums in three vector ops);
+* **classify** — probes the deep-quiet horizon first; otherwise one
+  fused band pass (:meth:`FactorTrigger.quiet_interval`) produces the
+  fast/starved/slow masks and picks the tick *mode* (``deep`` /
+  ``bulk`` / ``residual`` / ``dense``);
+* **advance+apply** (:class:`FusedQuietPass`) — consume the tick's
+  permutation draw: a bit-exact RNG fast-forward
+  (:class:`~repro.core.rngadvance.PermutationSkipper`) when the
+  permutation's values are never read, followed by the bulk ±1
+  application of an all-fast tick; the real draw otherwise;
 * **residual** — everything that needs per-processor semantics: the
-  inherited scalar handlers (partner-match → deal → repay → debt-settle,
-  with their spans and trace events) run at exactly the permutation
-  positions of slow or mid-tick-dirtied processors, with the fast
-  *segments between* those stops applied in bulk gathers.
+  inherited scalar handlers (partner-match → deal → repay →
+  debt-settle, with their spans and trace events) run at exactly the
+  permutation positions of slow or mid-tick-dirtied processors.  With
+  few such stops the fast *segments between* them apply as bulk
+  gathers; with many (``dense``) a buffered Python walk applies the
+  fast runs between stops instead.
 
-Fusion (``fuse=True``, the default) rewrites ``advance + apply`` into a
-single :class:`FusedQuietPass`, which unlocks the **deep-quiet lane**:
-when nothing in the network owes a debt and every processor's band
-margin allows at least one more ±1 drift, the band margin *is* a proven
-horizon of ticks that cannot classify anything slow — those ticks run
-as one fused C call (validate + apply) plus an RNG state advance,
-skipping classification entirely.  Profiling drove exactly this fusion:
-at n = 10⁵ the unfused pipeline spends over half the tick in classify
-and mask materialisation that the horizon proof makes redundant.
+The fused advance+apply pass hosts the **deep-quiet lane**: when nothing
+in the network owes a debt and every processor's band margin allows at
+least one more ±1 drift, the band margin *is* a proven horizon of ticks
+that cannot classify anything slow — those ticks run as one fused C call
+(validate + apply) plus an RNG state advance, skipping classification
+entirely.
 
 Exactness
 ---------
-``ColumnarEngine`` subclasses :class:`~repro.core.engine.Engine`: the
-scalar handlers are inherited verbatim, so every processor routed to
-them consumes the identical RNG draws and emits identical trace events,
-spans and monitor-visible state as the oracle.  Fast processors draw no
-RNG and touch only their own diagonal, so bulk application commutes
-with any interleaving; the permutation skip is bit-exact by the probe
-in :mod:`repro.core.rngadvance`; and the deep-quiet horizon is derived
-from the same integer bands the classifier uses.  The result is
-RNG- and trace-identical to ``Engine(fast_path=False)`` — pinned on the
-seeded equivalence grid, per-tick by a hypothesis property, and through
-a full monitors-on golden trace (``tests/core/test_columnar_equivalence.py``).
+``ColumnarEngine`` subclasses :class:`~repro.core.engine.Engine` and
+replaces only its sweep: the scalar handlers are inherited verbatim, so
+every processor routed to them consumes the identical RNG draws and
+emits identical trace events, spans and monitor-visible state as the
+oracle.  Fast processors draw no RNG and touch only their own diagonal,
+so bulk application commutes with any interleaving; the permutation
+skip is bit-exact by the probe in :mod:`repro.core.rngadvance`; and the
+deep-quiet horizon is derived from the same integer bands the
+classifier uses.  The result is RNG- and trace-identical to ``Engine``
+— pinned on the seeded equivalence grid, per-tick by a hypothesis
+property, and through a full monitors-on golden trace
+(``tests/core/test_columnar_equivalence.py``).
 
-See ``docs/PERFORMANCE.md`` for the pass catalogue, the fusion rule and
-the horizon derivation.
+See ``docs/PERFORMANCE.md`` for the pass catalogue and the horizon
+derivation.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ import time
 
 import numpy as np
 
-from repro.core.engine import Engine, EngineConfig, TickClassification
+from repro.core.engine import Engine, EngineConfig
 from repro.core.rngadvance import PermutationSkipper, quiet_apply
 
 __all__ = [
@@ -71,27 +68,32 @@ __all__ = [
     "PassPipeline",
     "TickPass",
     "ClassifyPass",
-    "AdvancePass",
-    "ApplyPass",
-    "ResidualPass",
     "FusedQuietPass",
+    "ResidualPass",
 ]
 
 # the segmented residual sweep pays a few numpy gathers per scalar stop;
 # when the average fast segment between stops is shorter than this, the
-# buffered Python walk of the base fast path wins — classify hands such
-# ticks to the dense delegate
+# buffered Python walk of the dense lane wins
 _MIN_SEGMENT = 32
 
 
 class _TickFrame:
-    """Mutable per-tick scratch carried between passes."""
+    """Mutable per-tick scratch carried between passes.
 
-    __slots__ = ("actions", "cls", "order", "mode")
+    ``fast_gen``/``fast_con``/``starved`` mark the event-free
+    processors classify found (debt-free generate, consume-own, starved
+    consume — each with the trigger staying quiet); ``slow`` is every
+    other processor with a non-zero action.
+    """
+
+    __slots__ = (
+        "actions", "fast_gen", "fast_con", "starved", "slow", "order", "mode",
+    )
 
     def __init__(self, actions: np.ndarray) -> None:
         self.actions = actions
-        self.cls: TickClassification | None = None
+        self.fast_gen = self.fast_con = self.starved = self.slow = None
         self.order: np.ndarray | None = None
         # "deep" | "bulk" | "residual" | "dense" — set by classify
         self.mode = ""
@@ -103,7 +105,7 @@ class _NotifyingSet(set):
     The residual sweep installs a hook for the duration of one tick so
     that a processor dirtied by someone else's balancing operation is
     *scheduled* as a scalar stop if its turn is still ahead — the array
-    analogue of the base fast path's ``i not in dirty`` re-check.
+    analogue of the dense lane's ``i not in dirty`` re-check.
     """
 
     __slots__ = ("hook",)
@@ -126,102 +128,76 @@ class _NotifyingSet(set):
 
 
 class TickPass:
-    """One array pass of the tick program.
-
-    ``run`` mutates the engine and/or the frame; ``fuse`` implements the
-    pipeline's pairwise rewrite rule — return a merged pass to replace
-    ``self`` and ``nxt``, or None to keep them separate.
-    """
+    """One array pass of the tick program; ``run`` mutates the engine
+    and/or the frame."""
 
     name = "pass"
 
     def run(self, eng: "ColumnarEngine", frame: _TickFrame) -> None:
         raise NotImplementedError
 
-    def fuse(self, nxt: "TickPass") -> "TickPass | None":
-        return None
-
 
 class ClassifyPass(TickPass):
-    """Validate actions, build the tick masks, choose the tick mode."""
+    """Build the tick masks and choose the tick mode."""
 
     name = "classify"
 
     def run(self, eng: "ColumnarEngine", frame: _TickFrame) -> None:
         if eng._deep_left > 0:
             # inside a proven deep-quiet horizon: no masks needed, the
-            # fused pass validates and applies in one fused call
+            # fused pass applies the whole tick in one call
             frame.mode = "deep"
             return
-        if eng._fused:
-            # probe the horizon *before* building any masks: h >= 1
-            # proves this very tick all-fast too, so the whole mask
-            # classification is redundant work (this is what makes the
-            # steady quiet tick O(1) numpy calls instead of ~30)
-            h = eng._deep_horizon()
-            if h >= 1:
-                eng._deep_left = h - 1
-                frame.mode = "deep"
-                return
+        # probe the horizon *before* building any masks: h >= 1 proves
+        # this very tick all-fast too, so the whole mask classification
+        # is redundant work (this is what makes the steady quiet tick
+        # O(1) numpy calls instead of ~30)
+        h = eng._deep_horizon()
+        if h >= 1:
+            eng._deep_left = h - 1
+            frame.mode = "deep"
+            return
+        # a processor is fast iff its whole action resolves without
+        # randomness or events: the trigger stays quiet on the
+        # post-action own-load, a generate does not repay (no debts) and
+        # a consume hits an own-class packet (or starves); both trigger
+        # tests come out of one quiet_interval band computation
         actions = frame.actions
-        bad = (actions < -1) | (actions > 1)
-        if bad.any():
-            i = int(np.nonzero(bad)[0][0])
-            raise ValueError(
-                f"invalid action {int(actions[i])} for processor {i}"
-            )
-        cls = eng._classify(actions)
-        frame.cls = cls
-        if cls.n_slow == 0:
+        eng._check_range(actions)
+        own = eng.d.diag
+        lo, hi = eng.trigger.quiet_interval(eng.l_old)
+        own_gen = own + 1
+        own_con = own - 1
+        gen_mask = actions == 1
+        con_mask = actions == -1
+        fast_gen = gen_mask & (eng.b.row_sums == 0) & (own_gen > lo) & (own_gen < hi)
+        starved = con_mask & (eng.l == 0)
+        fast_con = (
+            con_mask & (eng.l > 0) & (own >= 1) & (own_con > lo) & (own_con < hi)
+        )
+        slow = (gen_mask | con_mask) & ~(fast_gen | fast_con | starved)
+        frame.fast_gen, frame.fast_con = fast_gen, fast_con
+        frame.starved, frame.slow = starved, slow
+        n_slow = int(np.count_nonzero(slow))
+        if n_slow == 0:
             frame.mode = "bulk"
-        elif cls.n_slow * _MIN_SEGMENT > eng.n:
+        elif n_slow * _MIN_SEGMENT > eng.n:
             frame.mode = "dense"
         else:
             frame.mode = "residual"
 
 
-class AdvancePass(TickPass):
-    """Consume the tick's permutation draw (skip or real draw)."""
-
-    name = "advance"
-
-    def run(self, eng: "ColumnarEngine", frame: _TickFrame) -> None:
-        mode = frame.mode
-        if mode == "bulk":
-            eng._skipper.skip(eng.n)
-        elif mode == "residual":
-            frame.order = eng.rng.permutation(eng.n)
-        # deep never reaches an unfused pipeline; dense draws its own
-
-    def fuse(self, nxt: TickPass) -> "TickPass | None":
-        # the one fusion rule: advance+apply collapse into the fused
-        # quiet pass, which enables the deep-quiet lane (see module doc)
-        if isinstance(nxt, ApplyPass):
-            return FusedQuietPass()
-        return None
-
-
-class ApplyPass(TickPass):
-    """Bulk-apply the fast masks of a no-slow-processors tick."""
-
-    name = "apply"
-
-    def run(self, eng: "ColumnarEngine", frame: _TickFrame) -> None:
-        if frame.mode == "bulk":
-            eng._apply_bulk(frame.cls)
-
-
 class FusedQuietPass(TickPass):
-    """``advance + apply`` fused; hosts the deep-quiet lane."""
+    """Advance the RNG past the tick's permutation and bulk-apply an
+    all-fast tick; hosts the deep-quiet lane."""
 
     name = "advance+apply"
 
     def run(self, eng: "ColumnarEngine", frame: _TickFrame) -> None:
         mode = frame.mode
         if mode == "deep":
-            # validate + apply in one C pass; on an invalid action this
-            # raises *before* any mutation or RNG advance, exactly like
-            # the scalar sweep, and the horizon is left intact
+            # validates the action range before mutating anything (and
+            # before the RNG advance below), like the scalar sweep
             npos, nneg = quiet_apply(
                 frame.actions,
                 eng.l,
@@ -235,13 +211,19 @@ class FusedQuietPass(TickPass):
             eng.total_consumed += nneg
         elif mode == "bulk":
             eng._skipper.skip(eng.n)
-            eng._apply_bulk(frame.cls)
-        elif mode == "residual":
+            eng._apply_fast(
+                np.flatnonzero(frame.fast_gen), np.flatnonzero(frame.fast_con)
+            )
+            n_starved = int(np.count_nonzero(frame.starved))
+            if n_starved:
+                eng.counters.starved += n_starved
+        else:
+            # residual and dense ticks read the permutation's values
             frame.order = eng.rng.permutation(eng.n)
 
 
 class ResidualPass(TickPass):
-    """Per-processor semantics: scalar stops + bulk fast segments."""
+    """Per-processor semantics: scalar stops + bulk fast runs."""
 
     name = "residual"
 
@@ -249,41 +231,19 @@ class ResidualPass(TickPass):
         if frame.mode == "residual":
             eng._residual_sweep(frame)
         elif frame.mode == "dense":
-            # too many scalar stops for segmented gathers to pay: the
-            # base fast path's buffered Python walk is the right tool
-            # (and draws the real permutation itself)
-            Engine._step_fast(eng, frame.actions, cls=frame.cls)
+            eng._dense_sweep(frame)
 
 
 class PassPipeline:
-    """Ordered array passes making up one tick, with pairwise fusion.
+    """The ordered array passes making up one tick.
 
-    ``compile`` applies each pass's ``fuse`` rule to its successor once,
-    left to right — the minimal compiler-pass machinery this pipeline
-    needs (a richer rewriter would be over-engineering for a four-pass
-    program).  ``describe()`` renders the compiled program for docs,
-    tests and debugging.
+    ``describe()`` renders the program for docs, tests and debugging;
+    with a profiler attached every pass is timed as a
+    ``pipeline.<name>`` section.
     """
 
-    def __init__(self, passes: list[TickPass], *, fuse: bool = True) -> None:
-        self.source = list(passes)
-        self.fused = bool(fuse)
-        self.passes = self._compile(self.source) if fuse else list(self.source)
-
-    @staticmethod
-    def _compile(passes: list[TickPass]) -> list[TickPass]:
-        out: list[TickPass] = []
-        i = 0
-        while i < len(passes):
-            if i + 1 < len(passes):
-                merged = passes[i].fuse(passes[i + 1])
-                if merged is not None:
-                    out.append(merged)
-                    i += 2
-                    continue
-            out.append(passes[i])
-            i += 1
-        return out
+    def __init__(self, passes: list[TickPass]) -> None:
+        self.passes = list(passes)
 
     def describe(self) -> str:
         return " -> ".join(p.name for p in self.passes)
@@ -305,25 +265,21 @@ class PassPipeline:
 class ColumnarEngine(Engine):
     """Struct-of-arrays engine, bit-identical to the scalar sweep.
 
-    Drop-in replacement for :class:`Engine` (same constructor plus two
-    knobs); interactive at n = 10⁵–10⁶ on quiet-dominated workloads.
+    Drop-in replacement for :class:`Engine` (same constructor plus one
+    knob); interactive at n = 10⁵–10⁶ on quiet-dominated workloads.
 
     Parameters beyond :class:`Engine`'s:
 
-    fuse:
-        Run the pass pipeline through its fusion rewrite (default).
-        ``fuse=False`` executes the unfused four-pass program — every
-        tick classifies and masks, no deep-quiet lane — still bit-exact,
-        used to pin that fusion changes nothing but speed.
     kernel:
         ``"auto"`` (default) uses the C kernels of
         :mod:`repro.core.rngadvance` when they pass their exactness
         probe; ``"off"`` forces the pure numpy/python fallbacks.
 
-    Custom per-processor ``triggers`` disable the vectorized path
-    entirely (inherited behaviour): the engine then runs the scalar
-    reference sweep.  External mid-run mutation of engine state (tests
-    poking ``d``/``l`` between steps) must be followed by
+    Custom per-processor ``triggers`` (which may carry per-check state,
+    e.g. :class:`~repro.core.triggers.AdaptiveTrigger`, so they must see
+    every check) disable the pipeline: the engine then runs the
+    inherited scalar sweep.  External mid-run mutation of engine state
+    (tests poking ``d``/``l`` between steps) must be followed by
     :meth:`invalidate_horizon`.
     """
 
@@ -338,7 +294,6 @@ class ColumnarEngine(Engine):
         profiler=None,
         spans=None,
         dynnet=None,
-        fuse: bool = True,
         kernel: str = "auto",
     ) -> None:
         super().__init__(
@@ -351,26 +306,23 @@ class ColumnarEngine(Engine):
             spans=spans,
             dynnet=dynnet,
         )
+        self._vectorized = triggers is None
         # replace the plain dirty set with the hook-capable one before
         # any tick runs (the scalar handlers mutate it via add/update)
         self._dirty = _NotifyingSet()
         self._deep_left = 0
-        self._fused = bool(fuse)
         self._use_kernel = kernel != "off"
         self._skipper = PermutationSkipper(self.rng, kernel=kernel)
         self.pipeline = PassPipeline(
-            [ClassifyPass(), AdvancePass(), ApplyPass(), ResidualPass()],
-            fuse=fuse,
+            [ClassifyPass(), FusedQuietPass(), ResidualPass()]
         )
 
     # -- tick ------------------------------------------------------------
 
-    def _step_fast(self, actions: np.ndarray, cls=None) -> None:
-        if actions.dtype.kind not in "iu":
-            # non-integer action vectors (exotic test inputs) take the
-            # base path: the C apply would truncate instead of matching
-            # the scalar sweep's per-element comparisons
-            return super()._step_fast(actions, cls)
+    def _sweep(self, actions: np.ndarray) -> None:
+        if not self._vectorized:
+            super()._sweep(actions)
+            return
         self._dirty.clear()
         self.pipeline.run(self, _TickFrame(actions))
 
@@ -409,52 +361,26 @@ class ColumnarEngine(Engine):
 
     # -- bulk application -------------------------------------------------
 
-    def _apply_bulk(self, cls: TickClassification) -> None:
-        """Apply a whole no-slow tick from the masks (order-free)."""
-        d = self.d
-        load = self.l
-        n_gen = int(np.count_nonzero(cls.fast_gen))
-        n_con = int(np.count_nonzero(cls.fast_con))
-        if n_gen:
-            d.bulk_diag_add(cls.fast_gen, 1)
-            load[cls.fast_gen] += 1
-            self.total_generated += n_gen
-        if n_con:
-            d.bulk_diag_add(cls.fast_con, -1)
-            load[cls.fast_con] -= 1
-            self.total_consumed += n_con
-        n_starved = int(np.count_nonzero(cls.starved))
-        if n_starved:
-            self.counters.starved += n_starved
+    def _apply_fast(self, gen_ids, con_ids) -> None:
+        """Apply fast generates (+1) and consumes (-1) to own diagonals.
 
-    def _apply_segment(
-        self,
-        seg: np.ndarray,
-        fast_gen: np.ndarray,
-        fast_con: np.ndarray,
-        starved: np.ndarray,
-    ) -> int:
-        """Bulk-apply one contiguous fast run of the permutation.
-
-        Every processor in ``seg`` is fast, starved or idle (scheduled
-        stops bound the segment), so the updates commute and gathers are
-        exact.  Returns the starved count for the segment.
+        ``gen_ids``/``con_ids`` are processor-id lists or index arrays.
+        Fast processors draw no RNG, emit no events and touch only their
+        own diagonal, row sum and load, so any batch of them commutes
+        with any interleaving — the one bulk-apply step of every lane.
         """
-        d = self.d
-        load = self.l
-        gen_ids = seg[fast_gen[seg]]
-        con_ids = seg[fast_con[seg]]
-        if gen_ids.size:
-            d.bulk_diag_add(gen_ids, 1)
-            load[gen_ids] += 1
-            self.total_generated += int(gen_ids.size)
-        if con_ids.size:
-            d.bulk_diag_add(con_ids, -1)
-            load[con_ids] -= 1
-            self.total_consumed += int(con_ids.size)
-        return int(np.count_nonzero(starved[seg]))
+        if len(gen_ids):
+            gen_ids = np.asarray(gen_ids)
+            self.d.bulk_diag_add(gen_ids, 1)
+            self.l[gen_ids] += 1
+            self.total_generated += len(gen_ids)
+        if len(con_ids):
+            con_ids = np.asarray(con_ids)
+            self.d.bulk_diag_add(con_ids, -1)
+            self.l[con_ids] -= 1
+            self.total_consumed += len(con_ids)
 
-    # -- residual sweep ---------------------------------------------------
+    # -- residual sweeps --------------------------------------------------
 
     def _residual_sweep(self, frame: _TickFrame) -> None:
         """Scalar stops at slow/dirtied positions, bulk gathers between.
@@ -462,23 +388,22 @@ class ColumnarEngine(Engine):
         A min-heap over permutation *positions* holds the pending scalar
         stops — initially the slow-classified processors, extended live
         by the dirty-set hook whenever a balancing operation touches a
-        processor whose turn is still ahead (matching the base fast
-        path's conservative re-route).  Between consecutive stops every
+        processor whose turn is still ahead (matching the dense lane's
+        conservative re-route).  Between consecutive stops every
         processor is provably fast/starved/idle, so those segments apply
         as gathers; the scalar handlers themselves are the inherited
         ones, so RNG draws, trace events and spans are bit-identical.
         """
-        cls = frame.cls
         order = frame.order
         actions = frame.actions
         n = self.n
-        fast_gen, fast_con, starved = cls.fast_gen, cls.fast_con, cls.starved
+        fast_gen, fast_con, starved = frame.fast_gen, frame.fast_con, frame.starved
 
         # permutation position of each processor, for the dirty hook
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
-        heap = np.nonzero(cls.slow[order])[0].tolist()  # ascending = heapified
-        scheduled = cls.slow.copy()
+        heap = np.nonzero(frame.slow[order])[0].tolist()  # ascending = heapified
+        scheduled = frame.slow.copy()
 
         pos_now = -1  # position of the stop currently running
 
@@ -489,6 +414,12 @@ class ColumnarEngine(Engine):
                 scheduled[j] = True
                 heapq.heappush(heap, int(rank[j]))
 
+        def apply_segment(seg: np.ndarray) -> int:
+            # every processor in seg is fast, starved or idle (scheduled
+            # stops bound the segment); returns the starved count
+            self._apply_fast(seg[fast_gen[seg]], seg[fast_con[seg]])
+            return int(np.count_nonzero(starved[seg]))
+
         dirty = self._dirty
         dirty.hook = on_dirty
         try:
@@ -498,9 +429,7 @@ class ColumnarEngine(Engine):
                 p = heapq.heappop(heap)
                 pos_now = p
                 if p > cursor:
-                    n_starved += self._apply_segment(
-                        order[cursor:p], fast_gen, fast_con, starved
-                    )
+                    n_starved += apply_segment(order[cursor:p])
                 cursor = p + 1
                 i = int(order[p])
                 if int(actions[i]) == 1:
@@ -509,10 +438,53 @@ class ColumnarEngine(Engine):
                     self._consume(i)
             if cursor < n:
                 pos_now = n
-                n_starved += self._apply_segment(
-                    order[cursor:n], fast_gen, fast_con, starved
-                )
+                n_starved += apply_segment(order[cursor:n])
             if n_starved:
                 self.counters.starved += n_starved
         finally:
             dirty.hook = None
+
+    def _dense_sweep(self, frame: _TickFrame) -> None:
+        """Buffered Python walk for ticks with many scalar stops.
+
+        Walks the permutation, buffering consecutive fast processors and
+        flushing the buffer through :meth:`_apply_fast` before each slow
+        (or mid-tick-dirtied) processor runs its scalar handler — the
+        flush puts the fast run's effects in place first, so the
+        interleaving is exact.
+        """
+        act_l = frame.actions.tolist()
+        fast_gen_l = frame.fast_gen.tolist()
+        fast_con_l = frame.fast_con.tolist()
+        starved_l = frame.starved.tolist()
+        dirty = self._dirty
+        buf_gen: list[int] = []
+        buf_con: list[int] = []
+        n_starved = 0
+        for i in frame.order.tolist():
+            a = act_l[i]
+            if a == 0:
+                continue
+            if i not in dirty:
+                if a == 1:
+                    if fast_gen_l[i]:
+                        buf_gen.append(i)
+                        continue
+                elif starved_l[i]:
+                    n_starved += 1
+                    continue
+                elif fast_con_l[i]:
+                    buf_con.append(i)
+                    continue
+            if buf_gen or buf_con:
+                self._apply_fast(buf_gen, buf_con)
+                buf_gen = []
+                buf_con = []
+            if a == 1:
+                self._generate(i)
+            else:
+                self._consume(i)
+        if buf_gen or buf_con:
+            self._apply_fast(buf_gen, buf_con)
+        if n_starved:
+            self.counters.starved += n_starved

@@ -32,32 +32,19 @@ clock ticks — section 4's analysis; disable with
 ``refresh_participants=False`` to study the strictly-literal appendix,
 which refreshes only the initiator).
 
-Fast path
+The sweep
 ---------
-With ``EngineConfig.fast_path`` (the default), :meth:`Engine.step`
-classifies all processors in one vectorized pass: a processor whose
-action this tick provably draws no randomness and emits no events —
-debt-free generate, consume-own, or starved, each with the factor
-trigger staying quiet — is applied in bulk numpy updates, and only the
-remainder drops into the per-processor Python handlers.  Because fast
-processors touch nothing but their own diagonal/load and consume no RNG,
-the interleaving is *bit-for-bit* identical to the scalar sweep: same
-generator draw order, same event sequence, same final state.  Processors
-whose state is mutated mid-tick by someone else's balancing operation
-are conservatively re-routed to the scalar handlers (the ``_dirty``
-set), which preserves exactness without re-classification.  The scalar
-reference sweep remains available via ``fast_path=False`` and is what
-the slow/fast equivalence property test compares against; custom
-``triggers`` (which may carry per-check state, e.g.
-:class:`~repro.core.triggers.AdaptiveTrigger`) disable the fast path
-automatically.  See ``docs/PERFORMANCE.md``.
+:meth:`Engine.step` validates the action vector, then runs the tick's
+permutation sweep (:meth:`Engine._sweep`).  This scalar sweep is the
+oracle: :class:`~repro.core.columnar.ColumnarEngine` replaces
+``_sweep`` with a vectorized pass pipeline and must reproduce it bit
+for bit — same RNG draw order, same state, same events.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -78,27 +65,6 @@ from repro.rng import make_rng
 
 __all__ = ["EngineConfig", "Engine"]
 
-# below this many processors in a bulk batch, plain Python scalar
-# updates beat numpy fancy indexing (call overhead dominates)
-_BULK_THRESHOLD = 8
-
-
-class TickClassification(NamedTuple):
-    """Start-of-tick masks from one fused classify pass (n-length bool).
-
-    ``fast_gen``/``fast_con``/``starved`` are the event-free processors
-    that can be applied in bulk; ``slow`` is everything else with a
-    non-zero action (needs the scalar per-processor handlers);
-    ``n_slow`` caches ``slow.sum()`` for mode selection.
-    """
-
-    fast_gen: np.ndarray
-    fast_con: np.ndarray
-    starved: np.ndarray
-    slow: np.ndarray
-    n_slow: int
-
-
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
     """Static configuration of an :class:`Engine`."""
@@ -110,7 +76,6 @@ class EngineConfig:
     check_invariants: bool = False
     record_events: bool = False
     max_ops_per_action: int = 64  # safety valve for trigger cascades
-    fast_path: bool = True  # vectorized tick loop (bit-identical)
 
     def __post_init__(self) -> None:
         self.params.validate_for_network(self.n)
@@ -120,7 +85,8 @@ class Engine:
     """Executable instance of the load balancing algorithm.
 
     Drive it either one tick at a time (:meth:`step`, passing the action
-    vector for this tick) or via :func:`repro.simulation.driver.run`.
+    vector for this tick) or via
+    :func:`~repro.simulation.driver.run_simulation`.
 
     The engine is deliberately single-threaded: the paper's model is a
     global unit-time clock with per-processor local clocks, which a
@@ -175,9 +141,6 @@ class Engine:
         if triggers is not None and len(triggers) != n:
             raise ValueError(f"need {n} triggers, got {len(triggers)}")
         self.triggers = list(triggers) if triggers is not None else [self.trigger] * n
-        # custom trigger objects may mutate on every check, so they must
-        # see every check — scalar sweep only
-        self._fast = bool(config.fast_path) and triggers is None
 
         self.d = ClassLedger(n)
         self.b = ClassLedger(n)
@@ -185,8 +148,9 @@ class Engine:
         self.l_old = np.zeros(n, dtype=np.int64)
         self.local_time = np.zeros(n, dtype=np.int64)
         # processors whose state was changed by someone else's balancing
-        # op mid-tick; their start-of-tick classification is stale, so
-        # the fast path re-routes them to the scalar handlers
+        # op mid-tick; a vectorized sweep (ColumnarEngine) re-routes them
+        # to the scalar handlers because their start-of-tick
+        # classification is stale
         self._dirty: set[int] = set()
 
         self.counters = BorrowCounters()
@@ -207,154 +171,65 @@ class Engine:
         processor is counted as *starved* and skipped (the workload
         model expresses desire, availability is the engine's business —
         matching the paper's "consume a locally available packet").
+        Any other value (``2``, ``0.5``, ``nan``) raises
+        :class:`ValueError` before any load, ledger or RNG state
+        changes.
         """
-        actions = np.asarray(actions)
-        if actions.shape != (self.n,):
-            raise ValueError(f"actions must have shape ({self.n},), got {actions.shape}")
+        actions = self._check_actions(actions)
         if self._dynnet is not None:
             # churn events due by this tick reshape the partner pools
             # before anyone acts (global ticks are the sync engine's
             # model time)
             self._dynnet.advance(float(self.global_time))
-        if self._fast:
-            self._step_fast(actions)
-        else:
-            order = self.rng.permutation(self.n)
-            for i in order:
-                a = int(actions[i])
-                if a == 1:
-                    self._generate(int(i))
-                elif a == -1:
-                    self._consume(int(i))
-                elif a != 0:
-                    raise ValueError(f"invalid action {a} for processor {i}")
+        self._sweep(actions)
         self.global_time += 1
         if self.config.check_invariants:
             self.assert_invariants()
 
-    def _classify(self, actions: np.ndarray) -> TickClassification:
-        """One fused vectorized classification pass over all processors.
+    def _check_actions(self, actions) -> np.ndarray:
+        """The action vector as an integer array of the right shape.
 
-        A processor is *fast* iff its whole action resolves without
-        randomness or events: the trigger must stay quiet on the
-        post-action own-load, generate must not repay (no debts) and
-        consume must hit an own-class packet (or starve).  Both trigger
-        tests come out of a single :meth:`FactorTrigger.quiet_interval`
-        band computation — one pass instead of two shifted
-        ``fires_many`` sweeps.
+        Integral floats convert once here; anything fractional or
+        non-finite is rejected.  The ``{-1, 0, 1}`` range is checked by
+        the sweep itself (:meth:`_check_range`), still before it changes
+        any state or draws a random number — the columnar engine's
+        deep-quiet lane checks it inside its fused C apply, so a
+        separate pass here would cost every quiet tick a full scan.
         """
-        own = self.d.diag
-        lo, hi = self.trigger.quiet_interval(self.l_old)
-        own_gen = own + 1
-        own_con = own - 1
-        quiet_gen = (own_gen > lo) & (own_gen < hi)
-        quiet_con = (own_con > lo) & (own_con < hi)
-        gen_mask = actions == 1
-        con_mask = actions == -1
-        fast_gen = gen_mask & (self.b.row_sums == 0) & quiet_gen
-        starved = con_mask & (self.l == 0)
-        fast_con = con_mask & (self.l > 0) & (own >= 1) & quiet_con
-        slow = (gen_mask | con_mask) & ~(fast_gen | fast_con | starved)
-        return TickClassification(
-            fast_gen, fast_con, starved, slow, int(np.count_nonzero(slow))
-        )
+        actions = np.asarray(actions)
+        if actions.shape != (self.n,):
+            raise ValueError(f"actions must have shape ({self.n},), got {actions.shape}")
+        if actions.dtype.kind not in "iu":
+            with np.errstate(invalid="ignore"):
+                ints = actions.astype(np.int64)
+            bad = ints != actions
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(
+                    f"invalid action {actions[i].item()} for processor {i}"
+                )
+            actions = ints
+        return actions
 
-    def _step_fast(
-        self, actions: np.ndarray, cls: TickClassification | None = None
-    ) -> None:
-        """One tick, vectorized (see the module docstring's fast-path
-        contract: bit-identical to the scalar sweep).
-
-        ``cls`` lets :class:`~repro.core.columnar.ColumnarEngine` hand in
-        an already-computed classification when it delegates a dense
-        tick here.
-        """
+    @staticmethod
+    def _check_range(actions: np.ndarray) -> None:
+        """Raise on the first action outside ``{-1, 0, 1}``."""
         bad = (actions < -1) | (actions > 1)
         if bad.any():
-            i = int(np.nonzero(bad)[0][0])
+            i = int(np.argmax(bad))
             raise ValueError(f"invalid action {int(actions[i])} for processor {i}")
-        order = self.rng.permutation(self.n)
 
-        t0 = time.perf_counter_ns() if self._profile else 0
-        if cls is None:
-            cls = self._classify(actions)
-        fast_gen_l = cls.fast_gen.tolist()
-        fast_con_l = cls.fast_con.tolist()
-        starved_l = cls.starved.tolist()
-        act_l = actions.tolist()
-        if self._profile:
-            self.profiler.observe_ns(
-                "step.classify", time.perf_counter_ns() - t0
-            )
-
-        dirty = self._dirty
-        dirty.clear()
-        buf_gen: list[int] = []
-        buf_con: list[int] = []
-        n_starved = 0
-        for i in order.tolist():
-            a = act_l[i]
-            if a == 0:
-                continue
-            if i not in dirty:
-                if a == 1:
-                    if fast_gen_l[i]:
-                        buf_gen.append(i)
-                        continue
-                elif starved_l[i]:
-                    n_starved += 1
-                    continue
-                elif fast_con_l[i]:
-                    buf_con.append(i)
-                    continue
-            # slow (or dirtied) processor: flush the pending fast run
-            # first so its effects are in place, then go scalar
-            if buf_gen or buf_con:
-                self._apply_fast_runs(buf_gen, buf_con)
-                buf_gen = []
-                buf_con = []
+    def _sweep(self, actions: np.ndarray) -> None:
+        """The tick's event loop: every processor acts once, in a fresh
+        random order (the scalar oracle every faster sweep must match)."""
+        self._check_range(actions)
+        act = actions.tolist()
+        for i in self.rng.permutation(self.n).tolist():
+            a = act[i]
             if a == 1:
                 self._generate(i)
-            else:
+            elif a == -1:
                 self._consume(i)
-        if buf_gen or buf_con:
-            self._apply_fast_runs(buf_gen, buf_con)
-        if n_starved:
-            self.counters.starved += n_starved
-
-    def _apply_fast_runs(self, gen_ids: list[int], con_ids: list[int]) -> None:
-        """Bulk-apply a run of fast processors (no RNG, no events; each
-        touches only its own diagonal, so any interleaving is exact)."""
-        t0 = time.perf_counter_ns() if self._profile else 0
-        diag = self.d.diag
-        row_sums = self.d.row_sums
-        load = self.l
-        if gen_ids:
-            if len(gen_ids) >= _BULK_THRESHOLD:
-                idx = np.array(gen_ids)
-                self.d.bulk_diag_add(idx, 1)
-                load[idx] += 1
-            else:
-                for i in gen_ids:
-                    diag[i] += 1
-                    row_sums[i] += 1
-                    load[i] += 1
-            self.total_generated += len(gen_ids)
-        if con_ids:
-            if len(con_ids) >= _BULK_THRESHOLD:
-                idx = np.array(con_ids)
-                self.d.bulk_diag_add(idx, -1)
-                load[idx] -= 1
-            else:
-                for i in con_ids:
-                    diag[i] -= 1
-                    row_sums[i] -= 1
-                    load[i] -= 1
-            self.total_consumed += len(con_ids)
-        if self._profile:
-            self.profiler.observe_ns(
-                "step.fast_apply", time.perf_counter_ns() - t0
-            )
 
     # -- actions ---------------------------------------------------------
 

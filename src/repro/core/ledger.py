@@ -114,7 +114,7 @@ class ClassLedger:
         """Add ``dv`` to the diagonal and the row-sum cache at ``idx``.
 
         The vectorized analogue of ``add(i, i, dv)`` for a whole batch —
-        the engines' fast paths use it when a run of processors touch
+        the columnar engine uses it when a run of processors touch
         only their own diagonal.  ``idx`` may be an integer index array
         or a boolean mask; it must not select the same row twice (each
         processor acts at most once per tick).

@@ -22,7 +22,8 @@ from repro.baselines import (
     WorkStealing,
     run_baseline,
 )
-from repro.core.engine import Engine, EngineConfig
+from repro.core.columnar import ColumnarEngine
+from repro.core.engine import EngineConfig
 from repro.core.selection import (
     GlobalRandomSelector,
     NeighborhoodSelector,
@@ -169,7 +170,7 @@ def locality_study(
         if selector is None:
             continue
         factory = RngFactory(seed)
-        engine = Engine(
+        engine = ColumnarEngine(
             EngineConfig(
                 n=n, params=LBParams(f=f, delta=delta, C=4), record_events=True
             ),

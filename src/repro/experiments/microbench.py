@@ -5,12 +5,13 @@ and three workload profiles, and writes a machine-readable
 ``BENCH_engine.json`` so every PR leaves a perf trajectory behind
 (schema below).
 
-Three engine variants share the harness: ``columnar`` (the
+Two engine variants share the harness: ``columnar`` (the
 :class:`~repro.core.columnar.ColumnarEngine` pass pipeline — the
-headline), ``fast`` (:class:`~repro.core.engine.Engine` with the PR 3
-vectorized fast path) and ``scalar`` (the reference sweep).  All three
-are bit-identical on every workload, so cross-engine rows double as an
-equality check: the harness asserts the final load vectors match.
+headline) and ``scalar`` (:class:`~repro.core.engine.Engine`, the
+reference sweep).  Both are bit-identical on every workload, so
+cross-engine rows double as an equality check on final loads and
+event counters.  Cross-revision comparisons read the perf trajectory
+in ``results/bench_history.ndjson`` (``repro report --compare``).
 
 Profiles
 --------
@@ -19,10 +20,9 @@ Profiles
     packets, ``l_old`` in equilibrium) under saturated alternating
     traffic: a whole-network consume tick followed by a whole-network
     generate tick, repeatedly.  The trigger band never fires and no
-    debts exist, so this isolates the per-tick bookkeeping the fast
-    path vectorizes — the regime the fast path is designed for (rare
-    balancing).  This is the headline profile for fast-vs-dense
-    speedup comparisons.
+    debts exist, so this isolates the per-tick bookkeeping the columnar
+    pipeline vectorizes — the regime it is designed for (rare
+    balancing).  This is the headline profile.
 ``stationary``
     Sub-critical random traffic (``P(generate)=0.45``,
     ``P(consume)=0.55``) measured after a 200-tick warmup.  Loads
@@ -37,16 +37,6 @@ All profiles drive the engine through the public ``step`` API with
 precomputed action arrays; workload and engine seeds are fixed, so a
 given (profile, n) measurement replays the identical computation in
 every run and in both engines being compared.
-
-Baseline comparison
--------------------
-``baseline_rev`` reconstructs ``core/engine.py`` as of a git revision
-(the pre-ledger dense engine) via ``git show`` and runs it through the
-*same* harness on the same action streams, recording its ticks/sec
-next to the current engine's and asserting state equality at the end
-of each paired run.  The dense baseline is capped at ``n <= 1024``:
-its O(n²) matrices at n=4096 would dominate the process RSS high-water
-mark that this report also documents for the ledger engine.
 
 JSON schema (``repro.bench_engine.v1``)
 ---------------------------------------
@@ -68,28 +58,14 @@ JSON schema (``repro.bench_engine.v1``)
          "sections": {"pipeline.classify": {"count":..., "total_ns":...,
                                             "mean_ns":...}, ...}},
         ...
-      ],
-      "fastpath": {"max_n": 4096,
-                   "runs": [...engine "fast" rows, same shape...],
-                   "speedup": {"quiet@1024": 3.1, ...},
-                   "extrapolated": {"quiet@100000": {
-                       "fast_ticks_per_sec_est": ...,
-                       "speedup_est": ...}, ...}},
-      "baseline": {"rev": "...",
-                   "runs": [...same shape, no sections...],
-                   "speedup": {"quiet@1024": 14.0, ...}}
+      ]
     }
 
 Above ``profile_policy.quiet_only_above`` processors only the quiet
 profile is measured: the event-dense profiles go through the scalar
 per-event handlers whose cost is O(events·python), so a single
 warmed-up stationary tick at n = 10⁵ takes seconds and measures
-nothing the n = 4096 row doesn't already.  The ``fastpath`` section
-re-runs the grid (capped at ``max_n``) on the PR 3 fast-path engine
-for speedup columns, asserting final-state equality with the columnar
-rows; for the larger quiet sizes the fast-path rate is extrapolated
-from its largest measured size (its per-tick cost is O(n), so rate
-scales as 1/n — the extrapolation is marked as such).
+nothing the n = 4096 row doesn't already.
 
 ``peak_rss_bytes`` is ``ru_maxrss`` — the high-water mark of the
 process that ran the point.  On the default ``native`` backend every
@@ -104,16 +80,14 @@ backend-independent; only the wall-clock columns move.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import platform
 import resource
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -131,13 +105,12 @@ __all__ = [
     "append_bench_history",
     "bench_report",
     "history_record",
-    "load_engine_module_at_rev",
     "run_microbench",
     "write_bench_json",
 ]
 
 PROFILES = ("quiet", "stationary", "growth")
-ENGINES = ("columnar", "fast", "scalar")
+ENGINES = ("columnar", "scalar")
 DEFAULT_NS = (64, 256, 1024, 4096, 100_000, 1_000_000)
 #: above this n, only the quiet profile is benchmarked (see module doc)
 QUIET_ONLY_ABOVE = 4096
@@ -191,20 +164,14 @@ def _make_actions(profile: str, n: int, total: int, workload_seed: int):
 
 
 def _prepare_engine(engine: Any, profile: str, n: int) -> None:
-    """Profile-specific initial state (shared by ledger and dense)."""
+    """Profile-specific initial state (shared by every engine)."""
     if profile != "quiet":
         return
     # pre-balanced uniform state: L own-class packets everywhere, the
     # trigger reference in equilibrium -> the +-1 oscillation stays
     # inside the factor-f band and no borrowing ever happens
-    if hasattr(engine.d, "diag"):
-        # ledger engines: set the columns directly (the per-element
-        # shim below is O(n) python calls — seconds at n = 10⁶)
-        engine.d.diag[:] = _QUIET_LOAD
-        engine.d.row_sums[:] = _QUIET_LOAD
-    else:
-        for i in range(n):
-            engine.d[i, i] = _QUIET_LOAD
+    engine.d.diag[:] = _QUIET_LOAD
+    engine.d.row_sums[:] = _QUIET_LOAD
     engine.l[:] = _QUIET_LOAD
     engine.l_old[:] = _QUIET_LOAD
 
@@ -218,49 +185,31 @@ def run_microbench(
     workload_seed: int = 123,
     warmup: int | None = None,
     ticks: int | None = None,
-    engine_factory: Callable[..., Any] | None = None,
-    engine: str | None = None,
-    fast_path: bool = True,
+    engine: str = "columnar",
     profile_sections: bool = False,
 ) -> dict[str, Any]:
     """Time ``ticks`` engine steps for one (n, profile) point.
 
     ``engine`` picks a variant by name — ``"columnar"``
-    (:class:`~repro.core.columnar.ColumnarEngine`), ``"fast"``
-    (:class:`Engine` with the vectorized fast path) or ``"scalar"``
-    (``fast_path=False``); the default derives from ``fast_path`` for
-    backward compatibility.  ``engine_factory(config, rng=seed)``
-    overrides both; pass a reconstructed historical engine class to
-    benchmark an old code path on the identical action stream.
-    Returns a plain-data record (see module docstring schema) plus the
-    final ``l`` vector under ``"_l"`` for cross-engine equality checks
-    (stripped before serialisation).
+    (:class:`~repro.core.columnar.ColumnarEngine`) or ``"scalar"``
+    (:class:`~repro.core.engine.Engine`).  Returns a plain-data record
+    (see module docstring schema) plus the final ``l`` vector under
+    ``"_l"`` for cross-engine equality checks (stripped before
+    serialisation).
     """
     params = params or LBParams(f=1.3, delta=2, C=4)
-    if engine is None:
-        engine = "fast" if fast_path else "scalar"
-    elif engine not in ENGINES:
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r} (want one of {ENGINES})")
     default_warmup, default_ticks = _tick_budget(n, profile)
     warmup = default_warmup if warmup is None else warmup
     ticks = default_ticks if ticks is None else ticks
 
     acts = _make_actions(profile, n, warmup + ticks, workload_seed)
-    # the current EngineConfig works for reconstructed engines too:
-    # they read the shared fields and ignore fast_path
-    config = EngineConfig(
-        n=n, params=params, fast_path=engine != "scalar"
-    )
     profiler = Profiler() if profile_sections else None
-    if engine_factory is not None:
-        if profiler is not None:
-            raise ValueError(
-                "profile_sections is only supported on the current engine"
-            )
-        eng = engine_factory(config, rng=engine_seed)
-    else:
-        cls = ColumnarEngine if engine == "columnar" else Engine
-        eng = cls(config, rng=engine_seed, profiler=profiler)
+    cls = ColumnarEngine if engine == "columnar" else Engine
+    eng = cls(
+        EngineConfig(n=n, params=params), rng=engine_seed, profiler=profiler
+    )
     _prepare_engine(eng, profile, n)
 
     for t in range(warmup):
@@ -273,7 +222,7 @@ def run_microbench(
     record: dict[str, Any] = {
         "n": n,
         "profile": profile,
-        "engine": engine if engine_factory is None else "custom",
+        "engine": engine,
         "warmup": warmup,
         "ticks": ticks,
         "ticks_per_sec": round(ticks / elapsed, 2),
@@ -301,46 +250,6 @@ def peak_rss_bytes() -> int:
     """Process RSS high-water mark (``ru_maxrss``; KiB on Linux)."""
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return rss * (1 if sys.platform == "darwin" else 1024)
-
-
-def load_engine_module_at_rev(rev: str, repo_root: Path | None = None):
-    """Reconstruct ``repro.core.engine`` as of git revision ``rev``.
-
-    Returns the loaded module (its ``Engine``/``EngineConfig`` resolve
-    their imports against the *current* package, which keeps the dense
-    helpers they use), or ``None`` when git or the revision is
-    unavailable — callers degrade to a no-baseline report.
-    """
-    root = repo_root or _REPO_ROOT
-    try:
-        src = subprocess.run(
-            ["git", "show", f"{rev}:src/repro/core/engine.py"],
-            capture_output=True,
-            text=True,
-            cwd=root,
-            timeout=30,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    if src.returncode != 0 or not src.stdout:
-        return None
-    name = "_repro_engine_" + "".join(
-        c if c.isalnum() else "_" for c in rev
-    )
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".py", prefix=name + "_", delete=False
-    ) as fh:
-        fh.write(src.stdout)
-        path = fh.name
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclass machinery needs the registry
-    try:
-        spec.loader.exec_module(module)
-    except Exception:
-        del sys.modules[name]
-        return None
-    return module
 
 
 def git_rev(repo_root: Path | None = None) -> str:
@@ -406,10 +315,7 @@ def bench_report(
     profiles: tuple[str, ...] = PROFILES,
     params: LBParams | None = None,
     engine: str = "columnar",
-    fastpath_max_n: int = 4096,
     ticks: int | None = None,
-    baseline_rev: str | None = None,
-    baseline_max_n: int = 1024,
     engine_seed: int = 7,
     workload_seed: int = 123,
     backend: str | None = None,
@@ -427,17 +333,6 @@ def bench_report(
     grid is recorded under ``"backend"``.  Above ``QUIET_ONLY_ABOVE``
     processors only the quiet profile is measured (see module doc).
     ``ticks`` overrides the per-profile tick budget (CI smoke runs).
-
-    When ``engine="columnar"`` and ``fastpath_max_n > 0``, the grid is
-    re-run (capped at ``fastpath_max_n``) on the PR 3 fast-path engine
-    under ``"fastpath"``; paired rows must reach identical final loads
-    or the report raises, and quiet rows beyond the cap get a 1/n
-    extrapolation of the fast-path rate.  With ``baseline_rev``, the
-    dense engine of that revision is additionally re-run for every
-    (profile, n <= baseline_max_n) point with the same equality check.
-    The baseline grid always runs in-process: the reconstructed
-    historical module exists only in this interpreter and cannot cross
-    a pickle boundary.
 
     With ``trace=True`` the main grid records one span per measurement
     point into per-task tracers, threads a
@@ -470,20 +365,12 @@ def bench_report(
         "runs": [],
     }
 
-    def _grid(sizes: tuple[int, ...], eng_name: str) -> list[tuple]:
-        return [
-            (n, profile, params, engine_seed, workload_seed, eng_name, ticks)
-            for n in sorted(sizes)
-            for profile in profiles
-            if profile == "quiet" or n <= QUIET_ONLY_ABOVE
-        ]
-
-    tasks = _grid(tuple(ns), engine)
-    fast_tasks = (
-        _grid(tuple(x for x in ns if x <= fastpath_max_n), "fast")
-        if engine == "columnar" and fastpath_max_n > 0
-        else []
-    )
+    tasks = [
+        (n, profile, params, engine_seed, workload_seed, engine, ticks)
+        for n in sorted(ns)
+        for profile in profiles
+        if profile == "quiet" or n <= QUIET_ONLY_ABOVE
+    ]
     parent_tracer = parent_spans = ctx = None
     root = -1
     trace_payloads: list[dict[str, Any]] = []
@@ -497,34 +384,18 @@ def bench_report(
         ctx = TraceContext(
             run_id or f"bench-{doc['git_rev']}", parent_span=root
         )
-        # only the main grid is traced: the fastpath/baseline re-runs
-        # measure the same points again and would double every lane
         tasks = [t + (True,) for t in tasks]
-    finals: dict[tuple[str, int], list[int]] = {}
-    fast_runs: list[dict[str, Any]] = []
     with get_client(backend, jobs=jobs) as client:
         if ctx is not None:
             client.trace_context = ctx
         # chunksize=1: one (n, profile) point per dispatch, so a
         # parallel backend interleaves sizes instead of striping them
-        for task, rec in zip(
-            tasks, client.map_ordered(_bench_point, tasks, chunksize=1)
-        ):
-            finals[(task[1], task[0])] = rec.pop("_l")
+        for rec in client.map_ordered(_bench_point, tasks, chunksize=1):
+            rec.pop("_l")
             payload = rec.pop("_trace", None)
             if payload is not None:
                 trace_payloads.append(payload)
             doc["runs"].append(rec)
-        for task, rec in zip(
-            fast_tasks,
-            client.map_ordered(_bench_point, fast_tasks, chunksize=1),
-        ):
-            if rec.pop("_l") != finals[(task[1], task[0])]:
-                raise AssertionError(
-                    f"fast-path engine diverged from {engine} on "
-                    f"profile={task[1]} n={task[0]}"
-                )
-            fast_runs.append(rec)
         doc["backend"] = client.used_backend
 
     if trace:
@@ -539,82 +410,6 @@ def bench_report(
             [worker_payload(parent_tracer, ctx)] + trace_payloads
         )
 
-    if fast_tasks:
-        fast_tps = {
-            (r["profile"], r["n"]): r["ticks_per_sec"] for r in fast_runs
-        }
-        speedup = {
-            f"{r['profile']}@{r['n']}": round(
-                r["ticks_per_sec"] / fast_tps[(r["profile"], r["n"])], 2
-            )
-            for r in doc["runs"]
-            if (r["profile"], r["n"]) in fast_tps
-        }
-        # fast-path cost per tick is O(n): extrapolate its rate from
-        # the largest measured size for the quiet rows beyond the cap
-        extrapolated: dict[str, Any] = {}
-        quiet_ns = [n for p, n in fast_tps if p == "quiet"]
-        if quiet_ns:
-            ref_n = max(quiet_ns)
-            ref_tps = fast_tps[("quiet", ref_n)]
-            for r in doc["runs"]:
-                if r["profile"] != "quiet" or r["n"] <= ref_n:
-                    continue
-                est = ref_tps * ref_n / r["n"]
-                extrapolated[f"quiet@{r['n']}"] = {
-                    "fast_ticks_per_sec_est": round(est, 2),
-                    "speedup_est": round(r["ticks_per_sec"] / est, 2),
-                }
-        doc["fastpath"] = {
-            "max_n": fastpath_max_n,
-            "runs": fast_runs,
-            "speedup": speedup,
-            "extrapolated": extrapolated,
-        }
-
-    if baseline_rev:
-        module = load_engine_module_at_rev(baseline_rev)
-        if module is None:
-            doc["baseline"] = {"rev": baseline_rev, "error": "unavailable"}
-            return doc
-        base_runs = []
-        speedup = {}
-        for n in sorted(x for x in ns if x <= baseline_max_n):
-            for profile in profiles:
-                if profile != "quiet" and n > QUIET_ONLY_ABOVE:
-                    continue
-                rec = run_microbench(
-                    n,
-                    profile,
-                    params=params,
-                    engine_seed=engine_seed,
-                    workload_seed=workload_seed,
-                    ticks=ticks,
-                    engine_factory=lambda config, rng: module.Engine(
-                        config, rng=rng
-                    ),
-                )
-                if rec.pop("_l") != finals[(profile, n)]:
-                    raise AssertionError(
-                        f"baseline {baseline_rev} diverged from current "
-                        f"engine on profile={profile} n={n}"
-                    )
-                rec.pop("peak_rss_bytes")  # polluted by current-engine runs
-                base_runs.append(rec)
-                cur = next(
-                    r
-                    for r in doc["runs"]
-                    if r["n"] == n and r["profile"] == profile
-                )
-                speedup[f"{profile}@{n}"] = round(
-                    cur["ticks_per_sec"] / rec["ticks_per_sec"], 2
-                )
-        doc["baseline"] = {
-            "rev": baseline_rev,
-            "max_n": baseline_max_n,
-            "runs": base_runs,
-            "speedup": speedup,
-        }
     return doc
 
 
@@ -655,7 +450,7 @@ def history_record(
             {
                 "n": r["n"],
                 "profile": r["profile"],
-                "engine": r.get("engine", "fast"),
+                "engine": r["engine"],
                 "ticks_per_sec": r["ticks_per_sec"],
                 "total_ops": r["total_ops"],
                 "peak_rss_bytes": r["peak_rss_bytes"],
@@ -687,42 +482,20 @@ def render_report(doc: dict[str, Any]) -> str:
     """ASCII summary of a bench document."""
     from repro.experiments.report import render_table
 
-    fastpath = doc.get("fastpath", {})
-    fast_speedup = fastpath.get("speedup", {})
-    extrapolated = fastpath.get("extrapolated", {})
-    speedup = doc.get("baseline", {}).get("speedup", {})
-    rows = []
-    for r in doc["runs"]:
-        key = f"{r['profile']}@{r['n']}"
-        vs_fast = fast_speedup.get(key, "-")
-        if key in extrapolated:
-            vs_fast = f"~{extrapolated[key]['speedup_est']}"
-        rows.append(
-            [
-                r["n"],
-                r["profile"],
-                r.get("engine", "fast"),
-                r["ticks"],
-                r["ticks_per_sec"],
-                r["total_ops"],
-                f"{r['peak_rss_bytes'] / 2**20:.0f}",
-                vs_fast,
-                speedup.get(key, "-"),
-            ]
-        )
-    table = render_table(
+    rows = [
         [
-            "n",
-            "profile",
-            "engine",
-            "ticks",
-            "ticks/s",
-            "ops",
-            "rss MiB",
-            "vs fast",
-            "vs base",
-        ],
-        rows,
+            r["n"],
+            r["profile"],
+            r["engine"],
+            r["ticks"],
+            r["ticks_per_sec"],
+            r["total_ops"],
+            f"{r['peak_rss_bytes'] / 2**20:.0f}",
+        ]
+        for r in doc["runs"]
+    ]
+    table = render_table(
+        ["n", "profile", "engine", "ticks", "ticks/s", "ops", "rss MiB"], rows
     )
     head = (
         f"engine microbench  rev={doc['git_rev']}  "
@@ -730,13 +503,4 @@ def render_report(doc: dict[str, Any]) -> str:
         f"f={doc['params']['f']} delta={doc['params']['delta']} "
         f"C={doc['params']['C']}"
     )
-    if "baseline" in doc:
-        head += f"  baseline={doc['baseline'].get('rev')}"
-    out = head + "\n\n" + table
-    if extrapolated:
-        out += (
-            "\n\n~ marks speedups vs a 1/n extrapolation of the "
-            "fast-path rate\n  from its largest measured size "
-            f"(n={fastpath.get('max_n')})."
-        )
-    return out
+    return head + "\n\n" + table

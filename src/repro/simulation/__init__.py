@@ -13,7 +13,6 @@ from repro.simulation.result import RunResult
 from repro.simulation.eventqueue import Event, EventQueue
 from repro.simulation.backends import (
     BatchClient,
-    DistributedClient,
     MultiprocessingClient,
     NativeClient,
     available_backends,
@@ -39,7 +38,6 @@ __all__ = [
     "BatchClient",
     "NativeClient",
     "MultiprocessingClient",
-    "DistributedClient",
     "available_backends",
     "get_client",
     "resolve_backend",

@@ -2,8 +2,7 @@
 
 Every experiment in this repo is an average over many independent,
 individually-seeded runs.  This package decides *where* those runs
-execute — inline, across a local process pool, or (via the documented
-wire contract) on a future distributed executor — behind one
+execute — inline or across a local process pool — behind one
 :class:`~repro.simulation.backends.base.BatchClient` interface, so
 sweeps, the bench harness and the chaos harness fan out unchanged.
 
@@ -16,8 +15,6 @@ sweeps, the bench harness and the chaos harness fan out unchanged.
 * :mod:`~repro.simulation.backends.pool` — ``ProcessPoolExecutor``
   fan-out with ordered streaming fold and graceful pool-start
   degradation (one warning + a ``backend_fallback`` trace event).
-* :mod:`~repro.simulation.backends.distributed` — a stub pinning the
-  ``repro.batch.v1`` wire contract a real executor drops into.
 * :mod:`~repro.simulation.backends.registry` — backend registration
   and the ``REPRO_BACKEND``/``REPRO_JOBS`` selection rules.
 
@@ -34,7 +31,6 @@ from repro.simulation.backends.base import (
     BatchHandle,
     Capabilities,
 )
-from repro.simulation.backends.distributed import WIRE_PROTOCOL, DistributedClient
 from repro.simulation.backends.native import NativeClient
 from repro.simulation.backends.pool import MultiprocessingClient, auto_jobs
 from repro.simulation.backends.registry import (
@@ -53,8 +49,6 @@ __all__ = [
     "Capabilities",
     "NativeClient",
     "MultiprocessingClient",
-    "DistributedClient",
-    "WIRE_PROTOCOL",
     "auto_jobs",
     "available_backends",
     "get_client",

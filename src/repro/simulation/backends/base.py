@@ -2,8 +2,8 @@
 
 Every experiment in this repo is an average over many *independent*
 runs — embarrassingly parallel work.  A :class:`BatchClient` executes
-batches of such tasks; where and how (inline, a process pool, a future
-distributed executor) is the backend's business, invisible to callers.
+batches of such tasks; where and how (inline, a process pool) is the
+backend's business, invisible to callers.
 The full prose contract — determinism, ordering, capability flags,
 failure semantics, selection rules — lives in ``docs/BACKENDS.md``;
 this module is its machine half.
@@ -92,9 +92,6 @@ class Capabilities:
     parallel:
         Tasks of one batch may execute concurrently.  ``False`` means
         strictly sequential in-process execution.
-    remote:
-        Workers may live outside this machine's OS process tree
-        (results must cross a wire, not just a pipe).
     streaming:
         ``map_ordered`` consumes lazy task iterables one item at a
         time and never materialises them — O(1) memory over huge run
@@ -103,7 +100,6 @@ class Capabilities:
     """
 
     parallel: bool = False
-    remote: bool = False
     streaming: bool = False
 
 
@@ -235,6 +231,6 @@ class BatchClient(ABC):
         caps = self.capabilities
         return (
             f"<{type(self).__name__} name={self.name!r} "
-            f"parallel={caps.parallel} remote={caps.remote} "
+            f"parallel={caps.parallel} "
             f"streaming={caps.streaming}>"
         )

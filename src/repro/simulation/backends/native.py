@@ -29,7 +29,7 @@ class NativeClient(BatchClient):
     """
 
     name = "native"
-    capabilities = Capabilities(parallel=False, remote=False, streaming=True)
+    capabilities = Capabilities(parallel=False, streaming=True)
 
     def __init__(self, jobs: int | None = None, *, tracer=None) -> None:
         # jobs/tracer accepted for constructor uniformity across the

@@ -65,7 +65,7 @@ class MultiprocessingClient(BatchClient):
     """
 
     name = "multiprocessing"
-    capabilities = Capabilities(parallel=True, remote=False, streaming=False)
+    capabilities = Capabilities(parallel=True, streaming=False)
 
     def __init__(self, jobs: int | None = None, *, tracer=None) -> None:
         super().__init__()

@@ -22,7 +22,6 @@ import os
 from typing import Type
 
 from repro.simulation.backends.base import BatchClient
-from repro.simulation.backends.distributed import DistributedClient
 from repro.simulation.backends.native import NativeClient
 from repro.simulation.backends.pool import MultiprocessingClient, auto_jobs
 
@@ -53,7 +52,7 @@ def register_backend(cls: Type[BatchClient]) -> Type[BatchClient]:
     return cls
 
 
-for _cls in (NativeClient, MultiprocessingClient, DistributedClient):
+for _cls in (NativeClient, MultiprocessingClient):
     register_backend(_cls)
 
 

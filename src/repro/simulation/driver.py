@@ -31,6 +31,7 @@ from typing import Any, Protocol
 
 import numpy as np
 
+from repro.core.columnar import ColumnarEngine
 from repro.core.engine import Engine, EngineConfig
 from repro.core.selection import CandidateSelector
 from repro.observability.metrics import MetricsRegistry
@@ -159,11 +160,13 @@ def run_simulation(
 
     ``engine_cls`` swaps the engine implementation (any
     :class:`~repro.core.engine.Engine` subclass with the same
-    constructor, e.g. :class:`~repro.core.columnar.ColumnarEngine` for
-    large-n runs); results are bit-identical across implementations.
+    constructor); the default is the vectorized
+    :class:`~repro.core.columnar.ColumnarEngine`, and passing the scalar
+    oracle :class:`~repro.core.engine.Engine` gives bit-identical
+    results.
     """
     factory = seed if isinstance(seed, RngFactory) else RngFactory(seed)
-    engine = (engine_cls or Engine)(
+    engine = (engine_cls or ColumnarEngine)(
         EngineConfig(
             n=n,
             params=params,

@@ -26,6 +26,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.borrowing import BorrowCounters
+from repro.core.columnar import ColumnarEngine
 from repro.core.engine import Engine, EngineConfig
 from repro.core.ledger import ClassLedger
 from repro.params import LBParams
@@ -124,7 +125,7 @@ def save_engine_state(engine: Engine, path: str | Path) -> Path:
 
 def load_engine_state(
     path: str | Path, *, rng: int | np.random.Generator | None = 0
-) -> Engine:
+) -> ColumnarEngine:
     """Restore a checkpointed engine (supply the RNG stream to use from
     here on)."""
     path = Path(path)
@@ -136,7 +137,7 @@ def load_engine_state(
             C=int(data["C"]),
             require_provable=False,
         )
-        engine = Engine(
+        engine = ColumnarEngine(
             EngineConfig(
                 n=int(data["n"]),
                 params=params,

@@ -1,13 +1,16 @@
 """Columnar engine equivalence: the pass pipeline must be invisible.
 
 :class:`~repro.core.columnar.ColumnarEngine` re-expresses the tick as
-a fused array-pass pipeline but must replay *exactly* the scalar
-reference sweep (``Engine(fast_path=False)``): same RNG draw order,
-same state, same trace events, spans and monitor verdicts.  Three
-layers of evidence:
+an array-pass pipeline but must replay *exactly* the sweep of the
+scalar oracle (``Engine``): same RNG draw order, same state, same
+trace events, spans and monitor verdicts.
+Four layers of evidence:
 
-* the seeded equivalence grid of ``test_fast_path_equivalence``, run
-  fused, unfused (``fuse=False``) and kernel-less (``kernel="off"``);
+* a seeded equivalence grid at ``n <= 32``, run as shipped, unfused
+  (deep-quiet lane off, so every all-fast tick is classified and
+  bulk-applied on its own) and without the C kernels (``kernel="off"``);
+* a hypothesis property searching the parameter space adversarially
+  (including idle actions and degenerate n=2);
 * a per-tick lockstep hypothesis property on the bench workloads
   (quiet / stationary / growth, n <= 64) comparing full state and the
   RNG state after *every* tick — a divergence is caught on the tick it
@@ -18,11 +21,9 @@ layers of evidence:
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.columnar import ColumnarEngine
@@ -37,16 +38,21 @@ from repro.observability import (
 from repro.params import LBParams
 
 
+class _UnfusedEngine(ColumnarEngine):
+    """The pipeline with the deep-quiet lane off: no horizon is ever
+    proven, so every tick runs classify and the per-tick lanes."""
+
+    def _deep_horizon(self) -> int:
+        return 0
+
+
 def _run(n, params, actions, seed, **kwargs):
     tracer = Tracer()
     if kwargs.pop("scalar", False):
-        eng = Engine(
-            EngineConfig(n=n, params=params, fast_path=False),
-            rng=seed,
-            tracer=tracer,
-        )
+        eng = Engine(EngineConfig(n=n, params=params), rng=seed, tracer=tracer)
     else:
-        eng = ColumnarEngine(
+        engine_cls = kwargs.pop("engine_cls", ColumnarEngine)
+        eng = engine_cls(
             EngineConfig(n=n, params=params),
             rng=seed,
             tracer=tracer,
@@ -97,7 +103,8 @@ def _grid_actions(n, bias, ticks, seed):
 
 
 @pytest.mark.parametrize(
-    "variant", [{}, {"fuse": False}, {"kernel": "off"}],
+    "variant",
+    [{}, {"engine_cls": _UnfusedEngine}, {"kernel": "off"}],
     ids=["fused", "unfused", "no-kernel"],
 )
 @pytest.mark.parametrize("n,f,delta,C,bias,ticks,seed", GRID)
@@ -106,6 +113,95 @@ def test_equivalence_seeded_sweep(n, f, delta, C, bias, ticks, seed, variant):
     _assert_equivalent(
         n, LBParams(f=f, delta=delta, C=C), actions, seed, **variant
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=16),
+    f=st.sampled_from([1.05, 1.1, 1.3, 1.5, 2.0]),
+    delta_raw=st.integers(min_value=1, max_value=4),
+    C=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+def test_equivalence_property(n, f, delta_raw, C, seed, data):
+    delta = min(delta_raw, n - 1)
+    assume(f < delta + 1)  # the provable parameter domain
+    ticks = data.draw(st.integers(min_value=1, max_value=25))
+    actions = data.draw(
+        st.lists(
+            st.lists(
+                st.sampled_from([-1, 0, 1]), min_size=n, max_size=n
+            ),
+            min_size=ticks,
+            max_size=ticks,
+        )
+    )
+    _assert_equivalent(
+        n, LBParams(f=f, delta=delta, C=C), np.asarray(actions), seed
+    )
+
+
+def test_custom_triggers_fall_back_to_the_scalar_sweep():
+    """Custom trigger objects see every check: the columnar engine runs
+    the inherited scalar sweep and still matches the oracle."""
+    from repro.core.triggers import FactorTrigger
+
+    n = 16
+    params = LBParams(f=1.3, delta=2, C=2)
+    actions = _grid_actions(n, 0.5, 40, 9)
+    engines = []
+    for cls in (ColumnarEngine, Engine):
+        tracer = Tracer()
+        eng = cls(
+            EngineConfig(n=n, params=params),
+            rng=9,
+            tracer=tracer,
+            triggers=[FactorTrigger(1.3) for _ in range(n)],
+        )
+        for row in actions:
+            eng.step(row)
+        engines.append((eng, tracer))
+    (col, col_tr), (ref, ref_tr) = engines
+    assert not col._vectorized
+    assert col.l.tolist() == ref.l.tolist()
+    assert col.total_ops == ref.total_ops > 0
+    assert col.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert col_tr.events == ref_tr.events
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ColumnarEngine])
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (2, "invalid action 2 for processor 1"),
+        (0.5, "invalid action 0.5 for processor 1"),
+    ],
+    ids=["two", "half"],
+)
+def test_invalid_action_rejected_before_anything_moves(engine_cls, bad, message):
+    eng = engine_cls(
+        EngineConfig(n=4, params=LBParams(f=1.3, delta=1, C=2)), rng=0
+    )
+    eng.step(np.array([1, 1, 1, 1]))
+    l_before = eng.l.tolist()
+    rng_before = eng.rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        eng.step(np.array([1, bad, 1, -1]))
+    assert eng.l.tolist() == l_before
+    assert eng.rng.bit_generator.state == rng_before
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ColumnarEngine])
+def test_integral_float_actions_match_integer_actions(engine_cls):
+    config = EngineConfig(n=4, params=LBParams(f=1.3, delta=1, C=2))
+    ints = engine_cls(config, rng=0)
+    floats = engine_cls(config, rng=0)
+    for row in ([1, 1, 1, 1], [1.0, 0.0, -1.0, 1.0], [-1, -1, 0, 1]):
+        ints.step(np.asarray(row, dtype=np.int64))
+        floats.step(np.asarray(row, dtype=np.float64))
+    assert floats.l.tolist() == ints.l.tolist()
+    assert floats.rng.bit_generator.state == ints.rng.bit_generator.state
 
 
 @settings(max_examples=25, deadline=None)
@@ -123,9 +219,7 @@ def test_lockstep_property_on_bench_profiles(
     params = LBParams(f=1.3, delta=min(2, n - 1), C=4)
     acts = _make_actions(profile, n, ticks, workload_seed)
     col = ColumnarEngine(EngineConfig(n=n, params=params), rng=seed)
-    ref = Engine(
-        EngineConfig(n=n, params=params, fast_path=False), rng=seed
-    )
+    ref = Engine(EngineConfig(n=n, params=params), rng=seed)
     _prepare_engine(col, profile, n)
     _prepare_engine(ref, profile, n)
     for t in range(ticks):
@@ -141,15 +235,6 @@ def test_lockstep_property_on_bench_profiles(
     # no assert_invariants here: _prepare_engine pokes load state
     # directly, so the generated-consumed conservation law cannot hold;
     # the scalar reference engine is the oracle
-
-
-class _ScalarOracle(Engine):
-    """The reference engine forced onto the scalar sweep."""
-
-    def __init__(self, config, **kwargs):
-        super().__init__(
-            dataclasses.replace(config, fast_path=False), **kwargs
-        )
 
 
 def _observed_simulation(engine_cls):
@@ -179,7 +264,7 @@ def _observed_simulation(engine_cls):
 def test_golden_trace_with_monitors_on():
     """Monitors-on §7 run: events, verdicts, metrics all bit-identical."""
     col_res, col_tr, col_suite, col_m = _observed_simulation(ColumnarEngine)
-    ref_res, ref_tr, ref_suite, ref_m = _observed_simulation(_ScalarOracle)
+    ref_res, ref_tr, ref_suite, ref_m = _observed_simulation(Engine)
     assert np.array_equal(col_res.loads, ref_res.loads)
     assert col_res.total_ops == ref_res.total_ops
     assert col_res.packets_migrated == ref_res.packets_migrated
@@ -205,15 +290,6 @@ class TestDeepQuietLane:
         eng.step(np.full(eng.n, -1, dtype=np.int64))
         # the first quiet tick proves a multi-tick horizon
         assert eng._deep_left > 0
-
-    def test_unfused_pipeline_never_goes_deep(self):
-        eng = self._quiet_engine(fuse=False)
-        assert (
-            eng.pipeline.describe()
-            == "classify -> advance -> apply -> residual"
-        )
-        eng.step(np.full(eng.n, -1, dtype=np.int64))
-        assert eng._deep_left == 0
 
     def test_invalid_action_in_deep_lane_mutates_nothing(self):
         eng = self._quiet_engine()
@@ -242,9 +318,7 @@ class TestDeepQuietLane:
         acts = _make_actions("quiet", n, ticks, 0)
         params = LBParams(f=1.3, delta=2, C=4)
         col = self._quiet_engine(n=n)
-        ref = Engine(
-            EngineConfig(n=n, params=params, fast_path=False), rng=3
-        )
+        ref = Engine(EngineConfig(n=n, params=params), rng=3)
         _prepare_engine(ref, "quiet", n)
         for t in range(ticks):
             a = np.asarray(acts[t])

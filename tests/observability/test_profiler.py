@@ -95,10 +95,10 @@ class TestEngineProfiling:
 
         prof = Profiler()
         # the per-action trigger.check contract holds on the scalar
-        # reference sweep; the fast path batches quiet checks into
-        # step.classify (see docs/OBSERVABILITY.md)
+        # sweep; the columnar pipeline batches quiet checks into
+        # pipeline.classify (see docs/OBSERVABILITY.md)
         eng = Engine(
-            EngineConfig(n=4, params=LBParams(f=1.2, delta=2, C=2), fast_path=False),
+            EngineConfig(n=4, params=LBParams(f=1.2, delta=2, C=2)),
             rng=1,
             profiler=prof,
         )
@@ -109,22 +109,24 @@ class TestEngineProfiling:
         assert prof.records["balance.deal"].count == eng.total_ops
         assert eng.total_ops > 0
 
-    def test_fast_path_sections_populated(self):
+    def test_pipeline_sections_populated(self):
         import numpy as np
 
-        from repro import Engine, EngineConfig, LBParams
+        from repro import EngineConfig, LBParams
+        from repro.core.columnar import ColumnarEngine
 
         prof = Profiler()
-        eng = Engine(
+        eng = ColumnarEngine(
             EngineConfig(n=4, params=LBParams(f=1.2, delta=2, C=2)),
             rng=1,
             profiler=prof,
         )
         for _ in range(30):
             eng.step(np.ones(4, dtype=np.int64))
-        # one classification pass per tick; slow-path checks still land
-        # in trigger.check individually
-        assert prof.records["step.classify"].count == 30
+        # every pass runs once per tick; scalar-handler checks still
+        # land in trigger.check individually
+        for name in ("classify", "advance+apply", "residual"):
+            assert prof.records[f"pipeline.{name}"].count == 30
         assert prof.records["balance.select"].count == eng.total_ops
         assert prof.records["trigger.check"].count >= eng.total_ops
 

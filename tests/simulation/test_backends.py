@@ -16,10 +16,8 @@ from repro.observability.tracer import Tracer
 from repro.rng import RngFactory
 from repro.simulation.backends import (
     BackendFallbackWarning,
-    BackendUnavailable,
     BatchClient,
     Capabilities,
-    DistributedClient,
     MultiprocessingClient,
     NativeClient,
     available_backends,
@@ -156,9 +154,10 @@ class TestSelectionRules:
             resolve_backend(backend="bogus")
 
     def test_unknown_backend_env_raises(self, clean_env):
-        clean_env.setenv("REPRO_BACKEND", "bogus")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            resolve_backend()
+        for name in ("bogus", "distributed"):
+            clean_env.setenv("REPRO_BACKEND", name)
+            with pytest.raises(ValueError, match="REPRO_BACKEND"):
+                resolve_backend()
 
     def test_malformed_repro_jobs_raises(self, clean_env):
         clean_env.setenv("REPRO_JOBS", "many")
@@ -177,7 +176,7 @@ class TestSelectionRules:
 class TestRegistry:
     def test_builtin_backends_registered(self):
         assert available_backends() == (
-            "distributed", "multiprocessing", "native",
+            "multiprocessing", "native",
         )
 
     def test_register_requires_name(self):
@@ -261,13 +260,10 @@ class TestFallback:
 class TestClientContract:
     def test_capability_flags(self):
         assert NativeClient.capabilities == Capabilities(
-            parallel=False, remote=False, streaming=True
+            parallel=False, streaming=True
         )
         assert MultiprocessingClient.capabilities == Capabilities(
-            parallel=True, remote=False, streaming=False
-        )
-        assert DistributedClient.capabilities == Capabilities(
-            parallel=True, remote=True, streaming=False
+            parallel=True, streaming=False
         )
 
     def test_submit_gather_ordered(self):
@@ -312,13 +308,6 @@ class TestClientContract:
             assert next(out) == 0
             assert consumed == [0]
             assert list(out) == [1, 4, 9]
-
-    def test_distributed_stub_raises(self):
-        with DistributedClient() as client:
-            with pytest.raises(BackendUnavailable, match="wire-contract stub"):
-                next(client.map_ordered(square, [1, 2]))
-            with pytest.raises(BackendUnavailable):
-                client.submit(square, [1])
 
     def test_task_exception_propagates(self):
         def boom(x):
