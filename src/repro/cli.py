@@ -86,13 +86,14 @@ schema-validated NDJSON.  ``--diff`` compares two recorded traces.
 the grid to one size / a profile subset / a fixed tick count (CI smoke
 runs), and each run appends a record to ``bench_history.ndjson``, the
 cross-revision perf trajectory (see docs/PERFORMANCE.md).  Multi-run
-commands
-(``bench``, ``chaos``, and every experiment built on
-``quality_experiment``) execute through the pluggable batch backend
-selected by ``--backend``/``--jobs`` or ``REPRO_BACKEND`` /
-``REPRO_JOBS`` (see docs/BACKENDS.md); the chosen backend is printed
-in the ``bench``/``chaos`` output and recorded in their JSON
-artifacts.
+commands (``bench``, ``chaos``, ``churn``, and every experiment built on
+``quality_experiment``) execute through the batch backend
+(:mod:`repro.simulation.parallel`) selected by ``--backend``/``--jobs``
+or ``REPRO_BACKEND`` / ``REPRO_JOBS`` (see docs/BACKENDS.md); the flags
+are validated once for every command (an unknown backend exits 2) and
+then stand in for the two environment variables while the command
+runs.  The chosen backend is printed in the ``bench``/``chaos``/
+``churn`` output and recorded in their JSON artifacts.
 
 ``--engine async`` points ``trace`` / ``profile`` at the asynchronous
 engine (horizon in model time via ``--horizon``); ``repro chaos`` runs
@@ -119,8 +120,10 @@ NDJSON trace via ``--trace-in``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -329,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend", type=str, default=None, metavar="NAME",
         help="batch-execution backend for multi-run commands "
-        "(native|multiprocessing|...; default: REPRO_BACKEND env, "
+        "(native|multiprocessing; default: REPRO_BACKEND env, "
         "else derived from jobs)",
     )
     p.add_argument(
@@ -606,22 +609,6 @@ def _check_choice(kind: str, value: str, valid) -> None:
         raise SystemExit(2)
 
 
-def _check_backend(args: argparse.Namespace) -> None:
-    """Fail fast (exit 2) on an unknown ``--backend`` name.
-
-    The registry raises ValueError with the known-backend listing; a
-    raw traceback from deep inside a worker pool is no way to report a
-    typo on the command line.
-    """
-    from repro.simulation.backends.registry import resolve_backend
-
-    try:
-        resolve_backend(args.backend, args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
 def _run_bench(args: argparse.Namespace) -> str:
     from repro.experiments.microbench import (
         PROFILES,
@@ -632,7 +619,6 @@ def _run_bench(args: argparse.Namespace) -> str:
     )
     from repro.params import LBParams
 
-    _check_backend(args)
     profiles = PROFILES
     if args.profile is not None:
         profiles = tuple(x.strip() for x in args.profile.split(",") if x.strip())
@@ -662,8 +648,6 @@ def _run_bench(args: argparse.Namespace) -> str:
         params=LBParams(f=args.f, delta=args.delta, C=args.cap),
         ticks=args.ticks,
         engine_seed=args.seed or 7,
-        backend=args.backend,
-        jobs=args.jobs,
         trace=args.trace_out is not None,
     )
     out_dir = args.out or Path("results")
@@ -907,7 +891,6 @@ def _run_chaos(args: argparse.Namespace) -> str:
 
     from repro.experiments.resilience import SCENARIOS
 
-    _check_backend(args)
     kwargs = dict(
         n=args.n,
         crash_frac=args.crash_frac,
@@ -922,9 +905,7 @@ def _run_chaos(args: argparse.Namespace) -> str:
         kwargs["scenario"] = args.plan
     if args.horizon is not None:
         kwargs["horizon"] = args.horizon
-    doc = resilience_experiment(
-        ResilienceConfig(**kwargs), backend=args.backend, jobs=args.jobs
-    )
+    doc = resilience_experiment(ResilienceConfig(**kwargs))
     out_dir = args.out or Path("results")
     path = out_dir / "resilience.json"
     write_resilience_json(path, doc)
@@ -942,7 +923,6 @@ def _run_churn(args: argparse.Namespace) -> str:
         write_dynamics_json,
     )
 
-    _check_backend(args)
     if args.smoke:
         cfg = DynamicsConfig.smoke(seed=args.seed)
     else:
@@ -976,7 +956,7 @@ def _run_churn(args: argparse.Namespace) -> str:
                 raise SystemExit(2) from None
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    doc = dynamics_experiment(cfg, backend=args.backend, jobs=args.jobs)
+    doc = dynamics_experiment(cfg)
     out_dir = args.out or Path("results")
     path = out_dir / "dynamics.json"
     write_dynamics_json(path, doc)
@@ -1125,8 +1105,45 @@ _ALL = [
 ]
 
 
+@contextmanager
+def _batch_selection(backend: str | None, jobs: int | None):
+    """Validate ``--backend``/``--jobs``; make them the process selection.
+
+    Every batch resolves its backend from ``REPRO_BACKEND`` /
+    ``REPRO_JOBS`` when not told otherwise, so installing the resolved
+    pair there reaches every command that runs a batch without
+    threading the flags through each experiment function.  The previous
+    values come back on exit.  An unknown backend (reported with the
+    known names) or a malformed ``REPRO_JOBS`` exits 2 instead of
+    raising a traceback from inside a batch.
+    """
+    from repro.simulation.parallel import resolve_backend
+
+    try:
+        backend, jobs = resolve_backend(backend, jobs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    saved = {key: os.environ.get(key) for key in ("REPRO_BACKEND", "REPRO_JOBS")}
+    os.environ["REPRO_BACKEND"] = backend
+    os.environ["REPRO_JOBS"] = str(jobs)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    with _batch_selection(args.backend, args.jobs):
+        return _dispatch(args)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "top":
         # interactive: no timing header, exit code straight from the
         # dashboard loop

@@ -285,7 +285,7 @@ def dynamics_experiment(
     in its derived seed, so the document is bit-identical on every
     backend and every ``jobs`` setting.
     """
-    from repro.simulation.backends import get_client
+    from repro.simulation.parallel import get_client
 
     cfg = cfg or DynamicsConfig()
     grid = cfg.cells()

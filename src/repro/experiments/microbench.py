@@ -345,7 +345,7 @@ def bench_report(
     :func:`write_bench_json`); ``repro bench --trace-out`` exports it
     as a Chrome/Perfetto trace instead.
     """
-    from repro.simulation.backends import get_client
+    from repro.simulation.parallel import get_client
 
     params = params or LBParams(f=1.3, delta=2, C=4)
     doc: dict[str, Any] = {

@@ -238,7 +238,7 @@ def resilience_experiment(
     serialisable, schema-checked before return) with the executing
     backend recorded under ``"backend"``.
     """
-    from repro.simulation.backends import get_client
+    from repro.simulation.parallel import get_client
 
     cfg = cfg or ResilienceConfig()
     plan = cfg.plan()

@@ -203,11 +203,11 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
             "A straggler window stretched an operation's latency.",
             time=float, initiator=int, factor=float,
         ),
-        # -- execution backends (repro.simulation.backends) -------------
+        # -- batch execution (repro.simulation.parallel) ----------------
         _schema(
             "backend_fallback",
-            "repro.simulation.backends",
-            "A parallel backend could not start and degraded to the native client.",
+            "repro.simulation.parallel",
+            "The process pool could not start and execution degraded to inline.",
             requested=str, chosen=str, reason=str,
         ),
         # -- conformance monitors (repro.observability.monitors) --------

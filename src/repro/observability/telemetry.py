@@ -21,8 +21,8 @@ text-exposition endpoint and the ``repro top`` TUI
 
 **Cross-process trace context.**  A :class:`TraceContext` names a run
 (``run_id``) and the parent span a batch was dispatched under, and
-travels across the :class:`~repro.simulation.backends.base.BatchClient`
-boundary: the backends wrap each task so the worker process sees
+travels across the :class:`~repro.simulation.parallel.BatchClient`
+boundary: the client wraps each task so the worker process sees
 :func:`current_context` with its own ``worker`` index before the task
 function runs.  Workers record into private tracers and ship
 :func:`worker_payload` dicts back (the same serialise-and-reduce shape
@@ -96,7 +96,7 @@ def set_current_context(ctx: TraceContext | None) -> None:
     """Install (or clear) the process-wide trace context.
 
     Worker processes are single-task-at-a-time, so one module-level
-    slot suffices; the backends install the child context before the
+    slot suffices; the batch client installs the child context before the
     task function runs and clear it after.
     """
     global _CURRENT

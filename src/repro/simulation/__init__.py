@@ -11,15 +11,12 @@ the same protocol) and records per-tick load snapshots.
 from repro.simulation.driver import Simulation, run_simulation
 from repro.simulation.result import RunResult
 from repro.simulation.eventqueue import Event, EventQueue
-from repro.simulation.backends import (
+from repro.simulation.parallel import (
     BatchClient,
-    MultiprocessingClient,
-    NativeClient,
-    available_backends,
     get_client,
+    parallel_map,
     resolve_backend,
 )
-from repro.simulation.parallel import default_jobs, parallel_map
 from repro.simulation.serialize import (
     load_engine_state,
     load_result,
@@ -36,12 +33,8 @@ __all__ = [
     "Event",
     "EventQueue",
     "BatchClient",
-    "NativeClient",
-    "MultiprocessingClient",
-    "available_backends",
     "get_client",
     "resolve_backend",
-    "default_jobs",
     "parallel_map",
     "save_result",
     "load_result",

@@ -38,7 +38,7 @@ from repro.observability.top import (
 )
 from repro.params import LBParams
 from repro.service import ServiceConfig, service_run
-from repro.simulation.backends import get_client
+from repro.simulation.parallel import get_client
 
 DATA = Path(__file__).parent / "data"
 PARAMS = LBParams(f=1.5, delta=1, C=2)

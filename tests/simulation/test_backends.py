@@ -1,12 +1,13 @@
-"""Tests for the pluggable batch-execution backends.
+"""Tests for batch execution (:mod:`repro.simulation.parallel`).
 
 The centrepiece is the cross-backend equivalence suite: the seeded
-experiment grid must be *bit-identical* on every backend — collector
-envelopes, merged metrics, golden event traces.  That property is what
-makes ``REPRO_BACKEND`` a pure deployment knob (docs/BACKENDS.md).
+experiment grid must be *bit-identical* inline and on the process pool —
+collector envelopes, merged metrics, golden event traces.  That property
+is what makes ``REPRO_BACKEND`` a pure deployment knob (docs/BACKENDS.md).
 """
 
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -14,20 +15,14 @@ import pytest
 from repro.observability.schema import validate_event
 from repro.observability.tracer import Tracer
 from repro.rng import RngFactory
-from repro.simulation.backends import (
+from repro.simulation import parallel as parallel_module
+from repro.simulation.parallel import (
     BackendFallbackWarning,
-    BatchClient,
-    Capabilities,
-    MultiprocessingClient,
-    NativeClient,
-    available_backends,
+    auto_jobs,
     get_client,
+    parallel_map,
     resolve_backend,
 )
-from repro.simulation.backends import pool as pool_module
-from repro.simulation.backends import registry as registry_module
-from repro.simulation.backends.pool import auto_jobs
-from repro.simulation.parallel import parallel_map
 
 
 def square(x: int) -> int:
@@ -50,6 +45,15 @@ def _traced_run(r: int) -> list[dict]:
     return tracer.events
 
 
+def _require_pool(used_backend: str) -> None:
+    """Skip when the pool fell back: native vs native proves nothing."""
+    if used_backend != "multiprocessing":
+        pytest.skip(
+            "the process pool could not start here and fell back to "
+            "native, so the pool side of the comparison never ran"
+        )
+
+
 @pytest.fixture
 def clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -57,10 +61,57 @@ def clean_env(monkeypatch):
     return monkeypatch
 
 
+@pytest.fixture
+def built_clients(monkeypatch):
+    """Every client the code under test builds through ``get_client``."""
+    built = []
+    real = parallel_module.get_client
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(parallel_module, "get_client", recording)
+    return built
+
+
+class _FakePool:
+    """Stands in for ``ProcessPoolExecutor``: runs ``map`` inline.
+
+    ``chunksizes`` records what each ``map`` call was given; with
+    ``break_after=k`` the result iterator raises ``BrokenProcessPool``
+    after ``k`` results, as a pool whose workers died would.
+    """
+
+    chunksizes: list = []
+    break_after: int | None = None
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def map(self, fn, seq, *, chunksize):
+        type(self).chunksizes.append(chunksize)
+        for i, item in enumerate(seq):
+            if i == self.break_after:
+                raise BrokenProcessPool("worker died")
+            yield fn(item)
+
+    def shutdown(self, **kwargs):
+        pass
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    monkeypatch.setattr(_FakePool, "chunksizes", [])
+    monkeypatch.setattr(_FakePool, "break_after", None)
+    monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _FakePool)
+    return _FakePool
+
+
 class TestCrossBackendEquivalence:
     """native and multiprocessing must agree bit for bit."""
 
-    def test_quality_experiment_bit_identical(self):
+    def test_quality_experiment_bit_identical(self, built_clients):
         from repro.experiments.config import QualityConfig
         from repro.experiments.runner import quality_experiment
 
@@ -69,6 +120,7 @@ class TestCrossBackendEquivalence:
         b = quality_experiment(
             cfg, backend="multiprocessing", jobs=2, collect_metrics=True
         )
+        _require_pool(built_clients[-1].used_backend)
         for field in ("mean", "min", "max", "mean_spread"):
             av, bv = getattr(a.envelope, field, None), getattr(b.envelope, field, None)
             if av is not None:
@@ -93,7 +145,7 @@ class TestCrossBackendEquivalence:
             serial = list(client.map_ordered(_traced_run, tasks))
         with get_client("multiprocessing", jobs=2) as client:
             pooled = list(client.map_ordered(_traced_run, tasks, chunksize=1))
-            assert client.used_backend in ("multiprocessing", "native")
+            _require_pool(client.used_backend)
         assert serial == pooled  # full events, seq numbers and all
         assert all(len(ev) > 0 for ev in serial)
 
@@ -107,7 +159,7 @@ class TestCrossBackendEquivalence:
         a = resilience_experiment(cfg, backend="native")
         b = resilience_experiment(cfg, backend="multiprocessing", jobs=2)
         assert a.pop("backend") == "native"
-        assert b.pop("backend") in ("multiprocessing", "native")
+        _require_pool(b.pop("backend"))
         assert a == b
 
 
@@ -167,50 +219,10 @@ class TestSelectionRules:
     def test_get_client_honours_env(self, clean_env):
         clean_env.setenv("REPRO_BACKEND", "multiprocessing")
         with get_client(jobs=2) as client:
-            assert isinstance(client, MultiprocessingClient)
+            assert client.used_backend == "multiprocessing"
             assert client.jobs == 2
         with get_client("native") as client:
-            assert isinstance(client, NativeClient)
-
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert available_backends() == (
-            "multiprocessing", "native",
-        )
-
-    def test_register_requires_name(self):
-        class Nameless(NativeClient):
-            name = ""
-
-        with pytest.raises(ValueError, match="name"):
-            registry_module.register_backend(Nameless)
-
-    def test_register_rejects_taken_name(self):
-        class Impostor(NativeClient):
-            name = "native"
-
-        with pytest.raises(ValueError, match="already taken"):
-            registry_module.register_backend(Impostor)
-
-    def test_third_party_backend_selectable(self, clean_env):
-        @registry_module.register_backend
-        class Reversed(BatchClient):
-            name = "test-reversed"
-            capabilities = Capabilities()
-
-            def __init__(self, jobs=None, *, tracer=None):
-                super().__init__()
-
-            def map_ordered(self, fn, items, *, chunksize=None):
-                yield from [fn(x) for x in items]
-
-        try:
-            assert "test-reversed" in available_backends()
-            with get_client("test-reversed") as client:
-                assert list(client.map_ordered(square, [1, 2])) == [1, 4]
-        finally:
-            registry_module._REGISTRY.pop("test-reversed")
+            assert client.used_backend == "native"
 
 
 class TestFallback:
@@ -219,11 +231,11 @@ class TestFallback:
         def explode(*args, **kwargs):
             raise OSError("no /dev/shm in this sandbox")
 
-        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", explode)
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", explode)
 
     def test_pool_start_failure_degrades_loudly(self, broken_pool):
         tracer = Tracer()
-        with MultiprocessingClient(jobs=2, tracer=tracer) as client:
+        with get_client("multiprocessing", jobs=2, tracer=tracer) as client:
             with pytest.warns(BackendFallbackWarning, match="falling back"):
                 out = list(client.map_ordered(square, list(range(8))))
             assert out == [x * x for x in range(8)]
@@ -237,7 +249,7 @@ class TestFallback:
             assert "OSError" in events[0]["reason"]
 
     def test_fallback_warns_only_once(self, broken_pool):
-        with MultiprocessingClient(jobs=2) as client:
+        with get_client("multiprocessing", jobs=2) as client:
             with pytest.warns(BackendFallbackWarning):
                 list(client.map_ordered(square, [1, 2, 3]))
             with warnings.catch_warnings():
@@ -245,52 +257,45 @@ class TestFallback:
                 assert list(client.map_ordered(square, [4, 5])) == [16, 25]
 
     def test_single_item_batch_never_touches_the_pool(self, broken_pool):
-        with MultiprocessingClient(jobs=2) as client:
+        with get_client("multiprocessing", jobs=2) as client:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert list(client.map_ordered(square, [6])) == [36]
             assert not client.fell_back
 
     def test_no_tracer_is_fine(self, broken_pool):
-        with MultiprocessingClient(jobs=2) as client:
+        with get_client("multiprocessing", jobs=2) as client:
             with pytest.warns(BackendFallbackWarning):
                 assert list(client.map_ordered(square, [1, 2])) == [1, 4]
 
+    def test_pool_death_before_first_result_reruns_inline(self, fake_pool):
+        fake_pool.break_after = 0
+        tracer = Tracer()
+        with get_client("multiprocessing", jobs=2, tracer=tracer) as client:
+            with pytest.warns(BackendFallbackWarning, match="BrokenProcessPool"):
+                assert list(client.map_ordered(square, [1, 2, 3])) == [1, 4, 9]
+            assert client.used_backend == "native"
+        assert [ev["type"] for ev in tracer.events] == ["backend_fallback"]
+
+    def test_pool_death_mid_batch_reraises(self, fake_pool):
+        fake_pool.break_after = 1
+        with get_client("multiprocessing", jobs=2) as client:
+            out = client.map_ordered(square, [1, 2, 3])
+            assert next(out) == 1
+            with pytest.raises(BrokenProcessPool):
+                next(out)
+            assert not client.fell_back
+
 
 class TestClientContract:
-    def test_capability_flags(self):
-        assert NativeClient.capabilities == Capabilities(
-            parallel=False, streaming=True
-        )
-        assert MultiprocessingClient.capabilities == Capabilities(
-            parallel=True, streaming=False
-        )
-
-    def test_submit_gather_ordered(self):
-        with NativeClient() as client:
-            a = client.submit(square, [1, 2, 3])
-            b = client.submit(square, [4, 5])
-            assert (a.batch_id, b.batch_id) == (0, 1)
-            assert client.gather(b) == [16, 25]  # out-of-order gather is fine
-            assert client.gather(a) == [1, 4, 9]
-
-    def test_gather_is_single_use(self):
-        with NativeClient() as client:
-            handle = client.submit(square, [1])
-            client.gather(handle)
-            with pytest.raises(ValueError, match="already-gathered"):
-                client.gather(handle)
-
     def test_closed_client_rejects_work(self):
-        client = NativeClient()
+        client = get_client("native")
         client.close()
         with pytest.raises(RuntimeError, match="closed"):
             next(client.map_ordered(square, [1]))
-        with pytest.raises(RuntimeError, match="closed"):
-            client.submit(square, [1])
 
     def test_close_is_idempotent(self):
-        client = MultiprocessingClient(jobs=2)
+        client = get_client("multiprocessing", jobs=2)
         client.close()
         client.close()
 
@@ -302,7 +307,7 @@ class TestClientContract:
                 consumed.append(x)
                 yield x
 
-        with NativeClient() as client:
+        with get_client("native") as client:
             out = client.map_ordered(square, gen())
             assert consumed == []
             assert next(out) == 0
@@ -313,7 +318,7 @@ class TestClientContract:
         def boom(x):
             raise RuntimeError(f"task {x}")
 
-        with NativeClient() as client:
+        with get_client("native") as client:
             with pytest.raises(RuntimeError, match="task 1"):
                 list(client.map_ordered(boom, [1, 2]))
 
@@ -330,3 +335,74 @@ class TestParallelMapShim:
     def test_unknown_backend_raises_before_running(self, clean_env):
         with pytest.raises(ValueError, match="unknown backend"):
             list(parallel_map(square, [1], backend="bogus"))
+
+
+@pytest.mark.usefixtures("clean_env")
+class TestParallelMap:
+    """Default (jobs-derived) selection rules, so an outer
+    ``REPRO_BACKEND`` — e.g. CI's multiprocessing smoke job — is
+    cleared."""
+
+    def test_serial_path(self):
+        assert list(parallel_map(square, [1, 2, 3], jobs=1)) == [1, 4, 9]
+
+    def test_parallel_preserves_order(self):
+        items = list(range(20))
+        out = list(parallel_map(square, items, jobs=4))
+        assert out == [x * x for x in items]
+
+    def test_single_item_stays_inline(self):
+        assert list(parallel_map(square, [7], jobs=8)) == [49]
+
+    def test_empty(self):
+        assert list(parallel_map(square, [], jobs=4)) == []
+
+    def test_lazy_iterable_parallel_materialises(self):
+        out = list(parallel_map(square, (x for x in range(20)), jobs=4))
+        assert out == [x * x for x in range(20)]
+
+    def test_auto_chunksize_formula(self, fake_pool):
+        # len // (4 * jobs), floored at 1; order and results preserved
+        assert list(parallel_map(square, range(40), jobs=2)) == [
+            x * x for x in range(40)
+        ]
+        assert list(parallel_map(square, range(3), jobs=8)) == [0, 1, 4]
+        assert fake_pool.chunksizes == [5, 1]
+
+
+@pytest.mark.usefixtures("clean_env")
+class TestCrossProcessMetrics:
+    """Worker registries must merge identically for any jobs setting."""
+
+    def test_serial_and_parallel_merges_agree(self):
+        from repro.experiments.config import QualityConfig
+        from repro.experiments.runner import quality_experiment
+
+        cfg = QualityConfig(n=8, steps=60, runs=3, seed=4, snapshot_ticks=())
+        a = quality_experiment(cfg, jobs=1, collect_metrics=True)
+        b = quality_experiment(cfg, jobs=2, collect_metrics=True)
+        assert a.metrics is not None and b.metrics is not None
+        pa, pb = a.metrics.as_dict(), b.metrics.as_dict()
+        # counters and histograms are additive, hence order-independent
+        assert pa["counters"] == pb["counters"]
+        assert pa["histograms"] == pb["histograms"]
+        assert set(pa["gauges"]) == set(pb["gauges"])
+
+    def test_merged_counters_cover_all_runs(self):
+        from repro.experiments.config import QualityConfig
+        from repro.experiments.runner import quality_experiment
+
+        cfg = QualityConfig(n=8, steps=60, runs=3, seed=4, snapshot_ticks=())
+        res = quality_experiment(cfg, jobs=2, collect_metrics=True)
+        assert res.metrics.counter("sim.ticks").value == cfg.runs * cfg.steps
+        # engine.balance_ops aggregates every run's operations
+        assert res.metrics.counter("engine.balance_ops").value == pytest.approx(
+            res.mean_ops * cfg.runs
+        )
+
+    def test_metrics_off_by_default(self):
+        from repro.experiments.config import QualityConfig
+        from repro.experiments.runner import quality_experiment
+
+        cfg = QualityConfig(n=8, steps=40, runs=2, seed=1, snapshot_ticks=())
+        assert quality_experiment(cfg, jobs=1).metrics is None

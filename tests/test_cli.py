@@ -1,5 +1,7 @@
 """Tests for the command line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -346,6 +348,43 @@ class TestBackendErrors:
         err = capsys.readouterr().err
         assert "unknown backend 'bogus'" in err
         assert "native" in err
+
+    @pytest.mark.parametrize("cmd", ["fig7", "table1", "sensitivity"])
+    def test_quality_commands_reject_unknown_backend(self, cmd, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--runs", "2", "--backend", "bogus", "--jobs", "3"])
+        assert exc.value.code == 2
+        assert "unknown backend 'bogus'" in capsys.readouterr().err
+
+    def test_backend_flags_reach_the_batch(self, monkeypatch, capsys):
+        from repro.simulation import parallel
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        resolved = []
+        real = parallel.resolve_backend
+
+        def spy(backend=None, jobs=None):
+            resolved.append(real(backend, jobs))
+            return resolved[-1]
+
+        monkeypatch.setattr(parallel, "resolve_backend", spy)
+        assert main([
+            "fig7", "--runs", "1", "--backend", "multiprocessing",
+            "--jobs", "2",
+        ]) == 0
+        # the first call validates the flags; the rest are the batches
+        assert len(resolved) > 1
+        assert set(resolved) == {("multiprocessing", 2)}
+
+    def test_environment_restored_after_main(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        before = dict(os.environ)
+        assert main([
+            "theorem3", "--backend", "multiprocessing", "--jobs", "2",
+        ]) == 0
+        assert dict(os.environ) == before
 
     def test_bench_unknown_profile_exits_2_with_listing(self, capsys):
         with pytest.raises(SystemExit) as exc:
