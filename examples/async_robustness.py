@@ -17,8 +17,9 @@ Run:  python examples/async_robustness.py
 
 from repro.core.async_engine import AsyncEngine, TableRates
 from repro.experiments.report import render_table
-from repro.faults import FaultPlan, StragglerWindow, recovery_report, theorem4_band
+from repro.faults import FaultPlan, StragglerWindow, recovery_report
 from repro.params import LBParams
+from repro.theory.bounds import theorem4_bound
 from repro.workload import Section7Workload
 
 PARAMS = LBParams(f=1.1, delta=2, C=4)
@@ -120,7 +121,7 @@ def chaos_scenario(n: int, horizon: int, seed: int) -> None:
     )
     print(
         f"\nTheorem-4 band f^2*delta/(delta+1-f) = "
-        f"{theorem4_band(PARAMS):.3f}.  Injected: {stats['crashes']} "
+        f"{theorem4_bound(None, PARAMS.delta, PARAMS.f):.3f}.  Injected: {stats['crashes']} "
         f"crashes, {stats['lost_messages']} lost messages "
         f"({stats['reclaimed_ops']} reclaimed by timeout), "
         f"{stats['straggled_ops']} straggled operations."

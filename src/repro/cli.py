@@ -22,11 +22,12 @@ Observability tools (see docs/OBSERVABILITY.md)::
     repro trace --engine async [--horizon 50]
     repro profile [--n 64] [--steps 300] [--seed 0]
     repro profile --engine async [--horizon 60]
+    repro trace|profile|spans|report --faulted [--n N] [--horizon 80]
     repro bench [--sizes 64,...,1000000 | -n N] [--profile quiet,...]
                 [--ticks T] [--out DIR]
                 [--backend native|multiprocessing] [--jobs N]
                 [--trace-out bench_trace.json]
-    repro chaos [--n 32] [--horizon 80] [--plan crash_burst|stragglers|
+    repro chaos [--n 16] [--horizon 80] [--plan crash_burst|stragglers|
                 partition|lossy] [--crash-frac 0.1] [--message-loss 0.01]
                 [--out DIR] [--backend native|multiprocessing] [--jobs N]
     repro churn [--smoke] [--n N] [--horizon H] [--topologies a,b,...]
@@ -75,11 +76,18 @@ JSON for Perfetto / ``chrome://tracing``; a bench export merges every
 worker's span buffer into one causally ordered timeline stamped with
 the run id the batch backend propagated across the process boundary.
 
-``repro trace`` records one deterministic §7 run with the structured
-event tracer on, prints a summary, cross-checks the trace against the
-run's aggregate counters, and (with ``--trace-out``) exports the
+``trace``, ``profile``, ``spans`` and ``report`` observe the same
+deterministic run, built in one place: the §7 workload on the
+synchronous engine (``--steps`` ticks), on the asynchronous engine
+(``--engine async``, ``--horizon`` in model time), or the crash-burst
+resilience scenario (``--faulted``; :mod:`repro.experiments.resilience`,
+docs/RESILIENCE.md).  Each command attaches only the observers it
+reads.  ``repro trace`` records the run with the structured event
+tracer on, prints a summary, cross-checks the trace against the run's
+aggregate counters, and (with ``--trace-out``) exports the
 schema-validated NDJSON.  ``--diff`` compares two recorded traces.
-``repro profile`` times the engine's hot sections for one run.
+``repro profile`` times the engine's hot sections and prints the run
+report's profiler section.
 ``repro bench`` runs the engine tick microbenchmarks
 (:mod:`repro.experiments.microbench`) on the columnar engine and writes
 ``results/BENCH_engine.json``; ``-n``/``--profile``/``--ticks`` narrow
@@ -95,10 +103,9 @@ then stand in for the two environment variables while the command
 runs.  The chosen backend is printed in the ``bench``/``chaos``/
 ``churn`` output and recorded in their JSON artifacts.
 
-``--engine async`` points ``trace`` / ``profile`` at the asynchronous
-engine (horizon in model time via ``--horizon``); ``repro chaos`` runs
-a named fault scenario (``--plan``; :mod:`repro.experiments.resilience`,
-docs/RESILIENCE.md) and writes ``results/resilience.json``.
+``repro chaos`` runs a named fault scenario (``--plan``;
+:mod:`repro.experiments.resilience`, docs/RESILIENCE.md) and writes
+``results/resilience.json``.
 
 ``repro churn`` runs the dynamic-network degradation study
 (:mod:`repro.experiments.dynamics`, docs/DYNAMICS.md): Theorem-4 band
@@ -107,14 +114,14 @@ occupancy, worst normalised ratio and per-event recovery times over a
 ``results/dynamics.json`` (``--smoke`` is the tuned deterministic CI
 grid; ``repro report --dynamics`` renders a saved document).
 
-``repro report`` runs one fully-observed run — conformance monitors,
-balancing-operation spans, metrics, profiler — and renders a
-self-contained markdown report (``--report-out x.html`` writes HTML for
-CI artifacts); ``--faulted`` replays the crash-burst scenario so the
-monitors have a story to tell.  ``repro report --compare A B`` diffs
-two ``BENCH_engine.json`` documents and exits nonzero on drift.
-``repro spans`` prints the span stories of a run (or of a recorded
-NDJSON trace via ``--trace-in``).
+``repro report`` observes that run fully — conformance monitors,
+balancing-operation spans, profiler — and renders a self-contained
+markdown report (``--report-out x.html`` writes HTML for CI artifacts);
+``--faulted`` gives the monitors a story to tell.  ``repro report
+--compare A B`` diffs two ``BENCH_engine.json`` documents
+(:func:`repro.experiments.microbench.compare_bench`) and exits nonzero
+on drift.  ``repro spans`` prints the report's spans section for the
+run (or for a recorded NDJSON trace via ``--trace-in``).
 """
 
 from __future__ import annotations
@@ -126,7 +133,7 @@ import time
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = ["main"]
 
@@ -149,11 +156,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="directory for CSV output")
     # trace / profile options
     p.add_argument(
-        "--n", "-n", type=int, default=16,
-        help="network size (trace/profile/serve; bench: run this single "
-        "size instead of --sizes)",
+        "--n", "-n", type=int, default=None,
+        help="network size (trace/profile/report/spans/serve/chaos; "
+        "default 16; churn: default 32; bench: run this single size "
+        "instead of --sizes)",
     )
-    p.add_argument("--steps", type=int, default=200, help="ticks (trace/profile)")
+    p.add_argument(
+        "--steps", type=int, default=200,
+        help="ticks (sync trace/profile/report/spans)",
+    )
     p.add_argument("--f", type=float, default=1.3, help="trigger factor (trace/profile)")
     p.add_argument("--delta", type=int, default=2, help="partners (trace/profile)")
     p.add_argument("--cap", type=int, default=4, help="borrow capacity C (trace/profile)")
@@ -202,15 +213,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--faulted", action="store_true",
         help="observe the crash-burst resilience scenario instead of a "
-        "clean run (report/spans; implies the async engine)",
+        "clean run (trace/profile/spans/report; implies the async "
+        "engine; --horizon defaults to 80)",
     )
     p.add_argument(
         "--engine", choices=["sync", "async"], default="sync",
-        help="engine to drive (trace/profile); async uses --horizon",
+        help="engine to drive (trace/profile/spans/report); async uses "
+        "--horizon",
     )
     p.add_argument(
         "--horizon", type=float, default=None,
-        help="model-time horizon (async trace/profile, chaos)",
+        help="model-time horizon (async or --faulted trace/profile/"
+        "spans/report; chaos, churn, serve)",
     )
     # chaos options
     p.add_argument(
@@ -435,34 +449,94 @@ def _run_async(args: argparse.Namespace) -> str:
     return render_table(["latency", "final CV", "ops", "dropped"], rows)
 
 
-def _traced_run(args: argparse.Namespace, **observers):
-    """One deterministic §7 run with the given observability objects."""
+#: ``--n`` when not given, for the commands without a config default of
+#: their own (trace/profile/report/spans/chaos)
+_DEFAULT_N = 16
+
+
+class _ObservedRun(NamedTuple):
+    """What :func:`_observed_run` leaves behind besides its observers."""
+
+    title: str
+    meta: dict
+    result: object
+    times: object
+    loads: object
+    crash_bounds: tuple[float, float] | None
+
+
+def _params(args: argparse.Namespace):
     from repro.params import LBParams
-    from repro.simulation.driver import run_simulation
+
+    return LBParams(f=args.f, delta=args.delta, C=args.cap)
+
+
+def _observed_run(args: argparse.Namespace, **observers) -> _ObservedRun:
+    """The one deterministic run that trace/profile/spans/report observe.
+
+    ``--faulted`` replays the crash-burst resilience scenario (async
+    engine, :meth:`~repro.experiments.resilience.ResilienceConfig.engine`);
+    otherwise ``--engine`` picks the §7 workload on the synchronous
+    engine (``--steps`` ticks) or the asynchronous one (``--horizon``,
+    default 50).  ``observers`` (``tracer=``, ``profiler=``, ``spans=``,
+    ``monitors=``) attach to the engine unchanged.
+    """
     from repro.workload import Section7Workload
 
-    params = LBParams(f=args.f, delta=args.delta, C=args.cap)
-    workload = Section7Workload(args.n, args.steps, layout_rng=args.seed)
-    return run_simulation(
-        args.n, params, workload, args.steps, seed=args.seed, **observers
+    n = _DEFAULT_N if args.n is None else args.n
+    extra: dict = {}
+    crash_bounds = None
+    if args.faulted:
+        from repro.experiments.resilience import ResilienceConfig
+
+        cfg = ResilienceConfig(
+            n=n, f=args.f, delta=args.delta, C=args.cap, seed=args.seed,
+            **({"horizon": args.horizon} if args.horizon is not None else {}),
+        )
+        engine = cfg.engine(cfg.plan(), **observers)
+        res = engine.run(cfg.horizon)
+        crash_bounds = engine.faults.crash_bounds()
+        label, kind = "crash-burst", "async (faulted)"
+        length = ("horizon", f"{cfg.horizon:g}")
+        extra = {"crash_frac": cfg.crash_frac, "message_loss": cfg.message_loss}
+    elif args.engine == "async":
+        from repro.core.async_engine import AsyncEngine, TableRates
+
+        horizon = 50.0 if args.horizon is None else args.horizon
+        w = Section7Workload(n, max(int(horizon) + 1, 1), layout_rng=args.seed)
+        res = AsyncEngine(
+            _params(args), TableRates(*w.phase_tables), seed=args.seed,
+            **observers,
+        ).run(horizon)
+        label = kind = "async"
+        length = ("horizon", f"{horizon:g}")
+    else:
+        from repro.simulation.driver import run_simulation
+
+        workload = Section7Workload(n, args.steps, layout_rng=args.seed)
+        res = run_simulation(
+            n, _params(args), workload, args.steps, seed=args.seed,
+            **observers,
+        )
+        label = kind = "sync"
+        length = ("steps", args.steps)
+    times = res.times if kind != "sync" else list(range(res.loads.shape[0]))
+    meta = {
+        "engine": kind, "n": n, length[0]: length[1], "f": args.f,
+        "delta": args.delta, "C": args.cap, "seed": args.seed, **extra,
+        "ops": res.total_ops,
+    }
+    title = f"{label} run (n={n}, {length[0]}={length[1]})"
+    return _ObservedRun(title, meta, res, times, res.loads, crash_bounds)
+
+
+def _run_header(verb: str, run: _ObservedRun) -> str:
+    """``<verb> [async ]run: n=... f=... seed=...`` from the run's meta."""
+    kind = run.meta["engine"]
+    fields = " ".join(
+        f"{k}={v}" for k, v in run.meta.items() if k not in ("engine", "ops")
     )
-
-
-def _async_run(args: argparse.Namespace, **observers):
-    """One deterministic asynchronous §7 run; returns (result, horizon)."""
-    from repro.core.async_engine import AsyncEngine, TableRates
-    from repro.params import LBParams
-    from repro.workload import Section7Workload
-
-    horizon = args.horizon if args.horizon is not None else 50.0
-    w = Section7Workload(args.n, max(int(horizon) + 1, 1), layout_rng=args.seed)
-    engine = AsyncEngine(
-        LBParams(f=args.f, delta=args.delta, C=args.cap),
-        TableRates(*w.phase_tables),
-        seed=args.seed,
-        **observers,
-    )
-    return engine.run(horizon), horizon
+    return f"{verb} {'' if kind == 'sync' else kind + ' '}run: {fields}"
 
 
 def _run_trace(args: argparse.Namespace) -> str:
@@ -470,6 +544,7 @@ def _run_trace(args: argparse.Namespace) -> str:
     from repro.observability import (
         Tracer,
         diff_summaries,
+        reconcile_async_trace,
         reconcile_trace,
         render_summary,
         summarise_trace,
@@ -496,24 +571,14 @@ def _run_trace(args: argparse.Namespace) -> str:
         return render_table([" key", a_path.name, b_path.name, "delta"], rows)
 
     tracer = Tracer(capacity=args.capacity)
-    if args.engine == "async":
-        from repro.observability import reconcile_async_trace
-
-        res, horizon = _async_run(args, tracer=tracer)
-        header = (
-            f"traced async run: n={args.n} horizon={horizon:g} "
-            f"f={args.f} delta={args.delta} C={args.cap} seed={args.seed}"
-        )
-        problems = reconcile_async_trace(tracer.events, res)
-    else:
-        res = _traced_run(args, tracer=tracer)
-        header = (
-            f"traced run: n={args.n} steps={args.steps} "
-            f"f={args.f} delta={args.delta} C={args.cap} seed={args.seed}"
-        )
+    run = _observed_run(args, tracer=tracer)
+    res = run.result
+    if run.meta["engine"] == "sync":
         problems = reconcile_trace(tracer.events, res)
+    else:
+        problems = reconcile_async_trace(tracer.events, res)
     lines = [
-        header,
+        _run_header("traced", run),
         "",
         render_summary(summarise_trace(tracer.events)),
         "",
@@ -559,35 +624,12 @@ def _run_trace(args: argparse.Namespace) -> str:
 
 
 def _run_profile(args: argparse.Namespace) -> str:
-    from repro.experiments.report import render_table
-    from repro.observability import Profiler
+    from repro.observability import Profiler, profiler_section
 
     profiler = Profiler()
-    if args.engine == "async":
-        res, horizon = _async_run(args, profiler=profiler)
-        header = (
-            f"profiled async run: n={args.n} horizon={horizon:g} "
-            f"f={args.f} delta={args.delta} C={args.cap} seed={args.seed} "
-            f"(ops={res.total_ops})"
-        )
-    else:
-        res = _traced_run(args, profiler=profiler)
-        header = (
-            f"profiled run: n={args.n} steps={args.steps} "
-            f"f={args.f} delta={args.delta} C={args.cap} seed={args.seed} "
-            f"(ops={res.total_ops})"
-        )
-    rows = [
-        [name, calls, total_ms, f"{share:.1f}", mean_us, min_us, max_us]
-        for name, calls, total_ms, share, mean_us, min_us, max_us
-        in profiler.summary()
-    ]
-    table = render_table(
-        ["section", "calls", "total ms", "% of total", "mean µs", "min µs",
-         "max µs"],
-        rows,
-    )
-    return f"{header}\n\n{table}"
+    run = _observed_run(args, profiler=profiler)
+    header = _run_header("profiled", run) + f" (ops={run.result.total_ops})"
+    return "\n".join([header, "", *profiler_section(profiler)])
 
 
 def _check_choice(kind: str, value: str, valid) -> None:
@@ -631,7 +673,7 @@ def _run_bench(args: argparse.Namespace) -> str:
                 file=sys.stderr,
             )
             raise SystemExit(2)
-    if args.n != 16:  # parser default; only override when the user asked
+    if args.n is not None:
         ns = (args.n,)
     else:
         try:
@@ -672,150 +714,79 @@ def _run_bench(args: argparse.Namespace) -> str:
     return render_report(doc) + "\n\n" + "\n".join(tail)
 
 
-def _observed_run(args: argparse.Namespace):
-    """One fully-observed run (tracer + monitors + spans + profiler).
+def _write_report(md: str, title: str, dest: Path | None) -> str:
+    """The ``--report-out`` writer shared by every report: ``.html`` /
+    ``.htm`` get a self-contained HTML page, anything else markdown."""
+    if dest is None:
+        return md
+    from repro.observability import to_html
 
-    Returns ``(title, meta, tracer, suite, spans, profiler, times,
-    loads, crash_bounds)``.  ``--faulted`` replays the crash-burst
-    resilience scenario (async engine); otherwise ``--engine`` picks the
-    deterministic §7 run the trace/profile commands use.
-    """
-    import numpy as np
-
-    from repro.observability import MonitorSuite, Profiler, SpanRecorder, Tracer
-    from repro.params import LBParams
-
-    tracer = Tracer(capacity=args.capacity)
-    profiler = Profiler()
-    spans = SpanRecorder(tracer)
-    crash_bounds = None
-    if args.faulted:
-        from repro.core.async_engine import AsyncEngine
-        from repro.experiments.resilience import ResilienceConfig, _phased_rates
-
-        cfg = ResilienceConfig(
-            n=args.n,
-            f=args.f, delta=args.delta, C=args.cap, seed=args.seed,
-            **({"horizon": args.horizon} if args.horizon is not None else {}),
-        )
-        suite = MonitorSuite.standard(cfg.params(), tracer=tracer)
-        engine = AsyncEngine(
-            cfg.params(),
-            _phased_rates(cfg),
-            latency=cfg.latency,
-            snapshot_dt=cfg.snapshot_dt,
-            seed=cfg.seed,
-            tracer=tracer,
-            profiler=profiler,
-            spans=spans,
-            monitors=suite,
-            faults=cfg.plan(),
-        )
-        res = engine.run(cfg.horizon)
-        crash_bounds = engine.faults.crash_bounds()
-        title = f"crash-burst run (n={cfg.n}, horizon={cfg.horizon:g})"
-        meta = {
-            "engine": "async (faulted)", "n": cfg.n,
-            "horizon": f"{cfg.horizon:g}", "f": cfg.f, "delta": cfg.delta,
-            "C": cfg.C, "seed": cfg.seed, "crash_frac": cfg.crash_frac,
-            "message_loss": cfg.message_loss, "ops": res.total_ops,
-        }
-        times, loads = res.times, res.loads
-    elif args.engine == "async":
-        params = LBParams(f=args.f, delta=args.delta, C=args.cap)
-        suite = MonitorSuite.standard(params, tracer=tracer)
-        res, horizon = _async_run(
-            args, tracer=tracer, profiler=profiler, spans=spans,
-            monitors=suite,
-        )
-        title = f"async run (n={args.n}, horizon={horizon:g})"
-        meta = {
-            "engine": "async", "n": args.n, "horizon": f"{horizon:g}",
-            "f": args.f, "delta": args.delta, "C": args.cap,
-            "seed": args.seed, "ops": res.total_ops,
-        }
-        times, loads = res.times, res.loads
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    if dest.suffix.lower() in (".html", ".htm"):
+        dest.write_text(to_html(md, title=title))
     else:
-        params = LBParams(f=args.f, delta=args.delta, C=args.cap)
-        suite = MonitorSuite.standard(params, tracer=tracer)
-        res = _traced_run(
-            args, tracer=tracer, profiler=profiler, spans=spans,
-            monitors=suite,
+        dest.write_text(md)
+    return md + f"\n\nwrote {dest}"
+
+
+def _load_valid(path: Path, validate, kind: str) -> dict:
+    """A saved JSON document; exits with the problems when invalid."""
+    import json
+
+    doc = json.loads(path.read_text())
+    problems = validate(doc)
+    if problems:
+        raise SystemExit(
+            f"error: {path} is not a valid {kind} document:\n  "
+            + "\n  ".join(problems)
         )
-        title = f"sync run (n={args.n}, steps={args.steps})"
-        meta = {
-            "engine": "sync", "n": args.n, "steps": args.steps,
-            "f": args.f, "delta": args.delta, "C": args.cap,
-            "seed": args.seed, "ops": res.total_ops,
-        }
-        times = np.arange(res.loads.shape[0])
-        loads = res.loads
-    return title, meta, tracer, suite, spans, profiler, times, loads, crash_bounds
+    return doc
 
 
 def _run_report(args: argparse.Namespace) -> str:
-    from repro.observability import build_report, compare_bench, load_bench
-    from repro.observability.spans import spans_from_trace
+    from repro.observability import (
+        MonitorSuite,
+        Profiler,
+        SpanRecorder,
+        Tracer,
+        build_report,
+        spans_from_trace,
+    )
 
     if args.compare:
-        from repro.observability import load_bench_history
-
-        def _load(path: Path) -> dict:
-            # a .ndjson reference is a bench-history trajectory: its
-            # last line stands in as the comparison baseline
-            if path.suffix == ".ndjson":
-                return load_bench_history(path)
-            return load_bench(path)
-
-        ref_path, cand_path = args.compare
-        text, ok = compare_bench(
-            _load(ref_path), _load(cand_path),
-            tolerance=args.tolerance,
+        from repro.experiments.microbench import (
+            compare_bench,
+            load_bench,
+            load_bench_history,
         )
+
+        # a .ndjson reference is a bench-history trajectory: its last
+        # line stands in as the comparison baseline
+        ref, cand = (
+            load_bench_history(path) if path.suffix == ".ndjson"
+            else load_bench(path)
+            for path in args.compare
+        )
+        text, ok = compare_bench(ref, cand, tolerance=args.tolerance)
         if not ok:
             print(text)
             raise SystemExit(2)
         return text
 
     if args.service:
-        import json
-
         from repro.service import service_markdown_section, validate_service
 
-        doc = json.loads(args.service.read_text())
-        problems = validate_service(doc)
-        if problems:
-            raise SystemExit(
-                f"error: {args.service} is not a valid service document:\n  "
-                + "\n  ".join(problems)
-            )
+        doc = _load_valid(args.service, validate_service, "service")
         md = "\n".join(
             [f"# service report — {args.service}", ""]
             + service_markdown_section(doc)
         )
-        if args.report_out:
-            from repro.observability import to_html
-
-            args.report_out.parent.mkdir(parents=True, exist_ok=True)
-            if args.report_out.suffix.lower() in (".html", ".htm"):
-                args.report_out.write_text(to_html(md, title="service report"))
-            else:
-                args.report_out.write_text(md)
-            return md + f"\n\nwrote {args.report_out}"
-        return md
+        return _write_report(md, "service report", args.report_out)
 
     if args.dynamics:
-        import json
-
         from repro.experiments.dynamics import render_dynamics, validate_dynamics
 
-        doc = json.loads(args.dynamics.read_text())
-        problems = validate_dynamics(doc)
-        if problems:
-            raise SystemExit(
-                f"error: {args.dynamics} is not a valid dynamics document:\n  "
-                + "\n  ".join(problems)
-            )
+        doc = _load_valid(args.dynamics, validate_dynamics, "dynamics")
         md = "\n".join(
             [
                 f"# dynamics report — {args.dynamics}",
@@ -825,60 +796,49 @@ def _run_report(args: argparse.Namespace) -> str:
                 "```",
             ]
         )
-        if args.report_out:
-            from repro.observability import to_html
+        return _write_report(md, "dynamics report", args.report_out)
 
-            args.report_out.parent.mkdir(parents=True, exist_ok=True)
-            if args.report_out.suffix.lower() in (".html", ".htm"):
-                args.report_out.write_text(to_html(md, title="dynamics report"))
-            else:
-                args.report_out.write_text(md)
-            return md + f"\n\nwrote {args.report_out}"
-        return md
-
-    (title, meta, tracer, suite, spans, profiler, times, loads,
-     crash_bounds) = _observed_run(args)
+    tracer = Tracer(capacity=args.capacity)
+    profiler = Profiler()
+    suite = MonitorSuite.standard(_params(args), tracer=tracer)
+    run = _observed_run(
+        args, tracer=tracer, profiler=profiler, spans=SpanRecorder(tracer),
+        monitors=suite,
+    )
     md = build_report(
-        title=title,
-        meta=meta,
+        title=run.title,
+        meta=run.meta,
         monitors=suite,
         spans=spans_from_trace(tracer.events),
         events=tracer.events,
         tracer=tracer,
-        times=times,
-        loads=loads,
+        times=run.times,
+        loads=run.loads,
         profiler=profiler,
-        crash_bounds=crash_bounds,
+        crash_bounds=run.crash_bounds,
     )
-    if args.report_out:
-        from repro.observability import to_html
-
-        args.report_out.parent.mkdir(parents=True, exist_ok=True)
-        if args.report_out.suffix.lower() in (".html", ".htm"):
-            args.report_out.write_text(to_html(md, title=title))
-        else:
-            args.report_out.write_text(md)
-        return md + f"\n\nwrote {args.report_out}"
-    return md
+    return _write_report(md, run.title, args.report_out)
 
 
 def _run_spans(args: argparse.Namespace) -> str:
-    from repro.observability.spans import render_spans, spans_from_trace
+    from repro.observability import (
+        SpanRecorder,
+        Tracer,
+        spans_from_trace,
+        spans_section,
+    )
 
     if args.trace_in:
         from repro.observability.tracer import read_ndjson
 
         events = list(read_ndjson(args.trace_in))
         header = f"spans from {args.trace_in}"
-        return header + "\n\n" + render_spans(spans_from_trace(events))
-
-    title, _meta, tracer, _suite, _spans, _prof, _t, _l, _cb = _observed_run(
-        args
-    )
-    return (
-        f"spans of {title}\n\n"
-        + render_spans(spans_from_trace(tracer.events))
-    )
+    else:
+        tracer = Tracer(capacity=args.capacity)
+        run = _observed_run(args, tracer=tracer, spans=SpanRecorder(tracer))
+        events = tracer.events
+        header = f"spans of {run.title}"
+    return "\n".join([header, "", *spans_section(spans_from_trace(events))])
 
 
 def _run_chaos(args: argparse.Namespace) -> str:
@@ -892,7 +852,7 @@ def _run_chaos(args: argparse.Namespace) -> str:
     from repro.experiments.resilience import SCENARIOS
 
     kwargs = dict(
-        n=args.n,
+        n=_DEFAULT_N if args.n is None else args.n,
         crash_frac=args.crash_frac,
         message_loss=args.message_loss,
         f=args.f,
@@ -927,7 +887,7 @@ def _run_churn(args: argparse.Namespace) -> str:
         cfg = DynamicsConfig.smoke(seed=args.seed)
     else:
         kwargs = dict(f=args.f, delta=args.delta, C=args.cap, seed=args.seed)
-        if args.n != 16:  # parser default; only override when the user asked
+        if args.n is not None:
             kwargs["n"] = args.n
         if args.horizon is not None:
             kwargs["horizon"] = args.horizon
@@ -990,7 +950,7 @@ def _run_serve(args: argparse.Namespace) -> str:
         overrides["rate"] = args.rate
     if args.queue_cap is not None:
         overrides["queue_cap"] = args.queue_cap
-    if args.n != 16:  # parser default; only override when the user asked
+    if args.n is not None:
         overrides["n"] = args.n
     if args.horizon is not None:
         overrides["horizon"] = args.horizon

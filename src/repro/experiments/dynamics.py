@@ -25,7 +25,7 @@ event recovery times.  Everything is deterministic in the config seed
 (cell ``k`` derives its plan/profile/engine seeds from
 ``cfg.seed * 100003 + k``); ``repro churn`` is the CLI wrapper and
 ``results/dynamics.json`` the canonical artifact (schema checked by
-:func:`validate_dynamics` and the ``churn-smoke`` CI job).
+:func:`validate_dynamics` and the ``churn`` leg of the ``smoke`` CI job).
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.faults.metrics import theorem4_band
 from repro.params import LBParams
+from repro.theory.bounds import theorem4_bound
 
 __all__ = [
     "DynamicsConfig",
@@ -169,7 +169,7 @@ class DynamicsConfig:
 
     @classmethod
     def smoke(cls, *, seed: int = 0) -> "DynamicsConfig":
-        """The small deterministic grid the CI ``churn-smoke`` job runs."""
+        """The small deterministic grid the CI smoke job's churn leg runs."""
         return cls(
             n=16,
             horizon=30.0,
@@ -230,7 +230,7 @@ def _cell_task(args: tuple) -> dict:
     )
     res = engine.run(cfg.horizon)
 
-    band = theorem4_band(cfg.params())
+    band = theorem4_bound(None, cfg.delta, cfg.f)
     rho = normalized_extreme_ratio(res.loads, profile.capacities, cfg.C)
     occupancy = band_occupancy(res.times, rho, band, warmup=cfg.warmup)
     event_times = [float(ev.time) for ev in net.schedule.events]
@@ -301,7 +301,7 @@ def dynamics_experiment(
         "version": DYNAMICS_SCHEMA_VERSION,
         "backend": used,
         "config": asdict(cfg),
-        "band": theorem4_band(cfg.params()),
+        "band": theorem4_bound(None, cfg.delta, cfg.f),
         "cells": cells,
     }
     problems = validate_dynamics(doc)

@@ -11,7 +11,11 @@ headline) and ``scalar`` (:class:`~repro.core.engine.Engine`, the
 reference sweep).  Both are bit-identical on every workload, so
 cross-engine rows double as an equality check on final loads and
 event counters.  Cross-revision comparisons read the perf trajectory
-in ``results/bench_history.ndjson`` (``repro report --compare``).
+in ``results/bench_history.ndjson``.  This module is the one home of
+both document formats: it writes them (:func:`write_bench_json`,
+:func:`append_bench_history`), reads them back (:func:`load_bench`,
+:func:`load_bench_history`) and diffs two of them
+(:func:`compare_bench`, the engine of ``repro report --compare``).
 
 Profiles
 --------
@@ -87,12 +91,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 import numpy as np
 
 from repro.core.columnar import ColumnarEngine
 from repro.core.engine import Engine, EngineConfig
+from repro.experiments.report import render_table
 from repro.observability import Profiler
 from repro.params import LBParams
 
@@ -101,10 +106,14 @@ __all__ = [
     "ENGINES",
     "DEFAULT_NS",
     "QUIET_ONLY_ABOVE",
+    "BENCH_SCHEMA",
     "BENCH_HISTORY_SCHEMA",
     "append_bench_history",
     "bench_report",
+    "compare_bench",
     "history_record",
+    "load_bench",
+    "load_bench_history",
     "run_microbench",
     "write_bench_json",
 ]
@@ -114,6 +123,10 @@ ENGINES = ("columnar", "scalar")
 DEFAULT_NS = (64, 256, 1024, 4096, 100_000, 1_000_000)
 #: above this n, only the quiet profile is benchmarked (see module doc)
 QUIET_ONLY_ABOVE = 4096
+#: the ``BENCH_engine.json`` document (module docstring)
+BENCH_SCHEMA = "repro.bench_engine.v1"
+#: one-line-per-run NDJSON perf trajectory (``results/bench_history.ndjson``)
+BENCH_HISTORY_SCHEMA = "repro.bench_history.v1"
 _QUIET_LOAD = 40
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
@@ -349,7 +362,7 @@ def bench_report(
 
     params = params or LBParams(f=1.3, delta=2, C=4)
     doc: dict[str, Any] = {
-        "schema": "repro.bench_engine.v1",
+        "schema": BENCH_SCHEMA,
         "git_rev": git_rev(),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -422,9 +435,6 @@ def write_bench_json(path: Path, doc: dict[str, Any]) -> None:
     path.write_text(json.dumps(slim, indent=2) + "\n")
 
 
-#: one-line-per-run NDJSON perf trajectory (``results/bench_history.ndjson``)
-BENCH_HISTORY_SCHEMA = "repro.bench_history.v1"
-
 
 def history_record(
     doc: dict[str, Any], *, date: str | None = None
@@ -467,8 +477,7 @@ def append_bench_history(
 
     Creates the file (and parents) on first use; returns the record.
     ``repro report --compare history.ndjson`` reads the *last* line
-    back as a comparison baseline (see
-    :func:`repro.observability.report.load_bench_history`).
+    back as a comparison baseline (see :func:`load_bench_history`).
     """
     record = history_record(doc, date=date)
     path = Path(path)
@@ -478,10 +487,138 @@ def append_bench_history(
     return record
 
 
+def load_bench(path: str | Path) -> dict:
+    """Load one ``BENCH_engine.json`` document, checking its schema tag."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if doc.get("schema") != BENCH_SCHEMA:
+        raise ValueError(
+            f"{path}: expected schema {BENCH_SCHEMA!r}, "
+            f"got {doc.get('schema')!r}"
+        )
+    return doc
+
+
+def load_bench_history(path: str | Path) -> dict:
+    """Load the *last* record of a ``bench_history.ndjson`` trajectory
+    as a :func:`compare_bench`-shaped baseline document.
+
+    ``repro bench`` appends one condensed line per run (schema
+    ``repro.bench_history.v1``, see :func:`append_bench_history`); the
+    most recent line is the natural comparison baseline for
+    ``repro report --compare history.ndjson``.  History rows carry no
+    ``events`` counters, so the compare gates on ``total_ops`` and
+    throughput only.
+    """
+    lines = [
+        line
+        for line in Path(path).read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    ]
+    if not lines:
+        raise ValueError(f"{path}: empty bench history")
+    record = json.loads(lines[-1])
+    if record.get("schema") != BENCH_HISTORY_SCHEMA:
+        raise ValueError(
+            f"{path}: expected schema {BENCH_HISTORY_SCHEMA!r}, "
+            f"got {record.get('schema')!r}"
+        )
+    return {
+        "schema": BENCH_SCHEMA,
+        "git_rev": record.get("git_rev", "unknown"),
+        "backend": record.get("backend", "native"),
+        "runs": record.get("runs", []),
+    }
+
+
+def compare_bench(
+    a: Mapping, b: Mapping, *, tolerance: float = 0.75
+) -> tuple[str, bool]:
+    """Diff two bench documents; return ``(report text, ok)``.
+
+    ``a`` is the reference, ``b`` the candidate.  Per ``(n, profile)``
+    run present in both:
+
+    * ``total_ops`` and every ``events`` counter must match exactly —
+      they are pure functions of the baked-in seeds, so any difference
+      means the engine's *behaviour* changed (drift);
+    * ``ticks_per_sec`` flags drift only when the candidate drops below
+      ``tolerance`` times the reference (throughput is hardware-bound;
+      pass a small tolerance to effectively gate on counters only).
+
+    Runs present on one side only are reported but do not flag drift —
+    the two documents may have been produced with different ``--sizes``.
+    """
+    if not 0.0 < tolerance <= 1.0:
+        raise ValueError(f"tolerance must be in (0, 1], got {tolerance}")
+    a_runs = {(r["n"], r["profile"]): r for r in a.get("runs", ())}
+    b_runs = {(r["n"], r["profile"]): r for r in b.get("runs", ())}
+    shared = sorted(set(a_runs) & set(b_runs))
+    lines = [
+        f"bench compare: reference rev {a.get('git_rev', '?')} "
+        f"(backend {a.get('backend', 'native')}) vs "
+        f"candidate rev {b.get('git_rev', '?')} "
+        f"(backend {b.get('backend', 'native')}) "
+        f"({len(shared)} shared runs, throughput tolerance {tolerance:g})",
+    ]
+    only_a = sorted(set(a_runs) - set(b_runs))
+    only_b = sorted(set(b_runs) - set(a_runs))
+    if only_a:
+        lines.append(f"  only in reference (ignored): {only_a}")
+    if only_b:
+        lines.append(f"  only in candidate (ignored): {only_b}")
+    drift: list[str] = []
+    rows = []
+    for key in shared:
+        ra, rb = a_runs[key], b_runs[key]
+        n, profile = key
+        problems = []
+        if ra["total_ops"] != rb["total_ops"]:
+            problems.append(
+                f"total_ops {ra['total_ops']} -> {rb['total_ops']}"
+            )
+        # condensed history rows carry no events section at all; only
+        # diff the counters when both sides actually recorded them
+        ev_a, ev_b = ra.get("events"), rb.get("events")
+        if ev_a is not None and ev_b is not None:
+            for name in sorted(set(ev_a) | set(ev_b)):
+                va, vb = ev_a.get(name, 0), ev_b.get(name, 0)
+                if va != vb:
+                    problems.append(f"events.{name} {va} -> {vb}")
+        tps_a, tps_b = ra["ticks_per_sec"], rb["ticks_per_sec"]
+        ratio = tps_b / tps_a if tps_a else float("inf")
+        if ratio < tolerance:
+            problems.append(
+                f"throughput {tps_a:g} -> {tps_b:g} ticks/s "
+                f"(x{ratio:.2f} < {tolerance:g})"
+            )
+        rows.append(
+            [
+                n, profile, f"{tps_a:g}", f"{tps_b:g}", f"x{ratio:.2f}",
+                "DRIFT" if problems else "ok",
+            ]
+        )
+        for p in problems:
+            drift.append(f"n={n} {profile}: {p}")
+    lines.append("")
+    lines.append(
+        render_table(
+            ["n", "profile", "ref ticks/s", "cand ticks/s", "ratio", "verdict"],
+            rows,
+        )
+    )
+    if drift:
+        lines.append("")
+        lines.append(f"DRIFT ({len(drift)} finding(s)):")
+        lines.extend(f"  - {d}" for d in drift)
+    else:
+        lines.append("")
+        lines.append("no drift: counters identical, throughput within tolerance")
+    return "\n".join(lines), not drift
+
+
 def render_report(doc: dict[str, Any]) -> str:
     """ASCII summary of a bench document."""
-    from repro.experiments.report import render_table
-
     rows = [
         [
             r["n"],

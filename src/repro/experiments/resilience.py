@@ -31,14 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.faults.metrics import (
-    extreme_ratio,
-    max_mean_ratio,
-    recovery_report,
-    theorem4_band,
-)
+from repro.faults.metrics import extreme_ratio, max_mean_ratio, recovery_report
 from repro.faults.plan import FaultPlan, Partition, StragglerWindow
 from repro.params import LBParams
+from repro.theory.bounds import theorem4_bound
 
 __all__ = [
     "SCENARIOS",
@@ -154,6 +150,26 @@ class ResilienceConfig:
             stragglers=stragglers,
         )
 
+    def engine(self, faults: FaultPlan | None, **observers):
+        """The scenario's :class:`~repro.core.async_engine.AsyncEngine`.
+
+        ``faults`` is :meth:`plan` for the faulted arm or ``None`` for
+        the fault-free baseline; ``observers`` (``tracer=``,
+        ``profiler=``, ``spans=``, ``monitors=``) attach to the engine
+        unchanged.
+        """
+        from repro.core.async_engine import AsyncEngine
+
+        return AsyncEngine(
+            self.params(),
+            _phased_rates(self),
+            latency=self.latency,
+            snapshot_dt=self.snapshot_dt,
+            seed=self.seed,
+            faults=faults,
+            **observers,
+        )
+
 
 def _phased_rates(cfg: ResilienceConfig):
     """Ramp / steady / taper rate tables for the scenario above.
@@ -177,17 +193,7 @@ def _phased_rates(cfg: ResilienceConfig):
 
 
 def _run(cfg: ResilienceConfig, plan: FaultPlan | None) -> dict:
-    from repro.core.async_engine import AsyncEngine
-
-    engine = AsyncEngine(
-        cfg.params(),
-        _phased_rates(cfg),
-        latency=cfg.latency,
-        snapshot_dt=cfg.snapshot_dt,
-        seed=cfg.seed,
-        faults=plan,
-    )
-    res = engine.run(cfg.horizon)
+    res = cfg.engine(plan).run(cfg.horizon)
     report = recovery_report(
         res.times,
         res.loads,
@@ -254,7 +260,7 @@ def resilience_experiment(
         "version": RESILIENCE_SCHEMA_VERSION,
         "backend": used,
         "config": asdict(cfg),
-        "band": theorem4_band(cfg.params()),
+        "band": theorem4_bound(None, cfg.delta, cfg.f),
         "plan": plan.to_dict(),
         "faulted": faulted,
         "baseline": baseline,

@@ -27,7 +27,6 @@ from repro.faults.metrics import (
     extreme_ratio,
     max_mean_ratio,
     recovery_report,
-    theorem4_band,
 )
 from repro.faults.plan import (
     NO_FAULTS,
@@ -45,7 +44,6 @@ __all__ = [
     "NO_FAULTS",
     "FaultInjector",
     "as_injector",
-    "theorem4_band",
     "extreme_ratio",
     "max_mean_ratio",
     "RecoveryReport",

@@ -26,20 +26,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.params import LBParams
-from repro.theory.fixpoint import fix_limit
+from repro.theory.bounds import theorem4_bound
 
 __all__ = [
-    "theorem4_band",
     "extreme_ratio",
     "max_mean_ratio",
     "RecoveryReport",
     "recovery_report",
 ]
-
-
-def theorem4_band(params: LBParams) -> float:
-    """The size-free Theorem-4 band ``f^2 * delta / (delta + 1 - f)``."""
-    return params.f * params.f * fix_limit(params.delta, params.f)
 
 
 def extreme_ratio(loads: np.ndarray, C: int) -> np.ndarray:
@@ -128,7 +122,7 @@ def recovery_report(
         )
     if burst_end < burst_start:
         raise ValueError("burst_end must be >= burst_start")
-    band = theorem4_band(params)
+    band = theorem4_bound(None, params.delta, params.f)
     rho = extreme_ratio(loads, params.C)
     mm = max_mean_ratio(loads)
 

@@ -24,16 +24,19 @@ package turns every simulation into an inspectable trace:
   timers around the hot paths (trigger evaluation, partner selection,
   the snake deal), mergeable across processes like the metrics.
 * :mod:`repro.observability.analysis` — summarise, reconcile and diff
-  recorded traces (the ``repro trace`` CLI is a thin wrapper).
+  recorded traces (``repro trace`` prints them).
 * :mod:`repro.observability.monitors` — streaming conformance monitors
   checking the paper's theorem bands *while the run executes*; breaches
   land in the trace as ``monitor_*`` events.
 * :mod:`repro.observability.spans` — balancing-operation spans: one
   causal ``span_start``/``span_point``/``span_end`` story per trigger
-  fire, reconstructable from any trace (``repro spans``).
+  fire, reconstructable from any trace and ranked most troubled first.
 * :mod:`repro.observability.report` — render a traced run as a
-  self-contained markdown/HTML report; diff two bench documents for
-  regressions (``repro report`` / ``repro report --compare``).
+  self-contained markdown/HTML report, one renderer per section
+  (``repro report``; ``repro spans`` and ``repro profile`` print its
+  spans and profiler sections).  The bench-document compare behind
+  ``repro report --compare`` lives with the bench writer in
+  :mod:`repro.experiments.microbench`.
 * :mod:`repro.observability.telemetry` — live telemetry: a windowed
   time-series sampler over the metrics/SLO/monitor state, plus the
   cross-process :class:`TraceContext` that stamps per-worker trace
@@ -88,16 +91,15 @@ from repro.observability.monitors import (
 )
 from repro.observability.report import (
     build_report,
-    compare_bench,
-    load_bench,
-    load_bench_history,
+    profiler_section,
     sparkline,
+    spans_section,
     to_html,
 )
 from repro.observability.spans import (
     Span,
     SpanRecorder,
-    render_spans,
+    rank_spans,
     render_waterfall,
     spans_from_trace,
     worst_span,
@@ -149,15 +151,14 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "spans_from_trace",
+    "rank_spans",
     "worst_span",
-    "render_spans",
     "render_waterfall",
     "build_report",
+    "spans_section",
+    "profiler_section",
     "to_html",
     "sparkline",
-    "load_bench",
-    "load_bench_history",
-    "compare_bench",
     "TelemetrySampler",
     "TraceContext",
     "current_context",

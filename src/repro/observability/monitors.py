@@ -60,7 +60,8 @@ import numpy as np
 
 from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.params import LBParams
-from repro.theory.fixpoint import fix, fix_limit
+from repro.theory.bounds import theorem4_bound
+from repro.theory.fixpoint import fix
 
 __all__ = [
     "Breach",
@@ -156,13 +157,6 @@ class Monitor:
             )
 
 
-def _theorem4_band(params: LBParams) -> float:
-    # f^2 * delta/(delta+1-f), the two-sided Theorem 3/4 band on
-    # E(l_i)/(E(l_j)+C) (same formula as repro.faults.metrics.theorem4_band;
-    # inlined to keep observability free of a faults dependency)
-    return params.f * params.f * fix_limit(params.delta, params.f)
-
-
 class Theorem4BandMonitor(Monitor):
     """Instantaneous Theorem-4 band check with streak hysteresis."""
 
@@ -175,7 +169,8 @@ class Theorem4BandMonitor(Monitor):
         super().__init__()
         if grace < 1:
             raise ValueError(f"grace must be >= 1, got {grace}")
-        self.band = _theorem4_band(params)
+        # f^2 * delta/(delta+1-f), the size-free Theorem 3/4 band
+        self.band = theorem4_bound(None, params.delta, params.f)
         self.C = params.C
         self.grace = grace
         self.min_mean = min_mean

@@ -1,31 +1,20 @@
-"""Run reports and the bench-regression compare.
+"""Run reports: one traced run as a self-contained document.
 
-Two jobs, both fed by the observability layer and both surfaced by the
-CLI (``repro report``, see ``docs/OBSERVABILITY.md``):
-
-* :func:`build_report` renders one traced run — monitor verdicts
-  (:mod:`repro.observability.monitors`), the balancing-operation span
-  story (:mod:`repro.observability.spans`) with an ASCII waterfall of
-  the worst span, load-timeline sparklines, the per-type event counts
-  (including the tracer's eviction counter) and, when a profiler ran,
-  the hot-section table — into one self-contained markdown document.
-  :func:`to_html` wraps the same document into a dependency-free HTML
-  page (inline CSS, monospace body) suitable for CI artifacts.
-
-* :func:`compare_bench` diffs two ``BENCH_engine.json`` documents
-  (schema ``repro.bench_engine.v1``, written by ``repro bench``).  The
-  engine's operation counters are a pure function of the seeds, so any
-  counter difference is a behavioural regression and always flags
-  drift; throughput only flags when the candidate falls below
-  ``tolerance`` times the reference (hardware varies — CI passes a
-  loose tolerance so counters are the real gate there).  The CLI exits
-  nonzero when drift is flagged.
+:func:`build_report` renders one traced run — monitor verdicts
+(:mod:`repro.observability.monitors`), the balancing-operation span
+story (:mod:`repro.observability.spans`) with an ASCII waterfall of the
+worst span, load-timeline sparklines, the per-type event counts
+(including the tracer's eviction counter) and, when a profiler ran, the
+hot-section table — into one markdown document (``repro report``, see
+``docs/OBSERVABILITY.md``).  Each section has exactly one renderer:
+``repro spans`` prints :func:`spans_section` and ``repro profile``
+prints :func:`profiler_section`.  :func:`to_html` wraps a document into
+a dependency-free HTML page (inline CSS, monospace body) suitable for
+CI artifacts.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,10 +22,9 @@ import numpy as np
 __all__ = [
     "sparkline",
     "build_report",
+    "spans_section",
+    "profiler_section",
     "to_html",
-    "load_bench",
-    "load_bench_history",
-    "compare_bench",
 ]
 
 _SPARK_LEVELS = " ▁▂▃▄▅▆▇█"
@@ -137,10 +125,12 @@ def _monitor_section(monitors, crash_bounds) -> list[str]:
     return lines
 
 
-def _spans_section(spans) -> list[str]:
+def spans_section(spans) -> list[str]:
+    """The span outcome table, the five worst spans and the worst
+    span's waterfall (ranked by :func:`~repro.observability.spans.rank_spans`)."""
     from collections import Counter
 
-    from repro.observability.spans import render_waterfall, worst_span
+    from repro.observability.spans import rank_spans, render_waterfall
 
     lines = ["## Balancing-operation spans", ""]
     if not spans:
@@ -153,11 +143,7 @@ def _spans_section(spans) -> list[str]:
             [[k, v] for k, v in sorted(statuses.items())],
         )
     )
-    ranked = sorted(
-        spans,
-        key=lambda s: (s.duration or 0.0, len(s.points), s.migrated),
-        reverse=True,
-    )[:5]
+    ranked = rank_spans(spans)
     lines += [
         "",
         _md_table(
@@ -169,20 +155,16 @@ def _spans_section(spans) -> list[str]:
                     f"{s.duration:g}" if s.duration is not None else "-",
                     s.status or "open", len(s.points), s.migrated,
                 ]
-                for s in ranked
+                for s in ranked[:5]
             ],
         ),
+        "",
+        "Worst span (longest, then most event-ful):",
+        "",
+        "```",
+        render_waterfall(ranked[0]),
+        "```",
     ]
-    worst = worst_span(spans)
-    if worst is not None:
-        lines += [
-            "",
-            "Worst span (longest, then most event-ful):",
-            "",
-            "```",
-            render_waterfall(worst),
-            "```",
-        ]
     return lines
 
 
@@ -237,7 +219,8 @@ def _events_section(events, tracer) -> list[str]:
     return lines
 
 
-def _profiler_section(profiler) -> list[str]:
+def profiler_section(profiler) -> list[str]:
+    """The hot-section table (empty when nothing was timed)."""
     rows = profiler.summary()
     if not rows:
         return []
@@ -291,12 +274,12 @@ def build_report(
     ]
     lines += _monitor_section(monitors, crash_bounds)
     lines.append("")
-    lines += _spans_section(spans)
+    lines += spans_section(spans)
     lines.append("")
     lines += _timeline_section(times, loads)
     lines.append("")
     lines += _events_section(events, tracer)
-    prof = _profiler_section(profiler) if profiler is not None else []
+    prof = profiler_section(profiler) if profiler is not None else []
     if prof:
         lines.append("")
         lines += prof
@@ -350,143 +333,3 @@ def to_html(markdown: str, *, title: str = "repro run report") -> str:
         "</style></head><body>\n"
         f"{body}\n</body></html>\n"
     )
-
-
-# -- bench regression compare -------------------------------------------
-
-BENCH_SCHEMA = "repro.bench_engine.v1"
-
-
-def load_bench(path: str | Path) -> dict:
-    """Load one ``BENCH_engine.json`` document, checking its schema tag."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"{path}: expected schema {BENCH_SCHEMA!r}, "
-            f"got {doc.get('schema')!r}"
-        )
-    return doc
-
-
-def load_bench_history(path: str | Path) -> dict:
-    """Load the *last* record of a ``bench_history.ndjson`` trajectory
-    as a :func:`compare_bench`-shaped baseline document.
-
-    ``repro bench`` appends one condensed line per run (schema
-    ``repro.bench_history.v1``, see
-    :func:`repro.experiments.microbench.append_bench_history`); the
-    most recent line is the natural comparison baseline for
-    ``repro report --compare history.ndjson``.  History rows carry no
-    ``events`` counters, so the compare gates on ``total_ops`` and
-    throughput only.
-    """
-    from repro.experiments.microbench import BENCH_HISTORY_SCHEMA
-
-    lines = [
-        line
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
-    if not lines:
-        raise ValueError(f"{path}: empty bench history")
-    record = json.loads(lines[-1])
-    if record.get("schema") != BENCH_HISTORY_SCHEMA:
-        raise ValueError(
-            f"{path}: expected schema {BENCH_HISTORY_SCHEMA!r}, "
-            f"got {record.get('schema')!r}"
-        )
-    return {
-        "schema": BENCH_SCHEMA,
-        "git_rev": record.get("git_rev", "unknown"),
-        "backend": record.get("backend", "native"),
-        "runs": record.get("runs", []),
-    }
-
-
-def compare_bench(
-    a: Mapping, b: Mapping, *, tolerance: float = 0.75
-) -> tuple[str, bool]:
-    """Diff two bench documents; return ``(report text, ok)``.
-
-    ``a`` is the reference, ``b`` the candidate.  Per ``(n, profile)``
-    run present in both:
-
-    * ``total_ops`` and every ``events`` counter must match exactly —
-      they are pure functions of the baked-in seeds, so any difference
-      means the engine's *behaviour* changed (drift);
-    * ``ticks_per_sec`` flags drift only when the candidate drops below
-      ``tolerance`` times the reference (throughput is hardware-bound;
-      pass a small tolerance to effectively gate on counters only).
-
-    Runs present on one side only are reported but do not flag drift —
-    the two documents may have been produced with different ``--sizes``.
-    """
-    if not 0.0 < tolerance <= 1.0:
-        raise ValueError(f"tolerance must be in (0, 1], got {tolerance}")
-    a_runs = {(r["n"], r["profile"]): r for r in a.get("runs", ())}
-    b_runs = {(r["n"], r["profile"]): r for r in b.get("runs", ())}
-    shared = sorted(set(a_runs) & set(b_runs))
-    lines = [
-        f"bench compare: reference rev {a.get('git_rev', '?')} "
-        f"(backend {a.get('backend', 'native')}) vs "
-        f"candidate rev {b.get('git_rev', '?')} "
-        f"(backend {b.get('backend', 'native')}) "
-        f"({len(shared)} shared runs, throughput tolerance {tolerance:g})",
-    ]
-    only_a = sorted(set(a_runs) - set(b_runs))
-    only_b = sorted(set(b_runs) - set(a_runs))
-    if only_a:
-        lines.append(f"  only in reference (ignored): {only_a}")
-    if only_b:
-        lines.append(f"  only in candidate (ignored): {only_b}")
-    drift: list[str] = []
-    rows = []
-    for key in shared:
-        ra, rb = a_runs[key], b_runs[key]
-        n, profile = key
-        problems = []
-        if ra["total_ops"] != rb["total_ops"]:
-            problems.append(
-                f"total_ops {ra['total_ops']} -> {rb['total_ops']}"
-            )
-        # condensed history rows carry no events section at all; only
-        # diff the counters when both sides actually recorded them
-        ev_a, ev_b = ra.get("events"), rb.get("events")
-        if ev_a is not None and ev_b is not None:
-            for name in sorted(set(ev_a) | set(ev_b)):
-                va, vb = ev_a.get(name, 0), ev_b.get(name, 0)
-                if va != vb:
-                    problems.append(f"events.{name} {va} -> {vb}")
-        tps_a, tps_b = ra["ticks_per_sec"], rb["ticks_per_sec"]
-        ratio = tps_b / tps_a if tps_a else float("inf")
-        if ratio < tolerance:
-            problems.append(
-                f"throughput {tps_a:g} -> {tps_b:g} ticks/s "
-                f"(x{ratio:.2f} < {tolerance:g})"
-            )
-        rows.append(
-            [
-                n, profile, f"{tps_a:g}", f"{tps_b:g}", f"x{ratio:.2f}",
-                "DRIFT" if problems else "ok",
-            ]
-        )
-        for p in problems:
-            drift.append(f"n={n} {profile}: {p}")
-    from repro.experiments.report import render_table
-
-    lines.append("")
-    lines.append(
-        render_table(
-            ["n", "profile", "ref ticks/s", "cand ticks/s", "ratio", "verdict"],
-            rows,
-        )
-    )
-    if drift:
-        lines.append("")
-        lines.append(f"DRIFT ({len(drift)} finding(s)):")
-        lines.extend(f"  - {d}" for d in drift)
-    else:
-        lines.append("")
-        lines.append("no drift: counters identical, throughput within tolerance")
-    return "\n".join(lines), not drift

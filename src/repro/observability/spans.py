@@ -23,9 +23,9 @@ a congested initiation, the latency window of an accepted operation,
 and the fault paths — which is where span durations become interesting.
 
 :func:`spans_from_trace` reconstructs :class:`Span` objects from any
-recorded trace (live buffer or NDJSON), and :func:`render_spans` /
-:func:`render_waterfall` print them — the ``repro spans`` CLI is a thin
-wrapper.  Like the tracer, spans cost nothing when off: the engines
+recorded trace (live buffer or NDJSON), :func:`rank_spans` orders them
+most troubled first and :func:`render_waterfall` draws one; the run
+report's spans section (``repro spans`` prints it) is built from these.  Like the tracer, spans cost nothing when off: the engines
 cache one boolean and skip every span site with a single branch.
 """
 
@@ -40,8 +40,8 @@ __all__ = [
     "SpanRecorder",
     "Span",
     "spans_from_trace",
+    "rank_spans",
     "worst_span",
-    "render_spans",
     "render_waterfall",
 ]
 
@@ -167,15 +167,21 @@ def spans_from_trace(
     return [spans[k] for k in sorted(spans)]
 
 
-def worst_span(spans: Sequence[Span]) -> Span | None:
-    """The most troubled span: longest closed duration wins; ties (and
-    the all-instantaneous synchronous case) go to the most event-ful."""
-    if not spans:
-        return None
-    return max(
+def rank_spans(spans: Sequence[Span]) -> list[Span]:
+    """Spans ordered most troubled first: longest closed duration, then
+    (for ties and the all-instantaneous synchronous case) most
+    event-ful, then most packets migrated; equal spans keep trace order."""
+    return sorted(
         spans,
         key=lambda s: (s.duration or 0.0, len(s.points), s.migrated),
+        reverse=True,
     )
+
+
+def worst_span(spans: Sequence[Span]) -> Span | None:
+    """The first span of :func:`rank_spans` (``None`` without spans)."""
+    ranked = rank_spans(spans)
+    return ranked[0] if ranked else None
 
 
 def _fmt_t(t: float) -> str:
@@ -212,45 +218,3 @@ def render_waterfall(span: Span, width: int = 40) -> str:
             f"  t={_fmt_t(span.end):<10} {bar(span.end)} end ({span.status})"
         )
     return "\n".join(lines)
-
-
-def render_spans(spans: Sequence[Span], *, limit: int = 10) -> str:
-    """Summary table + waterfall of the worst span."""
-    from collections import Counter
-
-    from repro.experiments.report import render_table
-
-    if not spans:
-        return "(no spans recorded)"
-    statuses = Counter(s.status or "open" for s in spans)
-    ops = Counter(s.op for s in spans)
-    header = (
-        f"{len(spans)} spans"
-        f" | ops: {dict(sorted(ops.items()))}"
-        f" | outcomes: {dict(sorted(statuses.items()))}"
-    )
-    ranked = sorted(
-        spans,
-        key=lambda s: (s.duration or 0.0, len(s.points), s.migrated),
-        reverse=True,
-    )[:limit]
-    rows = [
-        [
-            s.span,
-            s.op,
-            s.proc,
-            _fmt_t(s.start),
-            _fmt_t(s.duration) if s.duration is not None else "-",
-            s.status or "open",
-            len(s.points),
-            s.migrated,
-        ]
-        for s in ranked
-    ]
-    table = render_table(
-        ["span", "op", "proc", "start", "dur", "status", "steps", "migrated"],
-        rows,
-    )
-    worst = worst_span(spans)
-    assert worst is not None
-    return f"{header}\n\n{table}\n\nworst span:\n{render_waterfall(worst)}"

@@ -243,9 +243,9 @@ class TelemetrySampler:
         self.band: float | None = None
         self.C: int | None = None
         if params is not None:
-            from repro.service.slo import theorem4_band
+            from repro.theory.bounds import theorem4_bound
 
-            self.band = theorem4_band(params)
+            self.band = theorem4_bound(None, params.delta, params.f)
             self.C = params.C
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics

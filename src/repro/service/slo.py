@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.observability.report import _md_table, sparkline
 from repro.params import LBParams
-from repro.theory.fixpoint import fix_limit
+from repro.theory.bounds import theorem4_bound
 
 __all__ = [
     "SLOTracker",
@@ -47,11 +47,6 @@ SERVICE_SCHEMA = "repro/service"
 SERVICE_VERSION = 1
 
 
-def theorem4_band(params: LBParams) -> float:
-    """``f^2 * delta/(delta+1-f)`` — the two-sided Theorem 3/4 band."""
-    return params.f * params.f * fix_limit(params.delta, params.f)
-
-
 class SLOTracker:
     """Accumulate per-snapshot service-level observations.
 
@@ -62,7 +57,7 @@ class SLOTracker:
     """
 
     def __init__(self, params: LBParams) -> None:
-        self.band = theorem4_band(params)
+        self.band = theorem4_bound(None, params.delta, params.f)
         self.C = params.C
         self.times: list[float] = []
         self.rho: list[float] = []

@@ -8,16 +8,18 @@ from repro.faults.metrics import (
     extreme_ratio,
     max_mean_ratio,
     recovery_report,
-    theorem4_band,
 )
 from repro.params import LBParams
+from repro.theory.bounds import theorem4_bound
 from repro.theory.fixpoint import fix_limit
 
 
 class TestStatistics:
     def test_band_formula(self):
         p = LBParams(f=1.3, delta=2, C=4)
-        assert theorem4_band(p) == pytest.approx(1.3 * 1.3 * fix_limit(2, 1.3))
+        assert theorem4_bound(None, p.delta, p.f) == pytest.approx(
+            1.3 * 1.3 * fix_limit(2, 1.3)
+        )
 
     def test_extreme_ratio(self):
         loads = np.array([[4, 2, 0], [6, 6, 6]])
@@ -59,7 +61,7 @@ class TestRecoveryReport:
         p = LBParams(f=1.3, delta=2, C=4)
         rep = recovery_report(times, loads, p, burst_start=2.0, burst_end=4.0)
         assert isinstance(rep, RecoveryReport)
-        assert rep.band == pytest.approx(theorem4_band(p))
+        assert rep.band == pytest.approx(theorem4_bound(None, p.delta, p.f))
         assert rep.spike_ratio == pytest.approx(22 / 4)
         assert rep.pre_fault_ratio == pytest.approx(
             np.mean([8 / 12, 8 / 11])

@@ -271,27 +271,14 @@ class TestAcceptance:
     @pytest.fixture(scope="class")
     def crash_burst(self):
         """Faulted + baseline arms of the resilience scenario."""
-        from repro.core.async_engine import AsyncEngine
-        from repro.experiments.resilience import (
-            ResilienceConfig,
-            _phased_rates,
-        )
+        from repro.experiments.resilience import ResilienceConfig
 
         cfg = ResilienceConfig()  # n=32, burst [30, 45], seed 0
         arms = {}
         for arm, plan in (("faulted", cfg.plan()), ("baseline", None)):
             tracer = Tracer()
             suite = MonitorSuite.standard(cfg.params(), tracer=tracer)
-            engine = AsyncEngine(
-                cfg.params(),
-                _phased_rates(cfg),
-                latency=cfg.latency,
-                snapshot_dt=cfg.snapshot_dt,
-                seed=cfg.seed,
-                tracer=tracer,
-                monitors=suite,
-                faults=plan,
-            )
+            engine = cfg.engine(plan, tracer=tracer, monitors=suite)
             res = engine.run(cfg.horizon)
             arms[arm] = (cfg, suite, tracer, res)
         return arms

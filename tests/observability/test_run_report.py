@@ -1,7 +1,4 @@
-"""Tests for run reports and the bench-regression compare."""
-
-import copy
-import json
+"""Tests for run reports."""
 
 import numpy as np
 import pytest
@@ -12,13 +9,10 @@ from repro.observability import (
     SpanRecorder,
     Tracer,
     build_report,
-    compare_bench,
-    load_bench,
     sparkline,
     spans_from_trace,
     to_html,
 )
-from repro.observability.report import BENCH_SCHEMA
 
 PARAMS = LBParams(f=1.3, delta=2, C=4)
 
@@ -134,155 +128,3 @@ class TestToHtml:
         html = to_html("## S\n\n```\nascii art\n```")
         assert "```" not in html
         assert "ascii art" in html
-
-
-def bench_doc(**overrides):
-    doc = {
-        "schema": BENCH_SCHEMA,
-        "git_rev": "abc1234",
-        "runs": [
-            {
-                "n": 64, "profile": "quiet", "ticks_per_sec": 1000.0,
-                "total_ops": 0, "events": {"trigger": 0},
-            },
-            {
-                "n": 64, "profile": "stationary", "ticks_per_sec": 500.0,
-                "total_ops": 2215, "events": {"trigger": 2215, "borrow": 90},
-            },
-        ],
-    }
-    doc.update(overrides)
-    return doc
-
-
-class TestCompareBench:
-    def test_identical_docs_no_drift(self):
-        text, ok = compare_bench(bench_doc(), bench_doc())
-        assert ok and "no drift" in text
-
-    def test_counter_mismatch_always_drifts(self):
-        cand = bench_doc()
-        cand["runs"][1]["total_ops"] += 1
-        text, ok = compare_bench(bench_doc(), cand, tolerance=0.01)
-        assert not ok
-        assert "total_ops 2215 -> 2216" in text
-
-    def test_event_counter_mismatch_drifts(self):
-        cand = copy.deepcopy(bench_doc())
-        cand["runs"][1]["events"]["borrow"] = 91
-        _, ok = compare_bench(bench_doc(), cand)
-        assert not ok
-
-    def test_throughput_below_tolerance_drifts(self):
-        cand = bench_doc()
-        cand["runs"][0]["ticks_per_sec"] = 600.0  # x0.6 < 0.75
-        text, ok = compare_bench(bench_doc(), cand, tolerance=0.75)
-        assert not ok and "throughput" in text
-
-    def test_throughput_within_tolerance_ok(self):
-        cand = bench_doc()
-        cand["runs"][0]["ticks_per_sec"] = 800.0  # x0.8 >= 0.75
-        _, ok = compare_bench(bench_doc(), cand, tolerance=0.75)
-        assert ok
-
-    def test_disjoint_runs_reported_but_ignored(self):
-        cand = bench_doc()
-        cand["runs"] = [dict(cand["runs"][0], n=256)]
-        text, ok = compare_bench(bench_doc(), cand)
-        assert ok
-        assert "only in reference" in text and "only in candidate" in text
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            compare_bench(bench_doc(), bench_doc(), tolerance=0.0)
-        with pytest.raises(ValueError, match="tolerance"):
-            compare_bench(bench_doc(), bench_doc(), tolerance=1.5)
-
-
-class TestLoadBench:
-    def test_roundtrip(self, tmp_path):
-        p = tmp_path / "b.json"
-        p.write_text(json.dumps(bench_doc()))
-        assert load_bench(p)["git_rev"] == "abc1234"
-
-    def test_schema_tag_checked(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(bench_doc(schema="something.else")))
-        with pytest.raises(ValueError, match="expected schema"):
-            load_bench(p)
-
-    def test_committed_baseline_loads(self):
-        doc = load_bench("results/BENCH_engine.json")
-        assert doc["runs"], "committed baseline must contain runs"
-
-
-def history_line(**overrides):
-    rec = {
-        "schema": "repro.bench_history.v1",
-        "git_rev": "abc1234",
-        "date": "2026-08-08T00:00:00Z",
-        "backend": "native",
-        "runs": [
-            {"n": 64, "profile": "quiet", "engine": "columnar",
-             "ticks_per_sec": 1000.0, "total_ops": 0,
-             "peak_rss_bytes": 1},
-            {"n": 64, "profile": "stationary", "engine": "columnar",
-             "ticks_per_sec": 500.0, "total_ops": 2215,
-             "peak_rss_bytes": 1},
-        ],
-    }
-    rec.update(overrides)
-    return rec
-
-
-class TestLoadBenchHistory:
-    def test_last_record_wins(self, tmp_path):
-        from repro.observability import load_bench_history
-
-        p = tmp_path / "bench_history.ndjson"
-        p.write_text(
-            json.dumps(history_line(git_rev="old1111")) + "\n"
-            + json.dumps(history_line()) + "\n"
-        )
-        doc = load_bench_history(p)
-        assert doc["schema"] == BENCH_SCHEMA  # compare-shaped
-        assert doc["git_rev"] == "abc1234"
-        assert len(doc["runs"]) == 2
-
-    def test_schema_tag_checked(self, tmp_path):
-        from repro.observability import load_bench_history
-
-        p = tmp_path / "h.ndjson"
-        p.write_text(json.dumps(history_line(schema="nope")) + "\n")
-        with pytest.raises(ValueError, match="expected schema"):
-            load_bench_history(p)
-
-    def test_empty_history_rejected(self, tmp_path):
-        from repro.observability import load_bench_history
-
-        p = tmp_path / "h.ndjson"
-        p.write_text("\n")
-        with pytest.raises(ValueError, match="empty"):
-            load_bench_history(p)
-
-    def test_committed_history_loads_and_matches_baseline(self):
-        from repro.observability import load_bench_history
-
-        hist = load_bench_history("results/bench_history.ndjson")
-        _, ok = compare_bench(hist, load_bench("results/BENCH_engine.json"))
-        assert ok, "committed history must agree with the JSON baseline"
-
-    def test_history_baseline_gates_on_ops_not_events(self, tmp_path):
-        """A condensed history row (no events) vs a full candidate:
-        identical counters pass, a total_ops change still drifts."""
-        from repro.observability import load_bench_history
-
-        p = tmp_path / "h.ndjson"
-        p.write_text(json.dumps(history_line()) + "\n")
-        hist = load_bench_history(p)
-        _, ok = compare_bench(hist, bench_doc(), tolerance=0.5)
-        assert ok
-        cand = copy.deepcopy(bench_doc())
-        cand["runs"][1]["total_ops"] += 1
-        text, ok = compare_bench(hist, cand, tolerance=0.5)
-        assert not ok and "total_ops" in text

@@ -11,11 +11,13 @@ from repro import LBParams
 from repro.observability import (
     SpanRecorder,
     Tracer,
+    rank_spans,
     spans_from_trace,
     validate_trace,
     worst_span,
 )
-from repro.observability.spans import Span, render_spans, render_waterfall
+from repro.observability.report import spans_section
+from repro.observability.spans import Span, render_waterfall
 
 PARAMS = LBParams(f=1.3, delta=2, C=4)
 
@@ -86,25 +88,12 @@ class TestTruncatedTraces:
 class TestAsyncEngineSpans:
     @pytest.fixture(scope="class")
     def faulted(self):
-        from repro.core.async_engine import AsyncEngine
-        from repro.experiments.resilience import (
-            ResilienceConfig,
-            _phased_rates,
-        )
+        from repro.experiments.resilience import ResilienceConfig
 
         cfg = ResilienceConfig()
         tracer = Tracer()
         rec = SpanRecorder(tracer)
-        engine = AsyncEngine(
-            cfg.params(),
-            _phased_rates(cfg),
-            latency=cfg.latency,
-            snapshot_dt=cfg.snapshot_dt,
-            seed=cfg.seed,
-            tracer=tracer,
-            spans=rec,
-            faults=cfg.plan(),
-        )
+        engine = cfg.engine(cfg.plan(), tracer=tracer, spans=rec)
         res = engine.run(cfg.horizon)
         return res, tracer, rec
 
@@ -152,6 +141,14 @@ class TestRenderers:
         assert worst_span([a, c]) is c          # ties go to the busiest
         assert worst_span([]) is None
 
+    def test_rank_spans_worst_first_ties_in_trace_order(self):
+        a = toy_span(span=0, end=2.0, status="completed")
+        b = toy_span(span=1, end=7.0, status="reclaimed")
+        c = toy_span(span=2, end=2.0, status="completed")
+        assert [s.span for s in rank_spans([a, b, c])] == [1, 0, 2]
+        assert worst_span([a, c]) is a
+        assert rank_spans([]) == []
+
     def test_waterfall_contains_every_step(self):
         s = toy_span(
             end=4.0, status="completed", migrated=3,
@@ -165,8 +162,8 @@ class TestRenderers:
         assert "partner_select" in out and "deal" in out
         assert "duration=2" in out
 
-    def test_render_spans_summary_and_empty(self):
+    def test_spans_section_summary_and_empty(self):
         _, tracer, _ = sync_trace(steps=60)
-        out = render_spans(spans_from_trace(tracer.events))
-        assert "outcomes" in out and "worst span:" in out
-        assert render_spans([]) == "(no spans recorded)"
+        out = "\n".join(spans_section(spans_from_trace(tracer.events)))
+        assert "| outcome | spans |" in out and "Worst span" in out
+        assert spans_section([])[-1] == "(no spans recorded)"

@@ -7,6 +7,17 @@ import pytest
 from repro.cli import main
 
 
+def section(out, heading):
+    """The lines of one ``## heading`` section of a printed report."""
+    lines = out.splitlines()
+    start = lines.index(f"## {heading}")
+    end = next(
+        (k for k in range(start + 1, len(lines)) if lines[k].startswith("#")),
+        len(lines),
+    )
+    return [line for line in lines[start:end] if line.strip()]
+
+
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -129,6 +140,24 @@ class TestAsyncAndChaosCommands:
 
         counts = validate_ndjson(path)
         assert counts["async_deliver"] > 0
+
+    def test_trace_faulted_reconciles_async(self, monkeypatch, capsys):
+        import repro.observability as obs
+
+        calls = []
+        real = obs.reconcile_async_trace
+
+        def spy(events, result):
+            calls.append(result)
+            return real(events, result)
+
+        monkeypatch.setattr(obs, "reconcile_async_trace", spy)
+        assert main(["trace", "--faulted", "--n", "16"]) == 0
+        out = capsys.readouterr().out
+        assert "traced async (faulted) run: n=16 horizon=80" in out
+        assert "events.fault_crash" in out
+        assert "reconciliation with run aggregates: OK" in out
+        assert len(calls) == 1
 
     def test_profile_async_sections(self, capsys):
         assert main([
@@ -279,8 +308,8 @@ class TestReportAndSpansCommands:
     def test_spans_live_run(self, capsys):
         assert main(["spans", "--n", "8", "--steps", "60"]) == 0
         out = capsys.readouterr().out
-        assert "outcomes" in out and "'completed'" in out
-        assert "worst span:" in out
+        assert "| outcome | spans |" in out and "| completed |" in out
+        assert "Worst span (longest, then most event-ful):" in out
 
     def test_spans_from_trace_file(self, tmp_path, capsys):
         from repro.observability import SpanRecorder, Tracer
@@ -299,7 +328,13 @@ class TestReportAndSpansCommands:
         assert main(["spans", "--trace-in", str(path)]) == 0
         out = capsys.readouterr().out
         assert f"spans from {path}" in out
-        assert "worst span:" in out
+        assert "Worst span (longest, then most event-ful):" in out
+        # the recorded run is the report's default run: same ranking
+        assert main(["report", "--n", "8", "--steps", "60"]) == 0
+        heading = "Balancing-operation spans"
+        assert section(out, heading) == section(
+            capsys.readouterr().out, heading
+        )
 
     def test_spans_from_spanless_trace_is_graceful(self, tmp_path, capsys):
         path = tmp_path / "t.ndjson"
@@ -309,6 +344,33 @@ class TestReportAndSpansCommands:
         capsys.readouterr()
         assert main(["spans", "--trace-in", str(path)]) == 0
         assert "(no spans recorded)" in capsys.readouterr().out
+
+    def test_spans_ranks_like_the_report(self, capsys):
+        args = ["--n", "8", "--steps", "60", "--engine", "async",
+                "--horizon", "20"]
+        assert main(["spans", *args]) == 0
+        spans_out = capsys.readouterr().out
+        assert main(["report", *args]) == 0
+        report_out = capsys.readouterr().out
+        heading = "Balancing-operation spans"
+        assert section(spans_out, heading) == section(report_out, heading)
+
+    def test_profile_prints_the_report_profiler_rows(self, capsys):
+        assert main(["profile", "--n", "8", "--steps", "40"]) == 0
+        profile_out = capsys.readouterr().out
+        assert main(["report", "--n", "8", "--steps", "40"]) == 0
+        report_out = capsys.readouterr().out
+
+        def rows(out):
+            # section name and call count; the timing columns are
+            # wall-clock and differ between two runs
+            table = section(out, "Profiler hot sections")
+            return table[1], sorted(
+                tuple(line.split(" | ")[:2]) for line in table[3:]
+            )
+
+        assert rows(profile_out) == rows(report_out)
+        assert len(rows(profile_out)[1]) > 3
 
     def test_compare_clean_exits_zero(self, capsys):
         ref = "results/BENCH_engine.json"
@@ -330,6 +392,22 @@ class TestReportAndSpansCommands:
             main(["report", "--compare", ref, str(cand)])
         assert exc.value.code == 2
         assert "DRIFT" in capsys.readouterr().out
+
+
+    def test_compare_history_drift_exits_nonzero(self, tmp_path, capsys):
+        import json
+
+        doc = json.loads(open("results/BENCH_engine.json").read())
+        doc["runs"][0]["total_ops"] += 1
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "report", "--compare", "results/bench_history.ndjson",
+                str(cand), "--tolerance", "0.05",
+            ])
+        assert exc.value.code == 2
+        assert "total_ops" in capsys.readouterr().out
 
 
 class TestBackendErrors:
@@ -410,6 +488,37 @@ class TestBenchSmokeFlags:
         assert doc["runs"][0]["n"] == 64
         assert doc["runs"][0]["ticks"] == 10
         assert doc["runs"][0]["engine"] == "columnar"
+
+
+class TestSizeFlag:
+    """``--n`` given explicitly is honoured, whatever its value."""
+
+    def test_bench_n_16_benchmarks_only_n_16(self, tmp_path, monkeypatch, capsys):
+        import repro.experiments.microbench as mb
+
+        seen = []
+
+        def stub(ns, **kwargs):
+            seen.append(ns)
+            return {
+                "schema": mb.BENCH_SCHEMA, "git_rev": "stub",
+                "params": {"f": 1.3, "delta": 2, "C": 4}, "runs": [],
+            }
+
+        monkeypatch.setattr(mb, "bench_report", stub)
+        assert main(["bench", "-n", "16", "--out", str(tmp_path)]) == 0
+        assert seen == [(16,)]
+
+    def test_churn_n_16_runs_n_16(self, tmp_path, capsys):
+        import json
+
+        assert main([
+            "churn", "--n", "16", "--horizon", "10", "--topologies",
+            "complete", "--churn-rates", "0", "--skews", "0",
+            "--out", str(tmp_path),
+        ]) == 0
+        doc = json.loads((tmp_path / "dynamics.json").read_text())
+        assert doc["config"]["n"] == 16
 
 
 class TestServeCommand:
