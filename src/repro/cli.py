@@ -63,8 +63,9 @@ offered arrival stream, ``--replay`` re-runs a saved one bit-exactly.
 report's service-run section.
 
 Live telemetry (see docs/OBSERVABILITY.md § Telemetry): ``--telemetry
-PORT`` samples the running episode into a windowed time series and
-serves it as a Prometheus text exposition on ``/metrics`` (``0`` picks
+PORT`` samples the running episode into a windowed time series, times
+the async engine's profiler sections into the same registry, and
+serves both as a Prometheus text exposition on ``/metrics`` (``0`` picks
 any free port; ``--telemetry-hold`` keeps the endpoint up after the
 episode so scrapers catch the final state).  ``repro top`` is the
 matching live dashboard — it scrapes an endpoint on an interval and
@@ -963,12 +964,19 @@ def _run_serve(args: argparse.Namespace) -> str:
 
         replay = ArrivalTrace.from_json(args.replay)
 
-    telemetry = server = None
+    telemetry = server = profiler = None
     if args.telemetry is not None:
-        from repro.observability import TelemetrySampler
+        from repro.observability import (
+            MetricsRegistry,
+            Profiler,
+            TelemetrySampler,
+        )
         from repro.observability.export import TelemetryServer
 
-        telemetry = TelemetrySampler()
+        # one registry: the profiler's sections are scraped live
+        registry = MetricsRegistry()
+        profiler = Profiler(registry)
+        telemetry = TelemetrySampler(metrics=registry)
         server = TelemetryServer(telemetry, port=args.telemetry)
         server.start()
         # announce before the run so scrapers can attach while the
@@ -977,7 +985,7 @@ def _run_serve(args: argparse.Namespace) -> str:
 
     try:
         run = service_run(cfg, chaos=args.chaos, replay=replay,
-                          telemetry=telemetry)
+                          telemetry=telemetry, profiler=profiler)
         if server is not None and args.telemetry_hold > 0:
             # keep the endpoint (and the sampler's final window) up for
             # post-run scrapers — the CI smoke job's second scrape

@@ -94,7 +94,7 @@ from repro.core.triggers import FactorTrigger, TriggerDecision
 from repro.faults.injector import FaultInjector, as_injector
 from repro.faults.plan import FaultPlan
 from repro.observability.monitors import MonitorSuite
-from repro.observability.profiler import NULL_PROFILER, Profiler
+from repro.observability.profiler import Profiler
 from repro.observability.spans import SpanRecorder
 from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.params import LBParams
@@ -301,8 +301,8 @@ class AsyncEngine:
         self.trigger = FactorTrigger(params.f)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._trace = bool(self.tracer.enabled)
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self._profile = bool(self.profiler.enabled)
+        self.profiler = profiler
+        self._profile = profiler is not None
         self.spans = spans
         self._span = spans is not None
         self.monitors = monitors

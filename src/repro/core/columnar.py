@@ -129,9 +129,11 @@ class _NotifyingSet(set):
 
 class TickPass:
     """One array pass of the tick program; ``run`` mutates the engine
-    and/or the frame."""
+    and/or the frame.  ``name`` is the pass in :meth:`PassPipeline.describe`,
+    ``section`` its profiler section (the benchmark's layer name)."""
 
     name = "pass"
+    section: str
 
     def run(self, eng: "ColumnarEngine", frame: _TickFrame) -> None:
         raise NotImplementedError
@@ -141,6 +143,7 @@ class ClassifyPass(TickPass):
     """Build the tick masks and choose the tick mode."""
 
     name = "classify"
+    section = "columnar.classify"
 
     def run(self, eng: "ColumnarEngine", frame: _TickFrame) -> None:
         if eng._deep_left > 0:
@@ -192,6 +195,7 @@ class FusedQuietPass(TickPass):
     all-fast tick; hosts the deep-quiet lane."""
 
     name = "advance+apply"
+    section = "columnar.fused_quiet"
 
     def run(self, eng: "ColumnarEngine", frame: _TickFrame) -> None:
         mode = frame.mode
@@ -226,6 +230,7 @@ class ResidualPass(TickPass):
     """Per-processor semantics: scalar stops + bulk fast runs."""
 
     name = "residual"
+    section = "columnar.residual"
 
     def run(self, eng: "ColumnarEngine", frame: _TickFrame) -> None:
         if frame.mode == "residual":
@@ -238,8 +243,7 @@ class PassPipeline:
     """The ordered array passes making up one tick.
 
     ``describe()`` renders the program for docs, tests and debugging;
-    with a profiler attached every pass is timed as a
-    ``pipeline.<name>`` section.
+    with a profiler attached every pass is timed as its ``section``.
     """
 
     def __init__(self, passes: list[TickPass]) -> None:
@@ -254,9 +258,7 @@ class PassPipeline:
             for p in self.passes:
                 t0 = time.perf_counter_ns()
                 p.run(eng, frame)
-                profiler.observe_ns(
-                    f"pipeline.{p.name}", time.perf_counter_ns() - t0
-                )
+                profiler.observe_ns(p.section, time.perf_counter_ns() - t0)
         else:
             for p in self.passes:
                 p.run(eng, frame)

@@ -43,7 +43,6 @@ for bit — same RNG draw order, same state, same events.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -475,7 +474,7 @@ class Engine:
     def _maybe_balance(self, i: int) -> None:
         own, old = int(self.d.diag[i]), int(self.l_old[i])
         if self._profile:
-            with self.profiler.section("trigger.check"):
+            with self.profiler.section("triggers.check"):
                 decision = self.triggers[i].check(own, old)
         else:
             decision = self.triggers[i].check(own, old)
@@ -496,7 +495,7 @@ class Engine:
         """One balancing operation initiated by ``i`` (appendix)."""
         delta = self.params.delta
         if self._profile:
-            with self.profiler.section("balance.select"):
+            with self.profiler.section("selection.select"):
                 partners = self.selector.select(i, delta, self.rng)
         else:
             partners = self.selector.select(i, delta, self.rng)
@@ -526,16 +525,22 @@ class Engine:
 
         load = self.l
         old_l = [int(load[p]) for p in part_ids]
-        t0 = time.perf_counter_ns() if self._profile else 0
-        new_l = self.d.snake_redeal(part_ids, int(self.rng.integers(k)))
+        start_d = int(self.rng.integers(k))
+        if self._profile:
+            with self.profiler.section("ledger.snake_redeal"):
+                new_l = self.d.snake_redeal(part_ids, start_d)
+        else:
+            new_l = self.d.snake_redeal(part_ids, start_d)
         # the b-row start is drawn unconditionally to keep the generator
         # stream identical whether or not any debts are present
         start_b = int(self.rng.integers(k))
         brs = self.b.row_sums
         if any(brs[p] for p in part_ids):
-            self.b.snake_redeal(part_ids, start_b)
-        if self._profile:
-            self.profiler.observe_ns("balance.deal", time.perf_counter_ns() - t0)
+            if self._profile:
+                with self.profiler.section("ledger.snake_redeal"):
+                    self.b.snake_redeal(part_ids, start_b)
+            else:
+                self.b.snake_redeal(part_ids, start_b)
         if span >= 0:
             self.spans.point(span, t=self.global_time, phase="deal", proc=i)
         moved = 0

@@ -59,7 +59,7 @@ JSON schema (``repro.bench_engine.v1``)
          "warmup": 0, "ticks": 200,
          "ticks_per_sec": ..., "total_ops": ..., "events": {...},
          "peak_rss_bytes": ...,          # process high-water, see note
-         "sections": {"pipeline.classify": {"count":..., "total_ns":...,
+         "sections": {"columnar.classify": {"count":..., "total_ns":...,
                                             "mean_ns":...}, ...}},
         ...
       ]
@@ -250,11 +250,13 @@ def run_microbench(
     if profiler is not None:
         record["sections"] = {
             name: {
-                "count": s.count,
-                "total_ns": s.total_ns,
-                "mean_ns": round(s.mean_ns, 1),
+                "count": calls,
+                "total_ns": round(total_ms * 1e6),
+                "mean_ns": round(mean_us * 1e3, 1),
             }
-            for name, s in sorted(profiler.records.items())
+            for name, calls, total_ms, _, mean_us, _, _ in sorted(
+                profiler.summary()
+            )
         }
     return record
 
@@ -285,7 +287,7 @@ def _bench_point(task: tuple) -> dict[str, Any]:
     With the optional trailing ``trace`` flag set, the measurement is
     wrapped in a balancing-operation-style span recorded into a private
     per-task tracer, and the tracer ships home as a ``"_trace"``
-    :func:`~repro.observability.telemetry.worker_payload` — stamped
+    :func:`~repro.observability.tracer.worker_payload` — stamped
     with the trace context the batch backend propagated into this
     process, so the parent can merge every point into one causal
     timeline (``repro bench --trace-out``).
@@ -295,7 +297,7 @@ def _bench_point(task: tuple) -> dict[str, Any]:
     tracer = spans = sid = None
     if trace:
         from repro.observability import SpanRecorder, Tracer
-        from repro.observability.telemetry import current_context
+        from repro.observability.tracer import current_context
 
         tracer = Tracer()
         spans = SpanRecorder(tracer)
@@ -315,7 +317,7 @@ def _bench_point(task: tuple) -> dict[str, Any]:
         profile_sections=True,
     )
     if trace:
-        from repro.observability.telemetry import worker_payload
+        from repro.observability.tracer import worker_payload
 
         spans.end(sid, t=float(rec["elapsed_sec"]), status="completed")
         rec["_trace"] = worker_payload(tracer)
@@ -349,7 +351,7 @@ def bench_report(
 
     With ``trace=True`` the main grid records one span per measurement
     point into per-task tracers, threads a
-    :class:`~repro.observability.telemetry.TraceContext` (``run_id``,
+    :class:`~repro.observability.tracer.TraceContext` (``run_id``,
     defaulting to ``bench-<git rev>``) through the batch backend so
     every point is stamped with its worker lane, and merges the
     per-worker buffers into ``doc["_merged_trace"]`` — one causally
@@ -389,7 +391,7 @@ def bench_report(
     trace_payloads: list[dict[str, Any]] = []
     if trace:
         from repro.observability import SpanRecorder, Tracer
-        from repro.observability.telemetry import TraceContext
+        from repro.observability.tracer import TraceContext
 
         parent_tracer = Tracer()
         parent_spans = SpanRecorder(parent_tracer)
@@ -412,7 +414,7 @@ def bench_report(
         doc["backend"] = client.used_backend
 
     if trace:
-        from repro.observability.telemetry import (
+        from repro.observability.tracer import (
             merge_worker_traces,
             worker_payload,
         )

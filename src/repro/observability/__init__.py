@@ -10,7 +10,9 @@ package turns every simulation into an inspectable trace:
 * :mod:`repro.observability.tracer` — a ring-buffered structured event
   tracer with NDJSON export.  Zero overhead when disabled: the engines
   hold a plain boolean and skip every emission site with a single
-  branch.
+  branch.  It also holds the cross-process :class:`TraceContext` that
+  stamps per-worker trace buffers so they merge into one causal
+  timeline (:func:`merge_worker_traces`).
 * :mod:`repro.observability.schema` — the instrumentation contract: a
   registry of every event type and its required fields, plus
   validators for single events, in-memory traces and NDJSON files.
@@ -22,7 +24,10 @@ package turns every simulation into an inspectable trace:
   as plain dicts through the process pool).
 * :mod:`repro.observability.profiler` — context-manager wall-clock
   timers around the hot paths (trigger evaluation, partner selection,
-  the snake deal), mergeable across processes like the metrics.
+  the snake re-deal, the columnar passes), named after the benchmark's
+  layers.  Each section is a ``section.<name>`` histogram in a
+  :class:`MetricsRegistry`, so sections merge across processes through
+  :func:`merge_worker_metrics` and show in the live exposition.
 * :mod:`repro.observability.analysis` — summarise, reconcile and diff
   recorded traces (``repro trace`` prints them).
 * :mod:`repro.observability.monitors` — streaming conformance monitors
@@ -38,9 +43,7 @@ package turns every simulation into an inspectable trace:
   ``repro report --compare`` lives with the bench writer in
   :mod:`repro.experiments.microbench`.
 * :mod:`repro.observability.telemetry` — live telemetry: a windowed
-  time-series sampler over the metrics/SLO/monitor state, plus the
-  cross-process :class:`TraceContext` that stamps per-worker trace
-  buffers so they merge into one causal timeline.
+  time-series sampler over the metrics/SLO/monitor state.
 * :mod:`repro.observability.export` — telemetry consumers: Prometheus
   text exposition over HTTP (``repro serve --telemetry``) and Chrome
   trace-event / Perfetto export (``repro trace --export chrome``).
@@ -52,7 +55,17 @@ carry and which theorem or figure each one supports — is documented in
 ``docs/OBSERVABILITY.md``.
 """
 
-from repro.observability.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.observability.tracer import (
+    NULL_TRACER,
+    NullTracer,
+    TraceContext,
+    Tracer,
+    current_context,
+    event_time,
+    merge_worker_traces,
+    set_current_context,
+    worker_payload,
+)
 from repro.observability.schema import (
     EVENT_SCHEMAS,
     EventSchema,
@@ -68,7 +81,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
     merge_worker_metrics,
 )
-from repro.observability.profiler import NULL_PROFILER, NullProfiler, Profiler
+from repro.observability.profiler import Profiler
 from repro.observability.analysis import (
     diff_summaries,
     loads_from_trace,
@@ -104,15 +117,7 @@ from repro.observability.spans import (
     spans_from_trace,
     worst_span,
 )
-from repro.observability.telemetry import (
-    TelemetrySampler,
-    TraceContext,
-    current_context,
-    event_time,
-    merge_worker_traces,
-    set_current_context,
-    worker_payload,
-)
+from repro.observability.telemetry import TelemetrySampler
 
 __all__ = [
     "Tracer",
@@ -130,8 +135,6 @@ __all__ = [
     "MetricsRegistry",
     "merge_worker_metrics",
     "Profiler",
-    "NullProfiler",
-    "NULL_PROFILER",
     "summarise_trace",
     "render_summary",
     "diff_summaries",

@@ -1,7 +1,7 @@
 """Chrome trace-event / Perfetto export of recorded traces.
 
 Renders a schema-valid event stream — a single tracer buffer or a
-:func:`~repro.observability.telemetry.merge_worker_traces` merged
+:func:`~repro.observability.tracer.merge_worker_traces` merged
 multi-worker timeline — as the `Chrome trace-event JSON format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_,
 loadable in Perfetto (ui.perfetto.dev) or ``chrome://tracing`` as a
@@ -38,7 +38,7 @@ import json
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
-from repro.observability.telemetry import event_time
+from repro.observability.tracer import event_time
 
 __all__ = ["chrome_trace_events", "write_chrome_trace"]
 
@@ -163,19 +163,19 @@ def chrome_trace_events(
             "dur": max(last_t - t0, 0.0) * _SCALE,
             "name": label + " (open)", "cat": "fault",
         })
-    if profiler is not None and getattr(profiler, "records", None):
+    rows = profiler.summary() if profiler is not None else []
+    if rows:
         out.append({
             "ph": "M", "pid": _PID_PROFILER, "tid": 0, "name": "process_name",
             "args": {"name": "profiler (aggregate)"},
         })
         cursor = 0.0
-        for name, stats in sorted(profiler.records.items()):
-            dur = stats.total_ns / 1_000.0  # ns -> us
+        for name, calls, total_ms, _, mean_us, _, _ in sorted(rows):
+            dur = total_ms * 1_000.0  # ms -> us
             out.append({
                 "ph": "X", "pid": _PID_PROFILER, "tid": 0, "ts": cursor,
                 "dur": dur, "name": name, "cat": "profiler",
-                "args": {"count": stats.count,
-                         "mean_ns": round(stats.mean_ns, 1)},
+                "args": {"count": calls, "mean_ns": round(mean_us * 1e3, 1)},
             })
             cursor += dur
     return out

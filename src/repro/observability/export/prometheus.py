@@ -9,7 +9,13 @@ Two halves:
   Counters end in ``_total``; the attached
   :class:`~repro.observability.metrics.MetricsRegistry` (when any) is
   exported generically with dotted names sanitised to underscores and
-  histograms rendered as cumulative ``_bucket{le=...}`` series.
+  histograms rendered as cumulative ``_bucket{le=...}`` series, except
+  the profiler's ``section.<name>`` histograms, which render as one
+  family ``repro_section_seconds{section="<name>"}``.  The registry is
+  read without a lock while the run writes it: every value is read
+  whole, but a scrape can fall between the field updates of one
+  observation, so a histogram's ``_count`` may lead its ``+Inf`` bucket
+  by an observation or two.
 * :class:`TelemetryServer` — a stdlib ``http.server`` endpoint serving
   the rendering at ``/metrics`` from a daemon thread, so a live
   ``repro serve --telemetry PORT`` run can be scraped while the
@@ -26,6 +32,8 @@ from __future__ import annotations
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping
+
+from repro.observability.profiler import SECTION_PREFIX
 
 __all__ = ["render_exposition", "parse_exposition", "TelemetryServer"]
 
@@ -186,20 +194,21 @@ def render_exposition(sampler) -> str:
                     mtype="gauge", help_=f"Registry gauge {name!r}.",
                 )
         for name, data in payload["histograms"].items():
-            base = _sanitise(name)
+            if name.startswith(SECTION_PREFIX):
+                base = "repro_section_seconds"
+                labels = {"section": name[len(SECTION_PREFIX):]}
+                help_ = "Profiler section wall time (seconds), by section."
+            else:
+                base, labels = _sanitise(name), {}
+                help_ = f"Registry histogram {name!r}."
             cum = 0
-            for bound, count in zip(data["bounds"], data["counts"]):
+            edges = [_fmt(float(b)) for b in data["bounds"]] + ["+Inf"]
+            for le, count in zip(edges, data["counts"]):
                 cum += count
-                out.add(
-                    base + "_bucket", cum,
-                    mtype="histogram", labels={"le": _fmt(float(bound))},
-                    help_=f"Registry histogram {name!r}.",
-                )
-            cum += data["counts"][-1]
-            out.add(base + "_bucket", cum, mtype="histogram",
-                    labels={"le": "+Inf"}, help_=f"Registry histogram {name!r}.")
-            out.lines.append(f"{base}_sum {_fmt(data['sum'])}")
-            out.lines.append(f"{base}_count {data['count']}")
+                out.add(base + "_bucket", cum, mtype="histogram",
+                        labels={**labels, "le": le}, help_=help_)
+            out.lines.append(f"{base}_sum{_labels(labels)} {_fmt(data['sum'])}")
+            out.lines.append(f"{base}_count{_labels(labels)} {data['count']}")
     return out.text()
 
 

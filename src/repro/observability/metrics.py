@@ -12,12 +12,12 @@ merges registries across worker processes.  Design rules:
   serialise-and-reduce shape the tracer uses for events and
   :class:`repro.core.borrowing.BorrowCounters` uses for Table 1.
 * **Merge semantics.**  Counters and histograms are additive (sums /
-  bucket counts add).  Gauges are *last-write-wins*: merging takes the
-  incoming value if the incoming gauge was ever set.  Order therefore
-  matters for gauges across workers — callers that need an
-  order-independent reduction should use counters or histograms
-  (the driver's per-tick ``load.*`` gauges are per-run diagnostics,
-  not cross-run aggregates).
+  bucket counts add; histogram extremes fold by min / max).  Gauges are
+  *last-write-wins*: merging takes the incoming value if the incoming
+  gauge was ever set.  Order therefore matters for gauges across
+  workers — callers that need an order-independent reduction should use
+  counters or histograms (the driver's per-tick ``load.*`` gauges are
+  per-run diagnostics, not cross-run aggregates).
 * **Stable naming.**  Metric names are dotted paths
   (``engine.balance_ops``, ``load.spread``); the full catalogue of
   names emitted by the stock driver is documented in
@@ -26,6 +26,7 @@ merges registries across worker processes.  Design rules:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -70,14 +71,15 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram with sum/count (Prometheus-style).
+    """Fixed-bucket histogram with sum/count/min/max (Prometheus-style).
 
     ``bounds`` are inclusive upper bucket edges; observations above the
     last bound land in an implicit overflow bucket, so ``counts`` has
-    ``len(bounds) + 1`` entries.
+    ``len(bounds) + 1`` entries.  ``min``/``max`` are the extreme
+    observations (``inf``/``-inf`` while empty).
     """
 
-    __slots__ = ("bounds", "counts", "sum", "count")
+    __slots__ = ("bounds", "counts", "sum", "count", "min", "max")
 
     def __init__(self, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
         b = tuple(float(x) for x in bounds)
@@ -87,17 +89,19 @@ class Histogram:
         self.counts = [0] * (len(b) + 1)
         self.sum = 0.0
         self.count = 0
+        self.min = float("inf")
+        self.max = float("-inf")
 
     def observe(self, value: float) -> None:
-        i = 0
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                break
-        else:
-            i = len(self.bounds)
-        self.counts[i] += 1
+        # the first edge >= value is the inclusive bucket; past the last
+        # edge bisect returns len(bounds), the overflow bucket
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
     @property
     def mean(self) -> float:
@@ -177,6 +181,8 @@ class MetricsRegistry:
                     "counts": list(h.counts),
                     "sum": h.sum,
                     "count": h.count,
+                    "min": h.min if h.count else None,
+                    "max": h.max if h.count else None,
                 }
                 for k, h in sorted(self._histograms.items())
             },
@@ -200,6 +206,9 @@ class MetricsRegistry:
                 h.counts[i] += c
             h.sum += data["sum"]
             h.count += data["count"]
+            if data["count"]:
+                h.min = min(h.min, data["min"])
+                h.max = max(h.max, data["max"])
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another live registry into this one."""

@@ -1,71 +1,56 @@
 """Profiling hooks: wall-clock section timers for the hot paths.
 
 The engines wrap their hot sections — trigger evaluation, partner
-selection, the snake deal — in :meth:`Profiler.section` context
-managers, but only when a profiler was passed in: like the tracer, the
-hot path holds a cached boolean and skips the instrumentation with one
-branch when profiling is off, so a non-profiled run pays nothing.
+selection, the snake re-deal, the columnar passes — in
+:meth:`Profiler.section` context managers, but only when a profiler was
+passed in: like the tracer, the hot path holds a cached boolean and
+skips the instrumentation with one branch when profiling is off, so a
+non-profiled run pays nothing.
+
+A section is a histogram ``section.<name>`` (seconds, buckets
+:data:`SECTION_BUCKETS`) in the profiler's
+:class:`~repro.observability.metrics.MetricsRegistry`, so sections
+share the registry's one transport: they merge across processes through
+:func:`~repro.observability.metrics.merge_worker_metrics` and render in
+the Prometheus exposition as the ``repro_section_seconds`` family.
+Section names are the benchmark's layer names (``perfbench/layers.py``).
 
 Timings use :func:`time.perf_counter_ns` (monotonic, ns resolution).
-Section stats merge across processes the same way the metrics registry
-does — workers return :meth:`Profiler.as_dict` payloads, the parent
-folds them with :meth:`Profiler.merge_dict`.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator
 
-__all__ = ["SectionStats", "Profiler", "NullProfiler", "NULL_PROFILER"]
+from repro.observability.metrics import Histogram, MetricsRegistry
 
+__all__ = ["Profiler", "SECTION_BUCKETS", "SECTION_PREFIX"]
 
-@dataclass(slots=True)
-class SectionStats:
-    """Aggregate wall-clock statistics of one named section."""
+#: section histogram bucket edges, seconds: powers of 4 from 1 µs to ~4 s
+SECTION_BUCKETS: tuple[float, ...] = tuple(1e-6 * 4**k for k in range(12))
 
-    count: int = 0
-    total_ns: int = 0
-    min_ns: int = field(default=2**63 - 1)
-    max_ns: int = 0
-
-    @property
-    def mean_ns(self) -> float:
-        return self.total_ns / self.count if self.count else 0.0
-
-    def observe_ns(self, ns: int) -> None:
-        self.count += 1
-        self.total_ns += ns
-        if ns < self.min_ns:
-            self.min_ns = ns
-        if ns > self.max_ns:
-            self.max_ns = ns
-
-    def fold(self, other: "SectionStats") -> None:
-        if other.count == 0:
-            return
-        self.count += other.count
-        self.total_ns += other.total_ns
-        self.min_ns = min(self.min_ns, other.min_ns)
-        self.max_ns = max(self.max_ns, other.max_ns)
+#: registry name prefix of a section histogram
+SECTION_PREFIX = "section."
 
 
 class Profiler:
-    """Named wall-clock section timers.
+    """Named wall-clock section timers over a metrics registry.
 
     >>> prof = Profiler()
     >>> with prof.section("deal"):
     ...     pass
-    >>> prof.records["deal"].count
-    1
+    >>> prof.summary()[0][:2]
+    ('deal', 1)
     """
 
-    enabled = True
-
-    def __init__(self) -> None:
-        self.records: dict[str, SectionStats] = {}
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+        self.registry = registry if registry is not None else MetricsRegistry()
+        # name -> histogram, so the hot path skips the registry's
+        # get-or-create bounds check
+        self._sections: dict[str, Histogram] = {}
 
     @contextmanager
     def section(self, name: str) -> Iterator[None]:
@@ -76,12 +61,21 @@ class Profiler:
             self.observe_ns(name, time.perf_counter_ns() - t0)
 
     def observe_ns(self, name: str, ns: int) -> None:
-        stats = self.records.get(name)
-        if stats is None:
-            stats = self.records[name] = SectionStats()
-        stats.observe_ns(ns)
-
-    # -- reporting -------------------------------------------------------
+        try:
+            h = self._sections[name]
+        except KeyError:
+            h = self._sections[name] = self.registry.histogram(
+                SECTION_PREFIX + name, SECTION_BUCKETS
+            )
+        # Histogram.observe, inlined to save a Python call per observation
+        v = ns / 1e9
+        h.counts[bisect_left(h.bounds, v)] += 1
+        h.sum += v
+        h.count += 1
+        if v < h.min:
+            h.min = v
+        if v > h.max:
+            h.max = v
 
     def summary(
         self,
@@ -89,95 +83,30 @@ class Profiler:
         """Rows ``(section, calls, total_ms, share_pct, mean_us, min_us,
         max_us)`` sorted by total time descending.
 
-        ``share_pct`` is the section's share of the summed total across
-        all sections — a quick "where does the time go" column.  Nested
-        sections both count their wall time, so shares can exceed 100
-        in aggregate; within one nesting level they partition it.
+        Reads every ``section.*`` histogram of the registry, including
+        ones merged in from worker payloads.  ``share_pct`` is the
+        section's share of the summed total across all sections — a
+        quick "where does the time go" column.  Nested sections both
+        count their wall time, so shares can exceed 100 in aggregate;
+        within one nesting level they partition it.
         """
-        grand_total = sum(s.total_ns for s in self.records.values())
-        rows = []
-        for name, s in self.records.items():
-            rows.append(
-                (
-                    name,
-                    s.count,
-                    s.total_ns / 1e6,
-                    100.0 * s.total_ns / grand_total if grand_total else 0.0,
-                    s.mean_ns / 1e3,
-                    (s.min_ns if s.count else 0) / 1e3,
-                    s.max_ns / 1e3,
-                )
+        sections = {
+            name[len(SECTION_PREFIX):]: h
+            for name, h in self.registry.as_dict()["histograms"].items()
+            if name.startswith(SECTION_PREFIX) and h["count"]
+        }
+        grand_total = sum(h["sum"] for h in sections.values())
+        rows = [
+            (
+                name,
+                h["count"],
+                h["sum"] * 1e3,
+                100.0 * h["sum"] / grand_total if grand_total else 0.0,
+                h["sum"] / h["count"] * 1e6,
+                h["min"] * 1e6,
+                h["max"] * 1e6,
             )
+            for name, h in sections.items()
+        ]
         rows.sort(key=lambda r: -r[2])
         return rows
-
-    # -- transport / merging --------------------------------------------
-
-    def as_dict(self) -> dict:
-        """Plain-data snapshot for cross-process transport."""
-        return {
-            name: {
-                "count": s.count,
-                "total_ns": s.total_ns,
-                "min_ns": s.min_ns,
-                "max_ns": s.max_ns,
-            }
-            for name, s in sorted(self.records.items())
-        }
-
-    def merge_dict(self, payload: Mapping) -> None:
-        for name, data in payload.items():
-            other = SectionStats(
-                count=data["count"],
-                total_ns=data["total_ns"],
-                min_ns=data["min_ns"],
-                max_ns=data["max_ns"],
-            )
-            stats = self.records.get(name)
-            if stats is None:
-                self.records[name] = other
-            else:
-                stats.fold(other)
-
-    def merge(self, other: "Profiler") -> None:
-        self.merge_dict(other.as_dict())
-
-
-class _NullSection:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_SECTION = _NullSection()
-
-
-class NullProfiler:
-    """Disabled profiler: :meth:`section` is a shared no-op context."""
-
-    __slots__ = ()
-
-    enabled = False
-    records: dict[str, SectionStats] = {}
-
-    def section(self, name: str) -> _NullSection:
-        return _NULL_SECTION
-
-    def observe_ns(self, name: str, ns: int) -> None:
-        pass
-
-    def summary(self) -> list:
-        return []
-
-    def as_dict(self) -> dict:
-        return {}
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NULL_PROFILER = NullProfiler()

@@ -256,16 +256,16 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
             "A balancing-operation span closed with its outcome.",
             span=int, t=float, status=str, migrated=int,
         ),
-        # -- cross-process trace propagation (repro.observability.telemetry)
+        # -- cross-process trace propagation (repro.observability.tracer) ---
         _schema(
             "trace_context",
-            "repro.observability.telemetry",
+            "repro.observability.tracer",
             "Provenance marker for one merged per-worker event buffer.",
             time=float, run_id=str, worker=int, parent_span=int, dropped=int,
         ),
         _schema(
             "trace_truncated",
-            "repro.observability.telemetry",
+            "repro.observability.tracer",
             "A merged or reconstructed buffer had evicted events (ring overflow).",
             time=float, worker=int, dropped=int,
         ),

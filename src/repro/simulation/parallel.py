@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from repro.observability.telemetry import TraceContext, set_current_context
+from repro.observability.tracer import TraceContext, set_current_context
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -126,7 +126,7 @@ class _ContextualTask:
     """Picklable wrapper installing the propagated trace context.
 
     The client enumerates the batch and wraps the task function so each
-    task sees :func:`repro.observability.telemetry.current_context`
+    task sees :func:`repro.observability.tracer.current_context`
     with its own task index stamped as ``worker`` *before* the task
     function runs — the index is the submission position, so the
     stamped context is deterministic regardless of which OS process

@@ -14,6 +14,7 @@ import pytest
 
 from repro.observability import (
     MetricsRegistry,
+    Profiler,
     SpanRecorder,
     TelemetrySampler,
     TraceContext,
@@ -113,6 +114,30 @@ class TestExposition:
         assert parsed["repro_load_spread_count"][()] == 3.0
         assert parsed["repro_load_spread_sum"][()] == 13.0
 
+    def test_section_histograms_render_as_one_family(self):
+        registry = MetricsRegistry()
+        profiler = Profiler(registry)
+        for ns in (2_000, 50_000, 3_000_000):
+            profiler.observe_ns("columnar.residual", ns)
+        profiler.observe_ns("columnar.classify", 1_000)
+        sampler = TelemetrySampler(interval=0.0, metrics=registry)
+        sampler.sample(0.0)
+        text = render_exposition(sampler)
+        assert 'repro_section_seconds_bucket{le="+Inf",section="columnar.residual"} 3' in text
+        assert text.count("# TYPE repro_section_seconds_bucket histogram") == 1
+        parsed = parse_exposition(text)
+        residual = (("section", "columnar.residual"),)
+        assert parsed["repro_section_seconds_count"][residual] == 3.0
+        assert parsed["repro_section_seconds_sum"][residual] == pytest.approx(3.052e-3)
+        assert parsed["repro_section_seconds_count"][(("section", "columnar.classify"),)] == 1.0
+        buckets = parsed["repro_section_seconds_bucket"]
+        assert buckets[(("le", "1e-06"), ("section", "columnar.classify"))] == 1.0
+        assert {dict(k)["section"] for k in buckets} == {
+            "columnar.residual", "columnar.classify",
+        }
+        # no per-section families from the generic registry rendering
+        assert not any(name.startswith("repro_section_columnar") for name in parsed)
+
 
 class TestTelemetryServer:
     def test_scrape_over_http(self):
@@ -164,6 +189,26 @@ class TestChromeExport:
         out = chrome_trace_events(tracer.events)
         open_windows = [e for e in out if e.get("name") == "crash (open)"]
         assert len(open_windows) == 1
+
+    def test_profiler_sections_become_aggregate_slabs(self):
+        profiler = Profiler()
+        profiler.observe_ns("selection.select", 4_000)
+        profiler.observe_ns("selection.select", 6_000)
+        profiler.observe_ns("triggers.check", 1_000)
+        out = chrome_trace_events(_traced_events(), profiler=profiler)
+        slabs = [e for e in out if e.get("cat") == "profiler"]
+        assert [(e["ph"], e["name"], e["args"]["count"]) for e in slabs] == [
+            ("X", "selection.select", 2), ("X", "triggers.check", 1),
+        ]
+        assert slabs[0]["dur"] == pytest.approx(10.0)  # us
+        assert slabs[1]["ts"] == pytest.approx(slabs[0]["dur"])
+        assert slabs[0]["args"]["mean_ns"] == pytest.approx(5_000.0)
+        assert any(e.get("args", {}).get("name") == "profiler (aggregate)"
+                   for e in out if e["ph"] == "M")
+        # an empty profiler adds no lane
+        assert chrome_trace_events(_traced_events(), profiler=Profiler()) == (
+            chrome_trace_events(_traced_events())
+        )
 
     def test_write_returns_count_and_valid_json(self, tmp_path):
         path = tmp_path / "trace.json"

@@ -41,6 +41,7 @@ class TestPrimitives:
         assert h.count == 6
         assert h.sum == 110
         assert h.mean == pytest.approx(110 / 6)
+        assert (h.min, h.max) == (0, 100)
 
     def test_histogram_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -101,6 +102,7 @@ class TestMerging:
         h = merged.histogram("h", bounds=(1,))
         assert h.counts == [1, 1]
         assert h.count == 2 and h.sum == 5
+        assert (h.min, h.max) == (0, 5)
 
     def test_counter_merge_is_order_independent(self):
         payloads = []

@@ -1,33 +1,58 @@
 """Tests for the profiling hooks."""
 
+import importlib.util
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from repro.observability import NULL_PROFILER, Profiler
-from repro.observability.profiler import NullProfiler, SectionStats
+from repro.observability import MetricsRegistry, Profiler, merge_worker_metrics
+from repro.observability.profiler import SECTION_BUCKETS
+
+LAYERS = Path(__file__).resolve().parents[2] / "perfbench" / "layers.py"
 
 
-class TestSectionStats:
+def _sections(prof: Profiler) -> dict:
+    """``{section: (calls, total_ms, min_us, max_us)}`` from the summary."""
+    return {
+        name: (calls, total, lo, hi)
+        for name, calls, total, _, _, lo, hi in prof.summary()
+    }
+
+
+class TestSectionHistogram:
     def test_observe_tracks_extremes(self):
-        s = SectionStats()
-        s.observe_ns(10)
-        s.observe_ns(30)
-        s.observe_ns(20)
-        assert (s.count, s.total_ns, s.min_ns, s.max_ns) == (3, 60, 10, 30)
-        assert s.mean_ns == pytest.approx(20.0)
+        prof = Profiler()
+        for ns in (10_000, 30_000, 20_000):
+            prof.observe_ns("s", ns)
+        calls, total, lo, hi = _sections(prof)["s"]
+        assert (calls, lo, hi) == (3, pytest.approx(10.0), pytest.approx(30.0))
+        assert total == pytest.approx(0.06)
+        h = prof.registry.histogram("section.s", SECTION_BUCKETS)
+        assert h.count == 3
+        assert h.mean == pytest.approx(20e-6)
 
     def test_fold(self):
-        a, b = SectionStats(), SectionStats()
-        a.observe_ns(5)
-        b.observe_ns(1)
-        b.observe_ns(9)
-        a.fold(b)
-        assert (a.count, a.total_ns, a.min_ns, a.max_ns) == (3, 15, 1, 9)
+        a, b = Profiler(), Profiler()
+        a.observe_ns("s", 5_000)
+        b.observe_ns("s", 1_000)
+        b.observe_ns("s", 9_000)
+        merged = Profiler(
+            merge_worker_metrics([a.registry.as_dict(), b.registry.as_dict()])
+        )
+        calls, total, lo, hi = _sections(merged)["s"]
+        assert (calls, lo, hi) == (3, pytest.approx(1.0), pytest.approx(9.0))
+        assert total == pytest.approx(0.015)
 
     def test_fold_empty_is_identity(self):
-        a = SectionStats()
-        a.observe_ns(7)
-        a.fold(SectionStats())
-        assert (a.count, a.min_ns, a.max_ns) == (1, 7, 7)
+        a = Profiler()
+        a.observe_ns("s", 7_000)
+        merged = Profiler(
+            merge_worker_metrics([a.registry.as_dict(), Profiler().registry.as_dict()])
+        )
+        calls, _, lo, _ = _sections(merged)["s"]
+        assert (calls, lo) == (1, pytest.approx(7.0))
+        assert merged.registry.as_dict() == a.registry.as_dict()
 
 
 class TestProfiler:
@@ -35,15 +60,16 @@ class TestProfiler:
         prof = Profiler()
         with prof.section("work"):
             sum(range(100))
-        assert prof.records["work"].count == 1
-        assert prof.records["work"].total_ns > 0
+        calls, total, _, _ = _sections(prof)["work"]
+        assert calls == 1
+        assert total > 0
 
     def test_section_records_on_exception(self):
         prof = Profiler()
         with pytest.raises(RuntimeError):
             with prof.section("boom"):
                 raise RuntimeError
-        assert prof.records["boom"].count == 1
+        assert _sections(prof)["boom"][0] == 1
 
     def test_summary_sorted_by_total_desc(self):
         prof = Profiler()
@@ -74,29 +100,29 @@ class TestProfiler:
         a.observe_ns("s", 300)
         b = Profiler()
         b.observe_ns("s", 50)
-        b.merge_dict(a.as_dict())
-        s = b.records["s"]
-        assert (s.count, s.total_ns, s.min_ns, s.max_ns) == (3, 450, 50, 300)
+        b.registry.merge_dict(a.registry.as_dict())
+        h = b.registry.as_dict()["histograms"]["section.s"]
+        assert (h["count"], h["min"], h["max"]) == (3, 50e-9, 300e-9)
+        assert h["sum"] == pytest.approx(450e-9)
 
-    def test_null_profiler_discards(self):
-        with NULL_PROFILER.section("anything"):
-            pass
-        NULL_PROFILER.observe_ns("anything", 5)
-        assert NULL_PROFILER.records == {}
-        assert NULL_PROFILER.summary() == []
-        assert not NullProfiler.enabled
+    def test_sections_live_in_the_given_registry(self):
+        registry = MetricsRegistry()
+        registry.counter("sim.ticks").inc()
+        prof = Profiler(registry)
+        prof.observe_ns("s", 1_000)
+        assert prof.registry is registry
+        assert "section.s" in registry
+        assert [r[0] for r in prof.summary()] == ["s"]
 
 
 class TestEngineProfiling:
     def test_engine_sections_populated(self):
-        import numpy as np
-
         from repro import Engine, EngineConfig, LBParams
 
         prof = Profiler()
-        # the per-action trigger.check contract holds on the scalar
+        # the per-action triggers.check contract holds on the scalar
         # sweep; the columnar pipeline batches quiet checks into
-        # pipeline.classify (see docs/OBSERVABILITY.md)
+        # columnar.classify (see docs/OBSERVABILITY.md)
         eng = Engine(
             EngineConfig(n=4, params=LBParams(f=1.2, delta=2, C=2)),
             rng=1,
@@ -104,14 +130,14 @@ class TestEngineProfiling:
         )
         for _ in range(30):
             eng.step(np.ones(4, dtype=np.int64))
-        assert prof.records["trigger.check"].count == 30 * 4  # per proc per tick
-        assert prof.records["balance.select"].count == eng.total_ops
-        assert prof.records["balance.deal"].count == eng.total_ops
+        calls = {name: row[0] for name, row in _sections(prof).items()}
+        assert calls["triggers.check"] == 30 * 4  # per proc per tick
+        assert calls["selection.select"] == eng.total_ops
+        # one d re-deal per operation, plus a b re-deal when debts exist
+        assert eng.total_ops <= calls["ledger.snake_redeal"] <= 2 * eng.total_ops
         assert eng.total_ops > 0
 
     def test_pipeline_sections_populated(self):
-        import numpy as np
-
         from repro import EngineConfig, LBParams
         from repro.core.columnar import ColumnarEngine
 
@@ -124,19 +150,85 @@ class TestEngineProfiling:
         for _ in range(30):
             eng.step(np.ones(4, dtype=np.int64))
         # every pass runs once per tick; scalar-handler checks still
-        # land in trigger.check individually
-        for name in ("classify", "advance+apply", "residual"):
-            assert prof.records[f"pipeline.{name}"].count == 30
-        assert prof.records["balance.select"].count == eng.total_ops
-        assert prof.records["trigger.check"].count >= eng.total_ops
+        # land in triggers.check individually
+        calls = {name: row[0] for name, row in _sections(prof).items()}
+        for name in ("classify", "fused_quiet", "residual"):
+            assert calls[f"columnar.{name}"] == 30
+        assert calls["selection.select"] == eng.total_ops
+        assert calls["triggers.check"] >= eng.total_ops
 
     def test_unprofiled_engine_pays_nothing(self):
-        import numpy as np
-
         from repro import Engine, EngineConfig, LBParams
+
+        from repro.core.async_engine import AsyncEngine, ConstantRates
 
         eng = Engine(EngineConfig(n=2, params=LBParams(f=1.5, delta=1, C=2)), rng=0)
         assert eng.profiler is None
         assert eng._profile is False
         eng.step(np.array([1, 1]))
-        assert NULL_PROFILER.records == {}
+        rates = ConstantRates(np.full(2, 0.5), np.full(2, 0.5))
+        aeng = AsyncEngine(LBParams(f=1.5, delta=1, C=2), rates)
+        assert aeng.profiler is None
+        assert aeng._profile is False
+
+    def test_async_engine_takes_a_section_only_profiler(self):
+        from repro import LBParams
+        from repro.core.async_engine import AsyncEngine, ConstantRates
+
+        prof = Profiler()
+
+        class SectionOnly:
+            """Duck-typed profiler exposing nothing but ``section``."""
+
+            def section(self, name):
+                return prof.section(name)
+
+        rates = ConstantRates(np.full(4, 0.7), np.full(4, 0.3))
+        AsyncEngine(LBParams(f=1.2, delta=1, C=4), rates, profiler=SectionOnly()).run(5.0)
+        assert _sections(prof)["async.action"][0] > 0
+
+
+def _perfbench_vocabulary() -> set[str]:
+    """Span and section names of the benchmark's per-layer tracing,
+    loaded read-only from the file (it is not an importable package)."""
+    spec = importlib.util.spec_from_file_location("_perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return {span for span, _, _ in layers.TARGETS} | set(layers.PROFILER_SECTIONS)
+
+
+class TestSectionVocabulary:
+    """Every section an engine emits is a layer of the repo benchmark,
+    so a bench diff, a profile and a live scrape share one name."""
+
+    def test_engine_sections_are_perfbench_layers(self):
+        from repro import Engine, EngineConfig, LBParams
+        from repro.core.async_engine import AsyncEngine, ConstantRates
+        from repro.core.columnar import ColumnarEngine
+
+        vocabulary = _perfbench_vocabulary()
+        emitted: set[str] = set()
+        config = EngineConfig(n=8, params=LBParams(f=1.2, delta=2, C=2))
+        acts = np.random.default_rng(3).choice([-1, 1], size=(60, 8), p=[0.4, 0.6])
+        for cls in (Engine, ColumnarEngine):
+            prof = Profiler()
+            eng = cls(config, rng=1, profiler=prof)
+            for row in acts:
+                eng.step(row)
+            assert eng.total_ops > 0
+            emitted |= {r[0] for r in prof.summary()}
+        prof = Profiler()
+        rates = ConstantRates(np.full(8, 0.7), np.full(8, 0.3))
+        AsyncEngine(LBParams(f=1.2, delta=2, C=4), rates, profiler=prof).run(20.0)
+        emitted |= {r[0] for r in prof.summary()}
+        assert {"ledger.snake_redeal", "columnar.residual", "async.action"} <= emitted
+        assert emitted <= vocabulary, sorted(emitted - vocabulary)
+
+    def test_service_doc_unchanged_by_profiler(self):
+        from repro.service import ServiceConfig, service_run
+
+        cfg = ServiceConfig.smoke(seed=0)
+        prof = Profiler()
+        profiled = service_run(cfg, chaos=True, profiler=prof)
+        assert profiled.doc == service_run(cfg, chaos=True).doc
+        assert _sections(prof)["async.action"][0] > 0

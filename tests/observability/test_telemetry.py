@@ -31,7 +31,7 @@ from repro.observability import (
     validate_trace,
     worker_payload,
 )
-from repro.observability.telemetry import event_time
+from repro.observability.tracer import event_time
 from repro.params import LBParams
 from repro.service import ServiceConfig, service_run
 from repro.simulation.driver import Simulation, run_simulation

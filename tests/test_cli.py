@@ -108,7 +108,8 @@ class TestObservabilityCommands:
     def test_profile(self, capsys):
         assert main(["profile", "--n", "8", "--steps", "40"]) == 0
         out = capsys.readouterr().out
-        assert "trigger.check" in out and "balance.deal" in out
+        assert "triggers.check" in out and "ledger.snake_redeal" in out
+        assert "selection.select" in out
         assert "% of total" in out
 
     def test_list_mentions_tools(self, capsys):
