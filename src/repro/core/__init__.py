@@ -27,12 +27,16 @@ from repro.core.selection import (
     NeighborhoodSelector,
 )
 from repro.core.opg import OPGResult, simulate_opg
-from repro.core.opgc import DecreaseResult, simulate_decrease, simulate_opgc
+from repro.core.opgc import (
+    DecreaseResult,
+    OPGCResult,
+    simulate_decrease,
+    simulate_opgc,
+)
 from repro.core.engine import Engine, EngineConfig
 from repro.core.columnar import ColumnarEngine, PassPipeline, TickPass
 from repro.core.ledger import ClassLedger
 from repro.core.borrowing import BorrowCounters
-from repro.core.events import BalanceEvent
 from repro.core.processor import ProcessorView
 from repro.core.async_engine import (
     AsyncEngine,
@@ -63,7 +67,6 @@ __all__ = [
     "TickPass",
     "ClassLedger",
     "BorrowCounters",
-    "BalanceEvent",
     "ProcessorView",
     "AsyncEngine",
     "AsyncResult",

@@ -25,9 +25,11 @@ at most one remainder packet.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-__all__ = ["even_split", "snake_distribute", "SnakeDealer"]
+__all__ = ["even_split", "snake_distribute", "SnakeDealer", "greedy_transfers"]
 
 
 def even_split(
@@ -125,4 +127,39 @@ def snake_distribute(
         rows = (start + np.repeat(starts, rem) + offsets) % k
         cols = np.repeat(np.arange(totals.shape[0]), rem)
         np.add.at(out, (rows, cols), 1)
+    return out
+
+
+def greedy_transfers(
+    participants: Iterable[int],
+    before: Iterable[int],
+    after: Iterable[int],
+) -> list[tuple[int, int, int]]:
+    """Minimal per-pair transfer set ``(src, dst, amount)`` realising a
+    re-deal.
+
+    The snake deal does not define *which* packet went where; this
+    reconstructs a transfer set greedily (senders = negative delta,
+    receivers = positive delta, both in participant order), which is
+    what a real implementation would ship: the engines' ``transfer``
+    trace events, the practical balancer's ``on_transfer`` hook and the
+    hop-cost model all charge this set.
+
+    >>> greedy_transfers([0, 3, 5], [9, 0, 0], [3, 3, 3])
+    [(0, 3, 3), (0, 5, 3)]
+    """
+    delta = [a - b for a, b in zip(after, before)]
+    senders = [[p, -d] for p, d in zip(participants, delta) if d < 0]
+    receivers = [[p, d] for p, d in zip(participants, delta) if d > 0]
+    out: list[tuple[int, int, int]] = []
+    si = 0
+    for dst, need in receivers:
+        while need > 0:
+            src, have = senders[si]
+            take = min(have, need)
+            out.append((src, dst, take))
+            need -= take
+            senders[si][1] = have - take
+            if senders[si][1] == 0:
+                si += 1
     return out

@@ -37,9 +37,7 @@ import numpy as np
 
 __all__ = [
     "BorrowCounters",
-    "eligible_borrow_classes",
     "eligible_borrow_classes_sparse",
-    "pick_debt_class",
     "pick_from_classes",
 ]
 
@@ -103,32 +101,19 @@ class BorrowCounters:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
-def eligible_borrow_classes(
-    d_row: np.ndarray, b_row: np.ndarray, own: int
-) -> np.ndarray:
-    """Classes processor ``own`` may borrow from right now.
-
-    Eligible: ``d[own][j] > 0`` (a real packet of class ``j`` is locally
-    available) and ``b[own][j] == 0`` (at most one outstanding debt per
-    class, the paper's rule).  The own class is excluded — consuming
-    one's own packets never needs borrowing.
-    """
-    mask = (d_row > 0) & (b_row == 0)
-    mask[own] = False
-    return np.nonzero(mask)[0]
-
-
 def eligible_borrow_classes_sparse(
     d_row: dict[int, int], b_row: dict[int, int]
 ) -> list[int]:
-    """Sparse-row version of :func:`eligible_borrow_classes`.
+    """Classes a processor may borrow from right now.
 
-    ``d_row``/``b_row`` are the off-diagonal nonzero dicts of a
-    :class:`~repro.core.ledger.ClassLedger` row (the own class lives on
-    the separate diagonal, so it is excluded by construction).  Returns
-    the eligible classes in ascending order — the same element order as
-    ``np.nonzero`` on the dense row, which keeps the engine's uniform
-    random pick on the same class whichever representation is in use.
+    Eligible: ``d[i][j] > 0`` (a real packet of class ``j`` is locally
+    available) and ``b[i][j] == 0`` (at most one outstanding debt per
+    class, the paper's rule).  ``d_row``/``b_row`` are the off-diagonal
+    nonzero dicts of a :class:`~repro.core.ledger.ClassLedger` row, so
+    the own class — which lives on the separate diagonal and never
+    needs borrowing — is excluded by construction.  Returns the
+    eligible classes in ascending order, the element order of
+    ``np.nonzero`` on the dense row.
     """
     if b_row:
         out = [c for c, v in d_row.items() if v > 0 and c not in b_row]
@@ -138,26 +123,15 @@ def eligible_borrow_classes_sparse(
     return out
 
 
-def pick_debt_class(
-    b_row: np.ndarray, rng: np.random.Generator
-) -> int:
-    """Uniformly pick a class the processor currently owes (``b > 0``)."""
-    owed = np.nonzero(b_row > 0)[0]
-    if owed.size == 0:
-        raise ValueError("no outstanding debt to pick from")
-    return int(owed[rng.integers(owed.size)])
-
-
 def pick_from_classes(
     classes: list[int], rng: np.random.Generator
 ) -> int:
     """Uniform pick from a precomputed ascending class list.
 
-    Companion to :func:`pick_debt_class` for ledger rows: given the
-    ascending positive classes of a debt row (``ClassLedger.
-    positive_classes``), draws the same generator call —
-    ``rng.integers(len(classes))`` — as the dense helper, so the chosen
-    class and the RNG state afterwards are bit-identical.
+    ``classes`` is typically the ascending positive classes of a debt
+    row (``ClassLedger.positive_classes``); the pick is one generator
+    call, ``rng.integers(len(classes))``, which every engine must draw
+    in the same place to stay bit-identical.
     """
     if not classes:
         raise ValueError("no outstanding debt to pick from")

@@ -12,9 +12,9 @@ see :mod:`repro.core.ledger`):
   previous balancing operation (trigger reference).
 
 ``d`` and ``b`` are :class:`~repro.core.ledger.ClassLedger` instances —
-O(active entries) instead of dense ``n x n`` — exposing enough of the
-array interface that introspection code can keep treating them as
-matrices.
+O(active entries) instead of dense ``n x n`` — read and written only
+through the ledger's sparse accessors (``get``, ``add``, ``row_sum``,
+``diag``, ``row_sums``); ``dense()`` materialises a matrix for tests.
 
 Per global tick every processor performs one action from the workload
 model (+1 generate / -1 consume / 0 idle), exactly the paper's timing
@@ -47,12 +47,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.balance import greedy_transfers
 from repro.core.borrowing import (
     BorrowCounters,
     eligible_borrow_classes_sparse,
     pick_from_classes,
 )
-from repro.core.events import greedy_transfers
 from repro.core.ledger import ClassLedger
 from repro.core.selection import CandidateSelector, GlobalRandomSelector
 from repro.core.triggers import FactorTrigger, TriggerDecision
@@ -73,8 +73,6 @@ class EngineConfig:
     refresh_participants: bool = True
     strict_trigger: bool = False
     check_invariants: bool = False
-    record_events: bool = False
-    max_ops_per_action: int = 64  # safety valve for trigger cascades
 
     def __post_init__(self) -> None:
         self.params.validate_for_network(self.n)
@@ -159,7 +157,6 @@ class Engine:
         self.packets_migrated = 0
         self.total_generated = 0
         self.total_consumed = 0
-        self.events: list["BalanceEvent"] = []
 
     # -- public driving interface ---------------------------------------
 
@@ -563,20 +560,6 @@ class Engine:
                     "transfer", t=self.global_time, src=src, dst=dst,
                     amount=amount, cause="balance",
                 )
-
-        if self.config.record_events:
-            from repro.core.events import BalanceEvent
-
-            self.events.append(
-                BalanceEvent(
-                    global_time=self.global_time,
-                    initiator=i,
-                    participants=tuple(part_ids),
-                    loads_before=tuple(old_l),
-                    loads_after=tuple(new_l),
-                    migrated=moved,
-                )
-            )
 
         self.total_ops += 1
         diag = self.d.diag

@@ -22,21 +22,18 @@ of active entries is bounded by the processor's load, not by ``n``.
 Memory is O(n + active entries) instead of O(n²); a balancing operation
 costs O(active entries of the participants) instead of O(n).
 
-NumPy compatibility
--------------------
-The ledger also emulates the small slice of the ``ndarray`` interface
-that introspection code and tests historically used on the dense
-matrices: ``led[i]`` (dense row copy), ``led[i, j]`` (scalar get/set),
-``led[i, :] = 0``, ``led.sum()``, ``np.asarray(led)`` /
-``np.array_equal(led, other)`` via ``__array__``.  These shims
-materialise dense data and are meant for tests, checkpoints and
-debugging — the engine's hot paths only use the sparse accessors.
+The engine's hot paths use only the sparse accessors (``get``,
+``add``, ``row_sum``, ``positive_classes``, ``snake_redeal``,
+``bulk_diag_add``).  :meth:`to_csr` / :meth:`from_csr` are the
+O(active entries) columnar snapshot the engine checkpoints use;
+:meth:`row_dense`, :meth:`dense` and :meth:`from_dense` materialise
+dense data for tests, small-n cross-checks and debugging.
 
 Invariant: after any sequence of mutations through the ledger API,
 ``row_sums[i] == diag[i] + sum(rows[i].values())`` and ``rows[i]``
 contains no zero values and no ``i`` key.  :meth:`check_consistency`
-verifies this (and is called from the engine's ``assert_invariants``),
-cross-checking the sparse form against the reconstructed dense form.
+verifies this; the engine's ``assert_invariants`` calls it and, at
+small ``n``, also cross-checks the sparse form against :meth:`dense`.
 """
 
 from __future__ import annotations
@@ -103,10 +100,6 @@ class ClassLedger:
                 del row[j]
         self.row_sums[i] += dv
 
-    def set(self, i: int, j: int, v: int) -> None:
-        """Set entry ``(i, j)`` to ``v``."""
-        self.add(i, j, v - self.get(i, j))
-
     def row_sum(self, i: int) -> int:
         return int(self.row_sums[i])
 
@@ -125,9 +118,9 @@ class ClassLedger:
     def positive_classes(self, i: int) -> list[int]:
         """Classes with a positive entry in row ``i``, ascending.
 
-        Matches ``np.nonzero(dense_row > 0)[0]`` element order, which is
-        what keeps random choices among these classes identical between
-        the sparse and dense engines.
+        Matches ``np.nonzero(dense_row > 0)[0]`` element order, so a
+        uniform pick among these classes (``pick_from_classes``) is the
+        pick the appendix's dense-matrix formulation makes.
         """
         out = [c for c, v in self.rows[i].items() if v > 0]
         if self.diag[i] > 0:
@@ -206,7 +199,7 @@ class ClassLedger:
             self.row_sums[p] = sums[q]
         return sums
 
-    # -- dense materialisation (introspection / tests / checkpoints) ------
+    # -- snapshots: dense (tests / debugging) and CSR (checkpoints) -------
 
     def row_dense(self, i: int) -> np.ndarray:
         """Dense copy of row ``i``."""
@@ -233,8 +226,8 @@ class ClassLedger:
         at positions ``indptr[i]:indptr[i+1]``, classes ascending within
         each row.  Together with ``diag`` this is a complete columnar
         snapshot of the ledger — O(active entries), no dense
-        materialisation — used for checkpoints and offline analysis of
-        large-n runs (the dense shims are O(n²) and unusable at
+        materialisation — used for engine checkpoints and offline analysis
+        of large-n runs (:meth:`dense` is O(n²) and unusable at
         n = 10⁵⁺).  Round-trips through :meth:`from_csr`.
         """
         counts_per_row = np.fromiter(
@@ -314,54 +307,6 @@ class ClassLedger:
                 if v < lo:
                     lo = v
         return lo
-
-    # -- ndarray emulation -------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
-
-    def sum(self, axis: int | None = None):
-        """``axis=None``: grand total; ``axis=1``: row sums copy."""
-        if axis is None:
-            return self.total()
-        if axis == 1:
-            return self.row_sums.copy()
-        raise ValueError(f"unsupported axis {axis} for ClassLedger.sum")
-
-    def __array__(self, dtype=None, copy=None):
-        dense = self.dense()
-        return dense.astype(dtype) if dtype is not None else dense
-
-    def __getitem__(self, key):
-        if isinstance(key, tuple):
-            i, j = key
-            if isinstance(j, slice):
-                return self.row_dense(int(i))[j]
-            return np.int64(self.get(int(i), int(j)))
-        return self.row_dense(int(key))
-
-    def __setitem__(self, key, value) -> None:
-        if isinstance(key, tuple):
-            i, j = key
-            if isinstance(j, slice):
-                dense = self.row_dense(int(i))
-                dense[j] = value
-                self._set_row_dense(int(i), dense)
-                return
-            self.set(int(i), int(j), int(value))
-            return
-        self._set_row_dense(int(key), np.asarray(value, dtype=np.int64))
-
-    def _set_row_dense(self, i: int, dense: np.ndarray) -> None:
-        if dense.shape != (self.n,):
-            raise ValueError(
-                f"row must have shape ({self.n},), got {dense.shape}"
-            )
-        self.diag[i] = dense[i]
-        nz = np.nonzero(dense)[0]
-        self.rows[i] = {int(j): int(dense[j]) for j in nz if int(j) != i}
-        self.row_sums[i] = int(dense.sum())
 
     def __repr__(self) -> str:
         return (

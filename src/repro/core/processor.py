@@ -55,12 +55,12 @@ class ProcessorView:
     @property
     def d(self) -> np.ndarray:
         """``d_{i,1..n}``: per-class real packets (copy)."""
-        return self._engine.d[self.i].copy()
+        return self._engine.d.row_dense(self.i)
 
     @property
     def b(self) -> np.ndarray:
         """``b_{i,1..n}``: per-class outstanding debt (copy)."""
-        return self._engine.b[self.i].copy()
+        return self._engine.b.row_dense(self.i)
 
     @property
     def debt(self) -> int:

@@ -124,19 +124,6 @@ class FactorTrigger:
         hi = np.where(zero, np.int64(1), hi)
         return lo, hi
 
-    def fires_many(self, own_load: np.ndarray, l_old: np.ndarray) -> np.ndarray:
-        """Vectorized ``check(...) is not NONE`` over whole arrays.
-
-        Evaluates the trigger condition for every processor in one numpy
-        pass — the engines use this (via :meth:`quiet_interval`) to find
-        the processors that need no balancing this tick.  ``own_load``
-        must be integer-valued; the result then agrees with the scalar
-        method exactly (the equivalence property test relies on this).
-        """
-        own = np.asarray(own_load)
-        lo, hi = self.quiet_interval(l_old)
-        return (own <= lo) | (own >= hi)
-
 
 class AdaptiveTrigger:
     """Self-tuning factor trigger (extension; not in the paper).

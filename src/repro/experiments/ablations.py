@@ -32,6 +32,7 @@ from repro.core.selection import (
 from repro.experiments.report import render_table
 from repro.metrics.cost_model import price_events
 from repro.network import DeBruijn, Hypercube, Ring, Torus2D
+from repro.observability.tracer import Tracer
 from repro.params import LBParams
 from repro.rng import RngFactory
 from repro.simulation.driver import Simulation, run_simulation
@@ -170,17 +171,17 @@ def locality_study(
         if selector is None:
             continue
         factory = RngFactory(seed)
+        tracer = Tracer()
         engine = ColumnarEngine(
-            EngineConfig(
-                n=n, params=LBParams(f=f, delta=delta, C=4), record_events=True
-            ),
+            EngineConfig(n=n, params=LBParams(f=f, delta=delta, C=4)),
             rng=factory.named("engine"),
             selector=selector,
+            tracer=tracer,
         )
         workload = Section7Workload(n, steps, layout_rng=factory.named("layout"))
         sim = Simulation(engine, workload, workload_rng=factory.named("workload"))
         loads = sim.run(steps)
-        cost = price_events(engine.events, torus)
+        cost = price_events(tracer, torus)
         rows[name] = (
             _cv(loads),
             engine.total_ops,

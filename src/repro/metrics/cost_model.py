@@ -2,12 +2,13 @@
 
 The paper's analysis charges every balancing operation O(1) regardless
 of distance, justified by wormhole routing (section 2).  This module
-quantifies what that abstraction hides: given an engine's recorded
-:class:`~repro.core.events.BalanceEvent` trace and a concrete
-:class:`~repro.network.topology.Topology`, it prices
+quantifies what that abstraction hides: given the ``balance`` events of
+an engine's trace (:class:`~repro.observability.tracer.Tracer`) and a
+concrete :class:`~repro.network.topology.Topology`, it prices
 
 * **packet-hops** — every migrated packet times the hop distance it
-  travelled (reconstructed from the event's minimal transfer set);
+  travelled (reconstructed from the event's minimal transfer set,
+  :func:`~repro.core.balance.greedy_transfers`);
 * **control messages** — each balancing operation needs one
   request/reply exchange between the initiator and each partner.
 
@@ -20,9 +21,9 @@ partners pay 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from repro.core.events import BalanceEvent
+from repro.core.balance import greedy_transfers
 from repro.network.topology import Topology
 
 __all__ = ["CostBreakdown", "price_events"]
@@ -63,13 +64,18 @@ class CostBreakdown:
 
 
 def price_events(
-    events: Iterable[BalanceEvent], topology: Topology
+    events: Iterable[Mapping], topology: Topology
 ) -> CostBreakdown:
-    """Price a balancing-event trace on a topology.
+    """Price the ``balance`` events of a trace on a topology.
 
-    Packet transfers use each event's greedy minimal transfer set (see
-    :meth:`BalanceEvent.transfers`); control traffic is one round trip
-    initiator <-> partner per partner (2 messages each, hop-weighted).
+    Every other event type is skipped, so a whole tracer (or its NDJSON
+    export) can be passed as is.  Packet transfers use each operation's
+    greedy minimal transfer set (:func:`~repro.core.balance.
+    greedy_transfers`, the set the ``transfer`` events with
+    ``cause="balance"`` carry); the exchange and dance shipments of the
+    borrowing protocol are not priced.  Control traffic is one round
+    trip initiator <-> partner per partner (2 messages each,
+    hop-weighted).
     """
     dist = topology.distances()
     ops = 0
@@ -78,14 +84,19 @@ def price_events(
     ctrl_msgs = 0
     ctrl_hops = 0
     for ev in events:
+        if ev["type"] != "balance":
+            continue
         ops += 1
-        initiator = ev.initiator
-        for p in ev.participants:
+        initiator = ev["initiator"]
+        participants = ev["participants"]
+        for p in participants:
             if p == initiator:
                 continue
             ctrl_msgs += 2
             ctrl_hops += 2 * int(dist[initiator, p])
-        for src, dst, amount in ev.transfers():
+        for src, dst, amount in greedy_transfers(
+            participants, ev["loads_before"], ev["loads_after"]
+        ):
             moved += amount
             packet_hops += amount * int(dist[src, dst])
     return CostBreakdown(

@@ -61,7 +61,7 @@ class LBParams:
     --------
     >>> p = LBParams(f=1.1, delta=1, C=4)
     >>> p.fix_limit_upper  # delta / (delta + 1 - f), Theorem 2
-    10.000000000000002
+    1.1111111111111112
     """
 
     f: float = 1.1

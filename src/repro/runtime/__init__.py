@@ -23,12 +23,11 @@ setting and seed — a much stronger correctness check than any load
 statistic.
 """
 
-from repro.runtime.practical import PracticalBalancer, Transfer
+from repro.runtime.practical import PracticalBalancer
 from repro.runtime.machine import TaskApp, TaskMachine, MachineResult
 
 __all__ = [
     "PracticalBalancer",
-    "Transfer",
     "TaskApp",
     "TaskMachine",
     "MachineResult",

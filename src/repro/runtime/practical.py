@@ -33,11 +33,9 @@ honoured through the partner filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.balance import even_split
+from repro.core.balance import even_split, greedy_transfers
 from repro.core.selection import CandidateSelector, GlobalRandomSelector
 from repro.core.triggers import FactorTrigger, TriggerDecision
 from repro.faults.injector import FaultInjector, as_injector
@@ -45,16 +43,7 @@ from repro.faults.plan import FaultPlan
 from repro.params import LBParams
 from repro.rng import make_rng
 
-__all__ = ["Transfer", "BalancerHooks", "PracticalBalancer"]
-
-
-@dataclass(frozen=True, slots=True)
-class Transfer:
-    """``amount`` packets moved ``src -> dst`` by a balancing op."""
-
-    src: int
-    dst: int
-    amount: int
+__all__ = ["BalancerHooks", "PracticalBalancer"]
 
 
 class BalancerHooks:
@@ -77,8 +66,8 @@ class PracticalBalancer:
     """Total-load factor-trigger balancing with inline event hooks.
 
     Protocol-compatible with :class:`repro.simulation.driver.Simulation`
-    (``step`` / ``loads_snapshot``); ``last_transfers`` additionally
-    collects the tick's transfer list for offline analyses.
+    (``step`` / ``loads_snapshot``); every shipment reaches the host
+    through ``hooks.on_transfer``.
     """
 
     def __init__(
@@ -109,7 +98,6 @@ class PracticalBalancer:
         self.packets_migrated = 0
         self.starved = 0
         self.crash_events = 0
-        self.last_transfers: list[Transfer] = []
         self._crashed_now = np.zeros(n, dtype=bool)
 
     def step(self, actions: np.ndarray) -> None:
@@ -119,7 +107,6 @@ class PracticalBalancer:
             raise ValueError(
                 f"actions must have shape ({self.n},), got {actions.shape}"
             )
-        self.last_transfers = []
         if self.faults is not None:
             self._fault_transitions(float(self.tick_count))
         for i in self.rng.permutation(self.n):
@@ -181,33 +168,18 @@ class PracticalBalancer:
                 self.dropped_ops += 1
                 self.l_old[i] = self.l[i]
                 return
-        parts = np.concatenate(([i], partners))
-        before = self.l[parts].copy()
-        total = int(before.sum())
+        parts = [i] + [int(p) for p in partners]
+        before = self.l[parts].tolist()
         after = even_split(
-            total, len(parts), start=int(self.rng.integers(len(parts)))
+            sum(before), len(parts), start=int(self.rng.integers(len(parts)))
         )
         self.l[parts] = after
         self.l_old[parts] = after
         self.total_ops += 1
-        # greedy minimal transfer set (same construction as
-        # BalanceEvent.transfers), emitted inline
-        deltas = after - before
-        senders = [[int(p), int(-d)] for p, d in zip(parts, deltas) if d < 0]
-        si = 0
-        for p, d in zip(parts, deltas):
-            need = int(d)
-            while need > 0:
-                src, have = senders[si]
-                take = min(have, need)
-                tr = Transfer(src, int(p), take)
-                self.last_transfers.append(tr)
-                self.packets_migrated += take
-                self.hooks.on_transfer(src, int(p), take)
-                need -= take
-                senders[si][1] = have - take
-                if senders[si][1] == 0:
-                    si += 1
+        # the greedy minimal transfer set, emitted inline
+        for src, dst, amount in greedy_transfers(parts, before, after.tolist()):
+            self.packets_migrated += amount
+            self.hooks.on_transfer(src, dst, amount)
 
     def loads_snapshot(self) -> np.ndarray:
         return self.l.copy()

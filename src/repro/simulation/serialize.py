@@ -8,7 +8,9 @@ Long experiments want three things on disk:
 * **engine checkpoints** — the full state of an
   :class:`~repro.core.engine.Engine` (``d``, ``b``, ``l_old``, clocks,
   counters) so a simulation can stop and resume bit-exactly given the
-  same downstream RNG stream;
+  same downstream RNG stream; each ledger is stored as its diagonal
+  plus its CSR off-diagonal entries (:meth:`~repro.core.ledger.
+  ClassLedger.to_csr`), O(n + active entries) on disk and in memory;
 * **workload traces** — the action matrices of
   :class:`~repro.workload.trace.RecordedWorkload`, the currency of
   cross-balancer comparisons.
@@ -43,8 +45,10 @@ __all__ = [
 ]
 
 _RESULT_SCHEMA = "repro.run_result.v1"
-_ENGINE_SCHEMA = "repro.engine_state.v1"
+_ENGINE_SCHEMA = "repro.engine_state.v2"
 _TRACE_SCHEMA = "repro.trace.v1"
+# one ledger's arrays in a checkpoint, in ClassLedger.from_csr order
+_LEDGER_PARTS = ("diag", "indptr", "classes", "counts")
 
 
 def _check_schema(data: Any, expected: str, path: Path) -> None:
@@ -100,6 +104,11 @@ def save_engine_state(engine: Engine, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     cfg = engine.config
+    ledgers = {
+        f"{name}_{part}": arr
+        for name, led in (("d", engine.d), ("b", engine.b))
+        for part, arr in zip(_LEDGER_PARTS, (led.diag, *led.to_csr()))
+    }
     np.savez_compressed(
         path,
         __schema__=np.array(_ENGINE_SCHEMA),
@@ -109,8 +118,7 @@ def save_engine_state(engine: Engine, path: str | Path) -> Path:
         C=np.array(cfg.params.C),
         refresh_participants=np.array(cfg.refresh_participants),
         strict_trigger=np.array(cfg.strict_trigger),
-        d=engine.d,
-        b=engine.b,
+        **ledgers,
         l_old=engine.l_old,
         local_time=engine.local_time,
         global_time=np.array(engine.global_time),
@@ -146,10 +154,10 @@ def load_engine_state(
             ),
             rng=rng,
         )
-        # checkpoints store the dense matrices (ndarray-coerced via the
-        # ledger's __array__); rebuild the sparse form on restore
-        engine.d = ClassLedger.from_dense(data["d"])
-        engine.b = ClassLedger.from_dense(data["b"])
+        engine.d, engine.b = (
+            ClassLedger.from_csr(*(data[f"{name}_{p}"] for p in _LEDGER_PARTS))
+            for name in ("d", "b")
+        )
         engine.l = engine.d.row_sums.copy()
         engine.l_old = data["l_old"].copy()
         engine.local_time = data["local_time"].copy()

@@ -80,7 +80,7 @@ class GrowthOperator:
 
         >>> G = GrowthOperator(n=16, delta=1, f=1.1)
         >>> round(G(1.0), 6)
-        1.05
+        1.046512
     """
 
     n: int

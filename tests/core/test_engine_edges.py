@@ -52,7 +52,7 @@ class TestExtremeParameters:
             rng=3,
         )
         run_random(e, 200, seed=3)
-        assert int(e.b.sum()) <= 1 * 6 + e.n  # near-capacity bound
+        assert e.b.total() <= 1 * 6 + e.n  # near-capacity bound
 
     def test_delta_n_minus_one(self):
         """Full-machine balancing: spread can never exceed 1 right
@@ -107,4 +107,4 @@ class TestChurn:
             a = np.where(u < p_gen, 1, np.where(u < p_gen + p_con, -1, 0))
             e.step(a.astype(np.int64))
         e.assert_invariants()
-        assert int(e.b.sum()) <= 4 * 8  # total debt bounded by C * n
+        assert e.b.total() <= 4 * 8  # total debt bounded by C * n

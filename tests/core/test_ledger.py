@@ -45,9 +45,12 @@ class TestAccessors:
         led.add(0, 2, -3)  # back to zero: entry must be pruned
         assert led.get(0, 2) == 0
         assert 2 not in led.rows[0]
-        led.set(1, 1, 7)  # diagonal path
+        led.add(1, 1, 7)  # diagonal path
         assert led.get(1, 1) == 7
         assert led.rows[1] == {}
+        assert led.total() == 7
+        assert np.array_equal(led.row_dense(1), [0, 7, 0, 0])
+        assert "ClassLedger" in repr(led)
         led.check_consistency()
 
     def test_positive_classes_matches_dense_nonzero_order(self):
@@ -95,38 +98,6 @@ class TestSnakeRedeal:
         assert led.snake_redeal([0, 1, 2], start=1) == [0, 0, 0]
         assert led.get(4, 0) == 9
         led.check_consistency()
-
-
-class TestNdarrayShims:
-    def test_getitem_row_scalar_slice(self):
-        m = np.array([[1, 2], [0, 4]], dtype=np.int64)
-        led = ClassLedger.from_dense(m)
-        assert np.array_equal(led[0], m[0])
-        assert led[1, 1] == 4
-        assert np.array_equal(led[0, :], m[0])
-
-    def test_setitem_scalar_row_and_slice(self):
-        led = ClassLedger(3)
-        led[0, 2] = 5
-        assert led.get(0, 2) == 5
-        led[1] = np.array([1, 2, 3])
-        assert led.row_sum(1) == 6
-        led[1, :] = 0
-        assert led.row_sum(1) == 0
-        assert led.rows[1] == {}
-        led.check_consistency()
-
-    def test_sum_array_and_array_equal(self):
-        m = np.array([[1, 2], [3, 4]], dtype=np.int64)
-        led = ClassLedger.from_dense(m)
-        assert led.sum() == 10
-        assert np.array_equal(led.sum(axis=1), [3, 7])
-        with pytest.raises(ValueError, match="axis"):
-            led.sum(axis=0)
-        assert np.array_equal(np.asarray(led), m)
-        assert np.array_equal(led, m)
-        assert led.shape == (2, 2)
-        assert "ClassLedger" in repr(led)
 
 
 class TestConsistency:

@@ -82,7 +82,7 @@ class TestStrictMode:
 
 
 class TestQuietInterval:
-    """The integer band (lo, hi) must agree with check()/fires_many().
+    """The integer band (lo, hi) must agree with check().
 
     ``quiet_interval`` is the classifier's (and the deep-quiet
     horizon's) single source of truth: a processor is quiet iff
@@ -136,13 +136,3 @@ class TestQuietInterval:
         lo, hi = t.quiet_interval(np.asarray([old]))
         fired = t.check(own, old) is not TriggerDecision.NONE
         assert (int(lo[0]) < own < int(hi[0])) == (not fired)
-
-    def test_fires_many_equals_band_complement(self):
-        import numpy as np
-
-        t = FactorTrigger(1.3)
-        old = np.arange(0, 40, dtype=np.int64)
-        own = np.arange(40, 0, -1, dtype=np.int64)
-        lo, hi = t.quiet_interval(old)
-        fires = t.fires_many(own, old)
-        assert np.array_equal(fires, ~((own > lo) & (own < hi)))

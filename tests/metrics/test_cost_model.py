@@ -4,21 +4,24 @@ import numpy as np
 import pytest
 
 from repro import Engine, EngineConfig, LBParams
-from repro.core.events import BalanceEvent
 from repro.core.selection import NeighborhoodSelector
 from repro.metrics.cost_model import price_events
 from repro.network import CompleteGraph, Ring
+from repro.observability.tracer import Tracer
+
+
+def balance_event(initiator, participants, before, after, t=0):
+    """A trace ``balance`` event as the engines emit it."""
+    return {
+        "type": "balance", "seq": 0, "t": t, "initiator": initiator,
+        "participants": list(participants), "loads_before": list(before),
+        "loads_after": list(after),
+        "migrated": sum(max(a - b, 0) for a, b in zip(after, before)),
+    }
 
 
 def synthetic_event(src=0, dst=2, amount=3, t=0):
-    return BalanceEvent(
-        global_time=t,
-        initiator=src,
-        participants=(src, dst),
-        loads_before=(2 * amount, 0),
-        loads_after=(amount, amount),
-        migrated=amount,
-    )
+    return balance_event(src, (src, dst), (2 * amount, 0), (amount, amount), t)
 
 
 class TestPriceEvents:
@@ -31,10 +34,17 @@ class TestPriceEvents:
 
     def test_ring_distance_weighted(self):
         # ring of 8: distance 0 -> 4 is 4 hops
-        ev = BalanceEvent(0, 0, (0, 4), (6, 0), (3, 3), 3)
+        ev = balance_event(0, (0, 4), (6, 0), (3, 3))
         cost = price_events([ev], Ring(8))
         assert cost.packet_hops == 3 * 4
         assert cost.control_hops == 2 * 4
+
+    def test_other_event_types_skipped(self):
+        other = {"type": "transfer", "seq": 1, "t": 0, "src": 0, "dst": 4,
+                 "amount": 3, "cause": "exchange"}
+        cost = price_events([synthetic_event(), other], CompleteGraph(4))
+        assert cost.operations == 1
+        assert cost.packets_moved == 3
 
     def test_empty_trace(self):
         cost = price_events([], Ring(4))
@@ -49,18 +59,19 @@ class TestPriceEvents:
 
 class TestEndToEndCosts:
     def _run(self, selector, topo, seed=3):
+        tracer = Tracer()
         e = Engine(
-            EngineConfig(
-                n=topo.n, params=LBParams(f=1.2, delta=1, C=4),
-                record_events=True,
-            ),
+            EngineConfig(n=topo.n, params=LBParams(f=1.2, delta=1, C=4)),
             rng=seed,
             selector=selector,
+            tracer=tracer,
         )
         rng = np.random.default_rng(seed)
         for _ in range(150):
             e.step((rng.random(topo.n) < 0.7).astype(np.int64))
-        return price_events(e.events, topo)
+        cost = price_events(tracer, topo)
+        assert cost.operations == e.total_ops
+        return cost
 
     def test_locality_cuts_hops_on_ring(self):
         """The point of the cost model: neighbourhood candidates pay

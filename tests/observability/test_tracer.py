@@ -74,8 +74,8 @@ class TestGoldenTrace:
         plain = golden_engine()
         assert traced.l.tolist() == plain.l.tolist()
         assert traced.total_ops == plain.total_ops
-        assert np.array_equal(traced.d, plain.d)
-        assert np.array_equal(traced.b, plain.b)
+        assert np.array_equal(traced.d.dense(), plain.d.dense())
+        assert np.array_equal(traced.b.dense(), plain.b.dense())
 
 
 class TestDisabledTracer:

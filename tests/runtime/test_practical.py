@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.params import LBParams
-from repro.runtime.practical import BalancerHooks, PracticalBalancer, Transfer
+from repro.runtime.practical import BalancerHooks, PracticalBalancer
 
 
 class RecordingHooks(BalancerHooks):
@@ -98,13 +98,16 @@ class TestPracticalBalancer:
         assert b.l.max() - b.l.min() <= 2
 
     def test_transfers_accumulate_per_tick(self):
-        b = make(n=4, f=1.1, delta=3)
+        hooks = RecordingHooks()
+        b = make(n=4, f=1.1, delta=3, hooks=hooks)
         a = np.array([1, 1, 0, 0])
         b.step(a)
-        for tr in b.last_transfers:
-            assert isinstance(tr, Transfer)
-            assert tr.amount > 0
-            assert tr.src != tr.dst
+        transfers = [ev[1:] for ev in hooks.log if ev[0] == "move"]
+        assert transfers
+        for src, dst, amount in transfers:
+            assert amount > 0
+            assert src != dst
+        assert sum(amount for _, _, amount in transfers) == b.packets_migrated
 
     def test_invalid_action_shape(self):
         with pytest.raises(ValueError):

@@ -65,8 +65,8 @@ class TestEngineCheckpoint:
         # checkpoint intentionally does not capture; verify instead that
         # the restored engine is a valid, invariant-satisfying clone
         restored = load_engine_state(p, rng=123)
-        assert np.array_equal(restored.d, half.d)
-        assert np.array_equal(restored.b, half.b)
+        assert np.array_equal(restored.d.dense(), half.d.dense())
+        assert np.array_equal(restored.b.dense(), half.b.dense())
         assert np.array_equal(restored.l, half.l)
         assert np.array_equal(restored.l_old, half.l_old)
         assert restored.total_ops == half.total_ops
@@ -96,6 +96,33 @@ class TestEngineCheckpoint:
         assert restored.params.C == 8
         assert restored.config.strict_trigger is True
         assert restored.config.refresh_participants is False
+
+
+    def test_checkpoint_is_sparse(self, tmp_path):
+        """The ledgers are stored as diagonal + CSR: nothing O(n^2)."""
+        n = 512
+        e = Engine(EngineConfig(n=n, params=LBParams(f=1.3, delta=2, C=4)))
+        self._advance(e, 10, seed=4)
+        assert e.d.active_entries() > n  # off-diagonal entries exist
+        p = save_engine_state(e, tmp_path / "big.npz")
+        with np.load(p, allow_pickle=False) as data:
+            sizes = {k: data[k].size for k in data.files}
+        assert max(sizes.values()) < n * n, sizes
+        restored = load_engine_state(p)
+        assert np.array_equal(restored.d.diag, e.d.diag)
+        assert np.array_equal(restored.b.diag, e.b.diag)
+        assert all(
+            restored.d.rows[i] == e.d.rows[i]
+            and restored.b.rows[i] == e.b.rows[i]
+            for i in range(n)
+        )
+        restored.assert_invariants()
+
+    def test_v1_checkpoint_rejected(self, tmp_path):
+        p = tmp_path / "old.npz"
+        np.savez(p, __schema__=np.array("repro.engine_state.v1"))
+        with pytest.raises(ValueError, match="engine_state.v2"):
+            load_engine_state(p)
 
 
 class TestTraceRoundTrip:
