@@ -17,7 +17,8 @@ Run:  python examples/async_robustness.py
 
 from repro.core.async_engine import AsyncEngine, TableRates
 from repro.experiments.report import render_table
-from repro.faults import FaultPlan, StragglerWindow, recovery_report
+from repro.faults import FaultPlan, StragglerWindow
+from repro.metrics.band import recovery_report
 from repro.params import LBParams
 from repro.theory.bounds import theorem4_bound
 from repro.workload import Section7Workload

@@ -166,9 +166,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "--steps", type=int, default=200,
         help="ticks (sync trace/profile/report/spans)",
     )
-    p.add_argument("--f", type=float, default=1.3, help="trigger factor (trace/profile)")
-    p.add_argument("--delta", type=int, default=2, help="partners (trace/profile)")
-    p.add_argument("--cap", type=int, default=4, help="borrow capacity C (trace/profile)")
+    p.add_argument(
+        "--f", type=float, default=1.3,
+        help="trigger factor (trace/profile/report/spans/chaos; churn without --smoke)",
+    )
+    p.add_argument(
+        "--delta", type=int, default=2,
+        help="partners (trace/profile/report/spans/chaos; churn without --smoke)",
+    )
+    p.add_argument(
+        "--cap", type=int, default=4,
+        help="borrow capacity C (trace/profile/report/spans/chaos; churn without --smoke)",
+    )
     p.add_argument(
         "--trace-out", type=Path, default=None,
         help="write the recorded trace to this file (trace; bench: "
@@ -730,20 +739,6 @@ def _write_report(md: str, title: str, dest: Path | None) -> str:
     return md + f"\n\nwrote {dest}"
 
 
-def _load_valid(path: Path, validate, kind: str) -> dict:
-    """A saved JSON document; exits with the problems when invalid."""
-    import json
-
-    doc = json.loads(path.read_text())
-    problems = validate(doc)
-    if problems:
-        raise SystemExit(
-            f"error: {path} is not a valid {kind} document:\n  "
-            + "\n  ".join(problems)
-        )
-    return doc
-
-
 def _run_report(args: argparse.Namespace) -> str:
     from repro.observability import (
         MonitorSuite,
@@ -774,30 +769,25 @@ def _run_report(args: argparse.Namespace) -> str:
             raise SystemExit(2)
         return text
 
-    if args.service:
-        from repro.service import service_markdown_section, validate_service
+    if args.service or args.dynamics:
+        from repro.experiments.dynamics import DYNAMICS_SHAPE, render_dynamics
+        from repro.service import SERVICE_SHAPE, service_markdown_section
+        from repro.simulation.serialize import load_document
 
-        doc = _load_valid(args.service, validate_service, "service")
-        md = "\n".join(
-            [f"# service report — {args.service}", ""]
-            + service_markdown_section(doc)
+        path, shape = (
+            (args.service, SERVICE_SHAPE) if args.service
+            else (args.dynamics, DYNAMICS_SHAPE)
         )
-        return _write_report(md, "service report", args.report_out)
-
-    if args.dynamics:
-        from repro.experiments.dynamics import render_dynamics, validate_dynamics
-
-        doc = _load_valid(args.dynamics, validate_dynamics, "dynamics")
-        md = "\n".join(
-            [
-                f"# dynamics report — {args.dynamics}",
-                "",
-                "```",
-                render_dynamics(doc),
-                "```",
-            ]
+        try:
+            doc = load_document(path, shape)
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}") from None
+        body = (
+            service_markdown_section(doc) if args.service
+            else ["```", render_dynamics(doc), "```"]
         )
-        return _write_report(md, "dynamics report", args.report_out)
+        md = "\n".join([f"# {shape.kind} report — {path}", "", *body])
+        return _write_report(md, f"{shape.kind} report", args.report_out)
 
     tracer = Tracer(capacity=args.capacity)
     profiler = Profiler()
@@ -844,13 +834,13 @@ def _run_spans(args: argparse.Namespace) -> str:
 
 def _run_chaos(args: argparse.Namespace) -> str:
     from repro.experiments.resilience import (
+        RESILIENCE_SHAPE,
+        SCENARIOS,
         ResilienceConfig,
         render_resilience,
         resilience_experiment,
-        write_resilience_json,
     )
-
-    from repro.experiments.resilience import SCENARIOS
+    from repro.simulation.serialize import write_document
 
     kwargs = dict(
         n=_DEFAULT_N if args.n is None else args.n,
@@ -868,8 +858,7 @@ def _run_chaos(args: argparse.Namespace) -> str:
         kwargs["horizon"] = args.horizon
     doc = resilience_experiment(ResilienceConfig(**kwargs))
     out_dir = args.out or Path("results")
-    path = out_dir / "resilience.json"
-    write_resilience_json(path, doc)
+    path = write_document(out_dir / "resilience.json", doc, RESILIENCE_SHAPE)
     return render_resilience(doc) + f"\n\nwrote {path}"
 
 
@@ -877,23 +866,23 @@ def _run_churn(args: argparse.Namespace) -> str:
     import dataclasses
 
     from repro.experiments.dynamics import (
+        DYNAMICS_SHAPE,
         TOPOLOGIES,
         DynamicsConfig,
         dynamics_experiment,
         render_dynamics,
-        write_dynamics_json,
     )
+    from repro.simulation.serialize import write_document
 
-    if args.smoke:
-        cfg = DynamicsConfig.smoke(seed=args.seed)
-    else:
-        kwargs = dict(f=args.f, delta=args.delta, C=args.cap, seed=args.seed)
-        if args.n is not None:
-            kwargs["n"] = args.n
-        if args.horizon is not None:
-            kwargs["horizon"] = args.horizon
-        cfg = DynamicsConfig(**kwargs)
+    cfg = (
+        DynamicsConfig.smoke(seed=args.seed) if args.smoke
+        else DynamicsConfig(f=args.f, delta=args.delta, C=args.cap, seed=args.seed)
+    )
     overrides: dict = {}
+    if args.n is not None:
+        overrides["n"] = args.n
+    if args.horizon is not None:
+        overrides["horizon"] = args.horizon
     if args.topologies is not None:
         names = tuple(x.strip() for x in args.topologies.split(",") if x.strip())
         for name in names:
@@ -919,21 +908,15 @@ def _run_churn(args: argparse.Namespace) -> str:
         cfg = dataclasses.replace(cfg, **overrides)
     doc = dynamics_experiment(cfg)
     out_dir = args.out or Path("results")
-    path = out_dir / "dynamics.json"
-    write_dynamics_json(path, doc)
+    path = write_document(out_dir / "dynamics.json", doc, DYNAMICS_SHAPE)
     return render_dynamics(doc) + f"\n\nwrote {path} (schema valid)"
 
 
 def _run_serve(args: argparse.Namespace) -> str:
     import dataclasses
 
-    from repro.service import (
-        ServiceConfig,
-        render_service,
-        service_run,
-        validate_service,
-        write_service_json,
-    )
+    from repro.service import SERVICE_SHAPE, ServiceConfig, render_service, service_run
+    from repro.simulation.serialize import write_document
 
     if args.record and args.replay:
         raise SystemExit("error: --record and --replay are mutually exclusive")
@@ -993,14 +976,8 @@ def _run_serve(args: argparse.Namespace) -> str:
     finally:
         if server is not None:
             server.stop()
-    problems = validate_service(run.doc)
-    if problems:  # pragma: no cover - builder/validator disagreement
-        raise SystemExit(
-            "error: generated service document failed validation:\n  "
-            + "\n  ".join(problems)
-        )
     out_dir = args.out or Path("results")
-    path = write_service_json(out_dir / "service.json", run.doc)
+    path = write_document(out_dir / "service.json", run.doc, SERVICE_SHAPE)
     lines = [render_service(run.doc), "", f"wrote {path} (schema valid)"]
     if telemetry is not None:
         lines.append(

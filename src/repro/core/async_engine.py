@@ -108,6 +108,7 @@ __all__ = [
     "RetryPolicy",
     "AsyncEngine",
     "AsyncResult",
+    "STUDY_COUNTERS",
 ]
 
 
@@ -191,6 +192,10 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * float(rng.random()))
 
 
+#: the operation counters of :meth:`AsyncResult.counters`
+STUDY_COUNTERS = ("total_ops", "dropped_ops", "packets_migrated", "retries", "give_ups")
+
+
 @dataclass(frozen=True, slots=True)
 class AsyncResult:
     """Outcome of one asynchronous run."""
@@ -208,6 +213,10 @@ class AsyncResult:
     @property
     def n(self) -> int:
         return self.loads.shape[1]
+
+    def counters(self) -> dict:
+        """The :data:`STUDY_COUNTERS` block every study document records."""
+        return {name: int(getattr(self, name)) for name in STUDY_COUNTERS}
 
     def final_cv(self) -> float:
         final = self.loads[-1].astype(float)

@@ -34,11 +34,6 @@ from repro.dynnet.churn import (
     RewireEvent,
 )
 from repro.dynnet.hetero import HeterogeneousProfile
-from repro.dynnet.metrics import (
-    band_occupancy,
-    churn_recovery_times,
-    normalized_extreme_ratio,
-)
 from repro.dynnet.network import DynamicNetwork
 
 __all__ = [
@@ -50,7 +45,4 @@ __all__ = [
     "RewireEvent",
     "HeterogeneousProfile",
     "DynamicNetwork",
-    "normalized_extreme_ratio",
-    "band_occupancy",
-    "churn_recovery_times",
 ]

@@ -11,8 +11,8 @@ generations.  A :class:`HeterogeneousProfile` gives each processor
 * a **capacity** — the node's relative load-holding ability.  All load
   comparisons in the dynamics study are *capacity-normalised*: the
   Theorem-4 statistic becomes ``max_i (l_i / cap_i) / (min_j (l_j /
-  cap_j) + C)`` (see :func:`repro.dynnet.metrics.
-  normalized_extreme_ratio`), so a big node legitimately holding more
+  cap_j) + C)`` (``capacities=`` of :func:`repro.metrics.band.
+  extreme_ratio`), so a big node legitimately holding more
   packets does not read as imbalance.
 
 Speeds are normalised to mean 1.0 so a profile changes the *shape* of

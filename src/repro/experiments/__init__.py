@@ -27,9 +27,9 @@ from repro.experiments.config import QualityConfig
 from repro.experiments.runner import quality_experiment, repeat_lm_runs
 from repro.experiments.figures import figure6, figure7, figure8, figure9, figure10
 from repro.experiments.resilience import (
+    RESILIENCE_SHAPE,
     ResilienceConfig,
     resilience_experiment,
-    validate_resilience,
 )
 from repro.experiments.tables import (
     lemma4_table,
@@ -43,9 +43,9 @@ __all__ = [
     "QualityConfig",
     "quality_experiment",
     "repeat_lm_runs",
+    "RESILIENCE_SHAPE",
     "ResilienceConfig",
     "resilience_experiment",
-    "validate_resilience",
     "figure6",
     "figure7",
     "figure8",

@@ -20,33 +20,36 @@ two assumptions are relaxed along three axes:
   Theorem-4 statistic computed over *capacity-normalised* loads.
 
 Per cell the study records the band occupancy (fraction of post-warmup
-snapshots inside the band), the worst normalised ratio, and per-churn-
-event recovery times.  Everything is deterministic in the config seed
-(cell ``k`` derives its plan/profile/engine seeds from
-``cfg.seed * 100003 + k``); ``repro churn`` is the CLI wrapper and
-``results/dynamics.json`` the canonical artifact (schema checked by
-:func:`validate_dynamics` and the ``churn`` leg of the ``smoke`` CI job).
+snapshots inside the band; ``null`` when the warmup reaches the
+horizon), the worst normalised ratio, and per-churn-event recovery
+times, all from :mod:`repro.metrics.band`.  Everything is deterministic
+in the config seed (cell ``k`` derives its plan/profile/engine seeds
+from ``cfg.seed * 100003 + k``); ``repro churn`` is the CLI wrapper and
+``results/dynamics.json`` the canonical artifact (its contract is
+:data:`DYNAMICS_SHAPE`, checked by
+:func:`repro.simulation.serialize.check_document` and the ``churn``
+leg of the ``smoke`` CI job).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
+from repro.core.async_engine import STUDY_COUNTERS
+from repro.metrics.band import band_occupancy, extreme_ratio, first_in_band
 from repro.params import LBParams
+from repro.simulation.serialize import NUMBER, Nullable, Shape, check_document
 from repro.theory.bounds import theorem4_bound
 
 __all__ = [
+    "DYNAMICS_SHAPE",
     "DynamicsConfig",
     "TOPOLOGIES",
     "build_topology",
     "dynamics_experiment",
     "render_dynamics",
-    "validate_dynamics",
-    "write_dynamics_json",
 ]
 
 #: bump when the document layout changes incompatibly
@@ -193,14 +196,7 @@ def _cell_task(args: tuple) -> dict:
     """One sweep cell (module-level so it pickles for process backends)."""
     cfg, topo_name, rate, skew, cell_seed = args
     from repro.core.async_engine import AsyncEngine
-    from repro.dynnet import (
-        ChurnPlan,
-        DynamicNetwork,
-        HeterogeneousProfile,
-        band_occupancy,
-        churn_recovery_times,
-        normalized_extreme_ratio,
-    )
+    from repro.dynnet import ChurnPlan, DynamicNetwork, HeterogeneousProfile
 
     topology = build_topology(topo_name, cfg.n, seed=cell_seed)
     plan = (
@@ -231,10 +227,13 @@ def _cell_task(args: tuple) -> dict:
     res = engine.run(cfg.horizon)
 
     band = theorem4_bound(None, cfg.delta, cfg.f)
-    rho = normalized_extreme_ratio(res.loads, profile.capacities, cfg.C)
-    occupancy = band_occupancy(res.times, rho, band, warmup=cfg.warmup)
-    event_times = [float(ev.time) for ev in net.schedule.events]
-    recoveries = churn_recovery_times(res.times, rho, band, event_times)
+    rho = extreme_ratio(res.loads, cfg.C, profile.capacities)
+    # per churn event: the delay until rho is next inside the band
+    # (None: the run ends still out of band)
+    recoveries = []
+    for ev in net.schedule.events:
+        k = first_in_band(res.times, rho, band, ev.time)
+        recoveries.append(None if k is None else float(res.times[k] - ev.time))
     recovered = [r for r in recoveries if r is not None]
     return {
         "topology": topo_name,
@@ -248,8 +247,8 @@ def _cell_task(args: tuple) -> dict:
         "skew": float(skew),
         "skew_ratio": profile.skew_ratio,
         "seed": int(cell_seed),
-        "band_occupancy": float(occupancy),
-        "worst_ratio": float(np.nanmax(rho)),
+        "band_occupancy": band_occupancy(res.times, rho, band, since=cfg.warmup),
+        "worst_ratio": float(rho.max()),
         "final_ratio": float(rho[-1]),
         "recovery": {
             "events": len(recoveries),
@@ -261,13 +260,7 @@ def _cell_task(args: tuple) -> dict:
                 float(np.max(recovered)) if recovered else None
             ),
         },
-        "counters": {
-            "total_ops": res.total_ops,
-            "dropped_ops": res.dropped_ops,
-            "packets_migrated": res.packets_migrated,
-            "retries": res.retries,
-            "give_ups": res.give_ups,
-        },
+        "counters": res.counters(),
     }
 
 
@@ -304,7 +297,7 @@ def dynamics_experiment(
         "band": theorem4_bound(None, cfg.delta, cfg.f),
         "cells": cells,
     }
-    problems = validate_dynamics(doc)
+    problems = check_document(doc, DYNAMICS_SHAPE)
     if problems:  # pragma: no cover - internal consistency guard
         raise RuntimeError(f"dynamics document malformed: {problems}")
     return doc
@@ -327,7 +320,7 @@ def render_dynamics(doc: dict) -> str:
                 cell["topology"],
                 f"{cell['churn']['rate']:g}",
                 f"{cell['skew']:g}",
-                f"{occ:.2f}" if not np.isnan(occ) else "nan",
+                "-" if occ is None else f"{occ:.2f}",
                 f"{cell['worst_ratio']:.3f}",
                 f"{rec['recovered']}/{rec['events']}",
                 mean_rec,
@@ -351,81 +344,49 @@ def render_dynamics(doc: dict) -> str:
     return f"{head}\n{table}"
 
 
-def validate_dynamics(doc: dict) -> list[str]:
-    """Schema check for a dynamics document; returns problem strings.
-
-    Structural (keys, types, grid size) rather than behavioural — the
-    tier-2 test asserts the degradation *behaviour* on a freshly
-    generated document separately.
-    """
-    problems: list[str] = []
-
-    def need(mapping, key, types, where):
-        if not isinstance(mapping, dict) or key not in mapping:
-            problems.append(f"{where}: missing key {key!r}")
-            return None
-        val = mapping[key]
-        if types is not None and (
-            not isinstance(val, types) or isinstance(val, bool)
-        ):
-            problems.append(
-                f"{where}.{key}: expected {types}, got {type(val).__name__}"
-            )
-            return None
-        return val
-
-    if need(doc, "schema", str, "doc") != "repro/dynamics":
-        problems.append("doc.schema: must be 'repro/dynamics'")
-    need(doc, "version", int, "doc")
-    need(doc, "band", (int, float), "doc")
-    cfg = need(doc, "config", dict, "doc")
-    cells = need(doc, "cells", list, "doc")
-    if cells is None:
-        return problems
-    if isinstance(cfg, dict):
-        expect = (
-            len(cfg.get("topologies", ()))
-            * len(cfg.get("churn_rates", ()))
-            * len(cfg.get("skews", ()))
-        )
-        if expect and len(cells) != expect:
-            problems.append(
-                f"doc.cells: expected {expect} cells for the config grid, "
-                f"got {len(cells)}"
-            )
-    for i, cell in enumerate(cells):
-        where = f"cells[{i}]"
-        if not isinstance(cell, dict):
-            problems.append(f"{where}: expected dict, got {type(cell).__name__}")
-            continue
-        need(cell, "topology", str, where)
-        need(cell, "skew", (int, float), where)
-        need(cell, "seed", int, where)
-        for field in ("band_occupancy", "worst_ratio", "final_ratio"):
-            need(cell, field, (int, float), where)
-        churn = need(cell, "churn", dict, where)
-        if churn is not None:
-            need(churn, "rate", (int, float), f"{where}.churn")
-            for field in ("events", "rewires", "leaves", "joins"):
-                need(churn, field, int, f"{where}.churn")
-        rec = need(cell, "recovery", dict, where)
-        if rec is not None:
-            need(rec, "events", int, f"{where}.recovery")
-            need(rec, "recovered", int, f"{where}.recovery")
-            for field in ("mean_time", "max_time"):
-                if field not in rec:
-                    problems.append(f"{where}.recovery: missing key {field!r}")
-        counters = need(cell, "counters", dict, where)
-        if counters is not None:
-            for field in (
-                "total_ops", "dropped_ops", "packets_migrated",
-                "retries", "give_ups",
-            ):
-                need(counters, field, int, f"{where}.counters")
-    return problems
+def _grid_size(doc: dict) -> list[str]:
+    """One cell per point of the config's sweep grid."""
+    cfg, cells = doc.get("config"), doc.get("cells")
+    if not isinstance(cfg, dict) or not isinstance(cells, list):
+        return []
+    expect = 1
+    for axis in ("topologies", "churn_rates", "skews"):
+        expect *= len(cfg.get(axis, ()))
+    if expect and len(cells) != expect:
+        return [
+            f"doc.cells: expected {expect} cells for the config grid, "
+            f"got {len(cells)}"
+        ]
+    return []
 
 
-def write_dynamics_json(path: str | Path, doc: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
+#: the ``repro/dynamics`` document contract
+DYNAMICS_SHAPE = Shape(
+    "repro/dynamics",
+    {
+        "band": NUMBER,
+        "config": dict,
+        "cells": [
+            {
+                "topology": str,
+                "churn": {
+                    "rate": NUMBER,
+                    **dict.fromkeys(("events", "rewires", "leaves", "joins"), int),
+                },
+                "skew": NUMBER,
+                "seed": int,
+                "band_occupancy": Nullable(NUMBER),
+                "worst_ratio": NUMBER,
+                "final_ratio": NUMBER,
+                "recovery": {
+                    "events": int,
+                    "recovered": int,
+                    "mean_time": Nullable(NUMBER),
+                    "max_time": Nullable(NUMBER),
+                },
+                "counters": dict.fromkeys(STUDY_COUNTERS, int),
+            }
+        ],
+    },
+    check=_grid_size,
+)

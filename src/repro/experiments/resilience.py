@@ -19,30 +19,31 @@ A fault-free run of the *same* workload is recorded alongside as the
 baseline: its ratio never leaves the band, so the spike and the
 recovery are attributable to the injected faults alone.  Everything is
 deterministic in ``(seed, plan)``; ``repro chaos`` is the CLI wrapper
-and ``results/resilience.json`` the canonical artifact (schema checked
-by :func:`validate_resilience` and the tier-2 test).
+and ``results/resilience.json`` the canonical artifact (its contract
+is :data:`RESILIENCE_SHAPE`, checked by
+:func:`repro.simulation.serialize.check_document`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
-from repro.faults.metrics import extreme_ratio, max_mean_ratio, recovery_report
+from repro.core.async_engine import STUDY_COUNTERS
 from repro.faults.plan import FaultPlan, Partition, StragglerWindow
+from repro.metrics.band import extreme_ratio, max_mean_ratio, recovery_report
 from repro.params import LBParams
+from repro.simulation.serialize import NUMBER, Nullable, Series, Shape, check_document
 from repro.theory.bounds import theorem4_bound
 
 __all__ = [
     "SCENARIOS",
+    "RESILIENCE_SHAPE",
     "ResilienceConfig",
     "resilience_experiment",
     "render_resilience",
-    "validate_resilience",
-    "write_resilience_json",
 ]
 
 #: bump when the document layout changes incompatibly
@@ -203,14 +204,7 @@ def _run(cfg: ResilienceConfig, plan: FaultPlan | None) -> dict:
     )
     return {
         "report": report.as_dict(),
-        "counters": {
-            "total_ops": res.total_ops,
-            "dropped_ops": res.dropped_ops,
-            "packets_migrated": res.packets_migrated,
-            "retries": res.retries,
-            "give_ups": res.give_ups,
-            "fault_stats": res.fault_stats,
-        },
+        "counters": {**res.counters(), "fault_stats": res.fault_stats},
         "series": {
             "times": [float(t) for t in res.times],
             "extreme_ratio": [
@@ -265,7 +259,7 @@ def resilience_experiment(
         "faulted": faulted,
         "baseline": baseline,
     }
-    problems = validate_resilience(doc)
+    problems = check_document(doc, RESILIENCE_SHAPE)
     if problems:  # pragma: no cover - internal consistency guard
         raise RuntimeError(f"resilience document malformed: {problems}")
     return doc
@@ -283,9 +277,10 @@ def render_resilience(doc: dict) -> str:
         )
         return [
             label,
-            f"{r['pre_fault_ratio']:.3f}",
-            f"{r['spike_ratio']:.3f}",
-            f"{r['spike_max_mean']:.3f}",
+            *(
+                "-" if r[key] is None else f"{r[key]:.3f}"
+                for key in ("pre_fault_ratio", "spike_ratio", "spike_max_mean")
+            ),
             reentry,
             f"{r['final_ratio']:.3f}",
         ]
@@ -311,71 +306,34 @@ def render_resilience(doc: dict) -> str:
     return f"{head}\n{table}\n\n{tail}"
 
 
-def validate_resilience(doc: dict) -> list[str]:
-    """Schema check for a resilience document; returns problem strings.
+_RATIO = Nullable(NUMBER)
 
-    Deliberately structural (keys, types, series alignment) rather than
-    behavioural — the tier-2 test asserts the recovery *behaviour* on a
-    freshly generated document separately.
-    """
-    problems: list[str] = []
+#: one run (faulted or baseline) of the resilience document
+_RUN_SHAPE = {
+    "report": {
+        "band": NUMBER,
+        "pre_fault_ratio": _RATIO,
+        "spike_ratio": _RATIO,
+        "spike_max_mean": _RATIO,
+        "reentry_time": _RATIO,
+        "reentry_snapshots": Nullable(int),
+        "final_ratio": NUMBER,
+    },
+    "counters": {
+        **dict.fromkeys(STUDY_COUNTERS, int),
+        "fault_stats": Nullable(dict),
+    },
+    "series": Series(times=[NUMBER], extreme_ratio=[NUMBER], max_mean=[NUMBER]),
+}
 
-    def need(mapping, key, types, where):
-        if not isinstance(mapping, dict) or key not in mapping:
-            problems.append(f"{where}: missing key {key!r}")
-            return None
-        val = mapping[key]
-        if not isinstance(val, types) or isinstance(val, bool):
-            problems.append(
-                f"{where}.{key}: expected {types}, got {type(val).__name__}"
-            )
-            return None
-        return val
-
-    if need(doc, "schema", str, "doc") != "repro/resilience":
-        problems.append("doc.schema: must be 'repro/resilience'")
-    need(doc, "version", int, "doc")
-    need(doc, "band", (int, float), "doc")
-    need(doc, "config", dict, "doc")
-    need(doc, "plan", dict, "doc")
-    for run_key in ("faulted", "baseline"):
-        run = need(doc, run_key, dict, "doc")
-        if run is None:
-            continue
-        report = need(run, "report", dict, run_key)
-        if report is not None:
-            for field in (
-                "band", "pre_fault_ratio", "spike_ratio", "spike_max_mean",
-                "final_ratio",
-            ):
-                need(report, field, (int, float), f"{run_key}.report")
-            for field in ("reentry_time", "reentry_snapshots"):
-                if field not in report:
-                    problems.append(f"{run_key}.report: missing key {field!r}")
-        counters = need(run, "counters", dict, run_key)
-        if counters is not None:
-            for field in (
-                "total_ops", "dropped_ops", "packets_migrated",
-                "retries", "give_ups",
-            ):
-                need(counters, field, int, f"{run_key}.counters")
-            if "fault_stats" not in counters:
-                problems.append(f"{run_key}.counters: missing key 'fault_stats'")
-        series = need(run, "series", dict, run_key)
-        if series is not None:
-            lengths = set()
-            for field in ("times", "extreme_ratio", "max_mean"):
-                vals = need(series, field, list, f"{run_key}.series")
-                if vals is not None:
-                    lengths.add(len(vals))
-            if len(lengths) > 1:
-                problems.append(
-                    f"{run_key}.series: unequal series lengths {sorted(lengths)}"
-                )
-    return problems
-
-
-def write_resilience_json(path: str | Path, doc: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
+#: the ``repro/resilience`` document contract
+RESILIENCE_SHAPE = Shape(
+    "repro/resilience",
+    {
+        "band": NUMBER,
+        "config": dict,
+        "plan": dict,
+        "faulted": _RUN_SHAPE,
+        "baseline": _RUN_SHAPE,
+    },
+)

@@ -8,10 +8,11 @@ perfect network.  This package is the controlled way to break it:
   temporary partitions and a per-message loss probability;
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, the per-run
   oracle the engines query (with its own plan-seeded RNG stream, so a
-  run is a pure function of ``(engine seed, plan)``);
-* :mod:`repro.faults.metrics` — the resilience statistics: imbalance
-  spike height and time-to-rebalance back inside the Theorem-4 band
-  ``f^2·δ/(δ+1−f)·(E(l_j)+C)``.
+  run is a pure function of ``(engine seed, plan)``).
+
+The resilience statistics — imbalance spike height and time-to-rebalance
+back inside the Theorem-4 band ``f^2·δ/(δ+1−f)·(E(l_j)+C)`` — live with
+the band statistic itself in :mod:`repro.metrics.band`.
 
 Consumers: ``core.async_engine`` (crashes decline everything, lost
 completions are reclaimed by a timeout, stragglers stretch latency),
@@ -22,12 +23,6 @@ recovery semantics are documented in ``docs/RESILIENCE.md``.
 """
 
 from repro.faults.injector import FaultInjector, as_injector
-from repro.faults.metrics import (
-    RecoveryReport,
-    extreme_ratio,
-    max_mean_ratio,
-    recovery_report,
-)
 from repro.faults.plan import (
     NO_FAULTS,
     CrashWindow,
@@ -44,8 +39,4 @@ __all__ = [
     "NO_FAULTS",
     "FaultInjector",
     "as_injector",
-    "extreme_ratio",
-    "max_mean_ratio",
-    "RecoveryReport",
-    "recovery_report",
 ]

@@ -5,32 +5,12 @@
 * :mod:`repro.metrics.stats` — scalar balance measures: imbalance
   factor, expected-load ratio, empirical variation density;
 * :mod:`repro.metrics.borrow_stats` — aggregate the engine's borrow
-  counters over runs (Table 1).
+  counters over runs (Table 1);
+* :mod:`repro.metrics.band` — the Theorem-4 statistic
+  ``max l / (min l + C)`` and its band occupancy, re-entry and
+  fault-recovery summaries.
+
+Import from the submodules: the package itself loads nothing, so the
+engines, which read :mod:`repro.metrics.band` on every snapshot, do not
+pull in the rest of the measurement code.
 """
-
-from repro.metrics.collector import EnvelopeSeries, MultiRunCollector
-from repro.metrics.stats import (
-    empirical_variation_density,
-    imbalance_factor,
-    load_ratio,
-    spread,
-)
-from repro.metrics.borrow_stats import BorrowTable, aggregate_counters
-from repro.metrics.cost_model import CostBreakdown, price_events
-from repro.metrics.confidence import ConfidenceInterval, bootstrap_ci, compare_means
-
-__all__ = [
-    "CostBreakdown",
-    "price_events",
-    "ConfidenceInterval",
-    "bootstrap_ci",
-    "compare_means",
-    "EnvelopeSeries",
-    "MultiRunCollector",
-    "imbalance_factor",
-    "load_ratio",
-    "spread",
-    "empirical_variation_density",
-    "BorrowTable",
-    "aggregate_counters",
-]

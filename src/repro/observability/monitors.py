@@ -1,6 +1,6 @@
 """Streaming conformance monitors: the paper's theorems checked live.
 
-The experiment scripts (``experiments/figures.py``, ``faults/metrics``)
+The experiment scripts (``experiments/figures.py``, ``metrics/band``)
 verify the paper's guarantees *after* a run; this module checks them
 *while the system runs*.  A :class:`Monitor` is a small incremental
 statistic subscribed to the driver's per-tick load snapshot (or the
@@ -58,6 +58,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.metrics.band import extreme_ratio
 from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.params import LBParams
 from repro.theory.bounds import theorem4_bound
@@ -181,8 +182,7 @@ class Theorem4BandMonitor(Monitor):
 
     def observe(self, t: float, loads: np.ndarray, engine=None) -> None:
         self.samples += 1
-        hi = float(loads.max())
-        rho = hi / (float(loads.min()) + self.C)
+        rho = float(extreme_ratio(loads, self.C))
         if rho > self.worst:
             self.worst = rho
         out = rho > self.band and float(loads.mean()) >= self.min_mean
@@ -245,7 +245,7 @@ class FixpointMonitor(Monitor):
         if float(loads.mean()) < self.min_mean:
             return
         self._busy += 1
-        self._sum += float(loads.max()) / (float(loads.min()) + self.C)
+        self._sum += float(extreme_ratio(loads, self.C))
         if self._busy <= self.warmup:
             return
         est = self.estimate

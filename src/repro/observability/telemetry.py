@@ -25,6 +25,9 @@ from __future__ import annotations
 import threading
 from collections import deque
 
+import numpy as np
+
+from repro.metrics.band import band_occupancy, extreme_ratio
 from repro.observability.tracer import NULL_TRACER
 
 __all__ = ["TelemetrySampler"]
@@ -121,11 +124,10 @@ class TelemetrySampler:
             return False
         point: dict = {"t": t}
         if loads is not None and self.C is not None and len(loads) > 0:
-            lo = float(min(loads))
-            hi = float(max(loads))
-            point["rho"] = hi / (lo + self.C)
-            point["load_min"] = lo
-            point["load_max"] = hi
+            loads = np.asarray(loads)
+            point["rho"] = float(extreme_ratio(loads, self.C))
+            point["load_min"] = float(loads.min())
+            point["load_max"] = float(loads.max())
         elif self.slo is not None and self.slo.rho:
             point["rho"] = self.slo.rho[-1]
         if self.queues is not None:
@@ -182,16 +184,14 @@ class TelemetrySampler:
         }
         rho = [p["rho"] for p in points if "rho" in p]
         if rho and self.band is not None:
-            from repro.dynnet.metrics import rolling_band_occupancy
-
             times = [p["t"] for p in points if "rho" in p]
             span = (
                 self.interval * self.window
                 if self.interval > 0
                 else times[-1] - times[0]
             )
-            out["band_occupancy"] = rolling_band_occupancy(
-                times, rho, self.band, window=span
+            out["band_occupancy"] = band_occupancy(
+                times, rho, self.band, since=times[-1] - span
             )
         return out
 

@@ -16,11 +16,10 @@ from repro.service.engine import (
 )
 from repro.service.queues import TaskQueues
 from repro.service.slo import (
+    SERVICE_SHAPE,
     SLOTracker,
     render_service,
     service_markdown_section,
-    validate_service,
-    write_service_json,
 )
 from repro.service.traffic import (
     TRAFFIC_PROFILES,
@@ -44,11 +43,10 @@ __all__ = [
     "ServiceRun",
     "service_run",
     "TaskQueues",
+    "SERVICE_SHAPE",
     "SLOTracker",
     "render_service",
     "service_markdown_section",
-    "validate_service",
-    "write_service_json",
     "Arrival",
     "BurstyTraffic",
     "DiurnalTraffic",

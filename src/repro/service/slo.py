@@ -7,18 +7,19 @@ observations into service-level metrics:
 
 * **time-in-Theorem-4-band** — the fraction of snapshots where the
   instantaneous extreme ratio ``rho = max_i l_i / (min_j l_j + C)``
-  stays inside the band ``f^2 * delta/(delta+1-f)`` (the same formula
-  as :class:`~repro.observability.monitors.Theorem4BandMonitor`; the
-  tracker recomputes it from the parameters so its counters are
-  identical whether or not monitors are attached — the golden
-  determinism test depends on this);
+  stays inside the band ``f^2 * delta/(delta+1-f)``
+  (:func:`repro.metrics.band.extreme_ratio`, the statistic
+  :class:`~repro.observability.monitors.Theorem4BandMonitor` also
+  reads; the tracker computes it itself so its counters are identical
+  whether or not monitors are attached — the golden determinism test
+  depends on this);
 * **sojourn percentiles** — p50/p99 admission-to-completion latency
   from the :class:`~repro.service.queues.TaskQueues` record;
 * **admission / shed / completion rates** — the front-door counters
   normalised by the horizon.
 
 The results serialise as ``results/service.json`` (``repro/service``
-schema, validated by :func:`validate_service`), render as an ASCII
+schema, contract :data:`SERVICE_SHAPE`), render as an ASCII
 summary (:func:`render_service`) and as the report's service-run
 section (:func:`service_markdown_section` — SLO verdicts, the
 degradation-state timeline, and the worst-sojourn waterfall).
@@ -26,21 +27,22 @@ degradation-state timeline, and the worst-sojourn waterfall).
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
+from repro.core.async_engine import STUDY_COUNTERS
+from repro.metrics.band import extreme_ratio
 from repro.observability.report import _md_table, sparkline
 from repro.params import LBParams
+from repro.service.admission import SHED_REASONS
+from repro.service.degradation import STATES
+from repro.simulation.serialize import NUMBER, Nullable, Series, Shape
 from repro.theory.bounds import theorem4_bound
 
 __all__ = [
+    "SERVICE_SHAPE",
     "SLOTracker",
-    "validate_service",
     "render_service",
     "service_markdown_section",
-    "write_service_json",
 ]
 
 SERVICE_SCHEMA = "repro/service"
@@ -50,10 +52,10 @@ SERVICE_VERSION = 1
 class SLOTracker:
     """Accumulate per-snapshot service-level observations.
 
-    Deliberately self-contained: the band check duplicates
-    ``Theorem4BandMonitor`` arithmetic instead of reading monitor state,
-    so a run with monitors detached produces bit-identical SLO counters
-    (the monitors-on/off golden test pins this).
+    Deliberately self-contained: the band check calls
+    :func:`~repro.metrics.band.extreme_ratio` instead of reading monitor
+    state, so a run with monitors detached produces bit-identical SLO
+    counters (the monitors-on/off golden test pins this).
     """
 
     def __init__(self, params: LBParams) -> None:
@@ -68,7 +70,7 @@ class SLOTracker:
     def observe(
         self, t: float, loads: np.ndarray, *, hot: float, state: str
     ) -> None:
-        rho = float(loads.max()) / (float(loads.min()) + self.C)
+        rho = float(extreme_ratio(loads, self.C))
         self.times.append(float(t))
         self.rho.append(rho)
         self.hot.append(float(hot))
@@ -142,11 +144,7 @@ def build_service_doc(
             for s, share in queues.worst_sojourns()
         ],
         "counters": {
-            "total_ops": int(result.total_ops),
-            "dropped_ops": int(result.dropped_ops),
-            "packets_migrated": int(result.packets_migrated),
-            "retries": int(result.retries),
-            "give_ups": int(result.give_ups),
+            **result.counters(),
             "migrated_tasks": int(queues.migrated_tasks),
             "fault_stats": result.fault_stats,
         },
@@ -154,110 +152,50 @@ def build_service_doc(
     }
 
 
-def validate_service(doc: dict) -> list[str]:
-    """Schema check for a service document; returns problem strings.
-
-    Structural (keys, types, series alignment, state names), mirroring
-    :func:`repro.experiments.resilience.validate_resilience`; behaviour
-    (the burst actually sheds, recovery actually happens) is asserted by
-    the tier-1 service tests on freshly generated documents.
-    """
-    problems: list[str] = []
-
-    def need(mapping, key, types, where):
-        if not isinstance(mapping, dict) or key not in mapping:
-            problems.append(f"{where}: missing key {key!r}")
-            return None
-        val = mapping[key]
-        if not isinstance(val, types) or isinstance(val, bool):
-            problems.append(
-                f"{where}.{key}: expected {types}, got {type(val).__name__}"
-            )
-            return None
-        return val
-
-    if need(doc, "schema", str, "doc") != SERVICE_SCHEMA:
-        problems.append(f"doc.schema: must be {SERVICE_SCHEMA!r}")
-    need(doc, "version", int, "doc")
-    need(doc, "band", (int, float), "doc")
-    need(doc, "config", dict, "doc")
-    need(doc, "traffic", dict, "doc")
-    if "chaos" not in doc:
-        problems.append("doc: missing key 'chaos'")
-
-    slo = need(doc, "slo", dict, "doc")
-    if slo is not None:
-        for fld in (
-            "time_in_band", "sojourn_p50", "sojourn_p99",
-            "offered_rate", "admitted_rate", "shed_rate", "completion_rate",
-        ):
-            need(slo, fld, (int, float), "slo")
-        for fld in ("band_samples", "offered", "admitted", "shed", "completed"):
-            need(slo, fld, int, "slo")
-        reasons = need(slo, "shed_by_reason", dict, "slo")
-        if reasons is not None:
-            from repro.service.admission import SHED_REASONS
-
-            for r in SHED_REASONS:
-                need(reasons, r, int, "slo.shed_by_reason")
-        tib = slo.get("time_in_band")
-        if isinstance(tib, (int, float)) and not 0.0 <= tib <= 1.0:
-            problems.append(f"slo.time_in_band: {tib} outside [0, 1]")
-
-    from repro.service.degradation import STATES
-
-    timeline = need(doc, "timeline", list, "doc")
-    if timeline is not None:
-        for k, tr in enumerate(timeline):
-            where = f"timeline[{k}]"
-            need(tr, "t", (int, float), where)
-            for fld in ("prev", "state", "reason"):
-                val = need(tr, fld, str, where)
-                if fld != "reason" and val is not None and val not in STATES:
-                    problems.append(f"{where}.{fld}: unknown state {val!r}")
-    tis = need(doc, "time_in_state", dict, "doc")
-    if tis is not None:
-        for s in STATES:
-            need(tis, s, (int, float), "time_in_state")
-    final = need(doc, "final_state", str, "doc")
-    if final is not None and final not in STATES:
-        problems.append(f"doc.final_state: unknown state {final!r}")
-
-    worst = need(doc, "worst_sojourns", list, "doc")
-    if worst is not None:
-        for k, w in enumerate(worst):
-            need(w, "sojourn", (int, float), f"worst_sojourns[{k}]")
-            need(w, "at", (int, float), f"worst_sojourns[{k}]")
-
-    counters = need(doc, "counters", dict, "doc")
-    if counters is not None:
-        for fld in (
-            "total_ops", "dropped_ops", "packets_migrated",
-            "retries", "give_ups", "migrated_tasks",
-        ):
-            need(counters, fld, int, "counters")
-        if "fault_stats" not in counters:
-            problems.append("counters: missing key 'fault_stats'")
-
-    series = need(doc, "series", dict, "doc")
-    if series is not None:
-        lengths = set()
-        for fld in ("times", "rho", "hot", "states"):
-            vals = need(series, fld, list, "series")
-            if vals is not None:
-                lengths.add(len(vals))
-        if len(lengths) > 1:
-            problems.append(
-                f"series: unequal series lengths {sorted(lengths)}"
-            )
-    return problems
+def _time_in_band_range(doc: dict) -> list[str]:
+    slo = doc.get("slo")
+    tib = slo.get("time_in_band") if isinstance(slo, dict) else None
+    if isinstance(tib, (int, float)) and not 0.0 <= tib <= 1.0:
+        return [f"slo.time_in_band: {tib} outside [0, 1]"]
+    return []
 
 
-def write_service_json(path: str | Path, doc: dict) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+_STATE = frozenset(STATES)
+
+#: the ``repro/service`` document contract
+SERVICE_SHAPE = Shape(
+    SERVICE_SCHEMA,
+    {
+        "band": NUMBER,
+        "config": dict,
+        "traffic": dict,
+        "chaos": Nullable(dict),
+        "slo": {
+            **dict.fromkeys(
+                (
+                    "time_in_band", "sojourn_p50", "sojourn_p99", "offered_rate",
+                    "admitted_rate", "shed_rate", "completion_rate",
+                ),
+                NUMBER,
+            ),
+            **dict.fromkeys(
+                ("band_samples", "offered", "admitted", "shed", "completed"), int
+            ),
+            "shed_by_reason": dict.fromkeys(SHED_REASONS, int),
+        },
+        "timeline": [{"t": NUMBER, "prev": _STATE, "state": _STATE, "reason": str}],
+        "time_in_state": dict.fromkeys(STATES, NUMBER),
+        "final_state": _STATE,
+        "worst_sojourns": [{"sojourn": NUMBER, "at": NUMBER}],
+        "counters": {
+            **dict.fromkeys(STUDY_COUNTERS, int),
+            "migrated_tasks": int,
+            "fault_stats": Nullable(dict),
+        },
+        "series": Series(times=[NUMBER], rho=[NUMBER], hot=[NUMBER], states=[_STATE]),
+    },
+    check=_time_in_band_range,
+)
 
 
 # -- rendering ------------------------------------------------------------

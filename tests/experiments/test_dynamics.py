@@ -1,18 +1,28 @@
 """Tests for the dynamics degradation sweep and its artifact."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.experiments.dynamics import (
+    DYNAMICS_SHAPE,
     TOPOLOGIES,
     DynamicsConfig,
     build_topology,
     dynamics_experiment,
     render_dynamics,
-    validate_dynamics,
-    write_dynamics_json,
 )
+from repro.simulation.serialize import check_document, load_document, write_document
+
+#: sha256 of ``json.dumps(doc, sort_keys=True)`` of the smoke document
+#: without its ``backend`` key; a change means a number moved.
+GOLDEN_SHA256 = "55afcb38b12e4f486e5071ee6e17b34a3817ef65c8abec29f2637b27af5ac94e"
+
+
+
+def reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
 
 
 class TestConfig:
@@ -77,32 +87,67 @@ class TestValidator:
         }
 
     def test_accepts_wellformed(self):
-        assert validate_dynamics(self.make_doc()) == []
+        assert check_document(self.make_doc(), DYNAMICS_SHAPE) == []
 
     def test_rejects_wrong_schema_tag(self):
         doc = self.make_doc()
         doc["schema"] = "something/else"
-        assert any("repro/dynamics" in p for p in validate_dynamics(doc))
+        assert any("repro/dynamics" in p for p in check_document(doc, DYNAMICS_SHAPE))
 
     def test_rejects_grid_size_mismatch(self):
         doc = self.make_doc()
         doc["config"]["churn_rates"] = [0.1, 0.3]
-        assert any("expected 2 cells" in p for p in validate_dynamics(doc))
+        assert any("expected 2 cells" in p for p in check_document(doc, DYNAMICS_SHAPE))
 
     def test_rejects_missing_cell_field(self):
         doc = self.make_doc()
         del doc["cells"][0]["band_occupancy"]
-        assert any("band_occupancy" in p for p in validate_dynamics(doc))
+        assert any("band_occupancy" in p for p in check_document(doc, DYNAMICS_SHAPE))
 
     def test_rejects_non_int_counter(self):
         doc = self.make_doc()
         doc["cells"][0]["counters"]["retries"] = 1.5
-        assert any("retries" in p for p in validate_dynamics(doc))
+        assert any("retries" in p for p in check_document(doc, DYNAMICS_SHAPE))
 
     def test_rejects_missing_recovery_time(self):
         doc = self.make_doc()
         del doc["cells"][0]["recovery"]["mean_time"]
-        assert any("mean_time" in p for p in validate_dynamics(doc))
+        assert any("mean_time" in p for p in check_document(doc, DYNAMICS_SHAPE))
+
+    def test_accepts_null_occupancy(self):
+        doc = self.make_doc()
+        doc["cells"][0]["band_occupancy"] = None
+        assert check_document(doc, DYNAMICS_SHAPE) == []
+
+    def test_rejects_nan_occupancy(self):
+        doc = self.make_doc()
+        doc["cells"][0]["band_occupancy"] = float("nan")
+        assert any("band_occupancy" in p for p in check_document(doc, DYNAMICS_SHAPE))
+
+
+class TestWarmupPastHorizon:
+    """A warmup at or past the horizon leaves occupancy undefined."""
+
+    @pytest.fixture(scope="class")
+    def doc(self):
+        cfg = DynamicsConfig(
+            n=16, horizon=4.0, topologies=("complete",), churn_rates=(0.0,),
+            skews=(0.0,),
+        )
+        return dynamics_experiment(cfg, backend="native")
+
+    def test_occupancy_is_null(self, doc):
+        assert doc["cells"][0]["band_occupancy"] is None
+
+    def test_written_document_is_strict_json(self, doc, tmp_path):
+        path = write_document(tmp_path / "dynamics.json", doc, DYNAMICS_SHAPE)
+        text = path.read_text()
+        parsed = json.loads(text, parse_constant=reject_constant)
+        assert check_document(parsed, DYNAMICS_SHAPE) == []
+
+    def test_render_prints_a_dash(self, doc):
+        row = render_dynamics(doc).splitlines()[-1].split()
+        assert row[:4] == ["complete", "0", "0", "-"]
 
 
 @pytest.mark.tier2
@@ -112,7 +157,7 @@ class TestDynamicsEndToEnd:
         return dynamics_experiment(DynamicsConfig.smoke(), backend="native")
 
     def test_document_schema_valid(self, doc):
-        assert validate_dynamics(doc) == []
+        assert check_document(doc, DYNAMICS_SHAPE) == []
 
     def test_covers_at_least_three_topologies(self, doc):
         assert len({c["topology"] for c in doc["cells"]}) >= 3
@@ -137,9 +182,13 @@ class TestDynamicsEndToEnd:
         assert other["cells"] != doc["cells"]
 
     def test_json_roundtrip(self, doc, tmp_path):
-        path = tmp_path / "dynamics.json"
-        write_dynamics_json(path, doc)
-        assert validate_dynamics(json.loads(path.read_text())) == []
+        path = write_document(tmp_path / "dynamics.json", doc, DYNAMICS_SHAPE)
+        assert load_document(path, DYNAMICS_SHAPE)["cells"] == doc["cells"]
+
+    def test_golden_digest(self, doc):
+        values = {k: v for k, v in doc.items() if k != "backend"}
+        text = json.dumps(values, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
 
     def test_render(self, doc):
         out = render_dynamics(doc)

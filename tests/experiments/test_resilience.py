@@ -1,16 +1,33 @@
 """Tests for the crash-burst resilience experiment and its artifact."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.experiments.resilience import (
+    RESILIENCE_SHAPE,
     ResilienceConfig,
     render_resilience,
     resilience_experiment,
-    validate_resilience,
-    write_resilience_json,
 )
+from repro.simulation.serialize import check_document, load_document, write_document
+
+#: sha256 of ``json.dumps(doc, sort_keys=True)`` of the fixture document
+#: below without its ``backend`` key (the executing backend is run
+#: metadata; every value is backend-independent).  A change here means
+#: a number in the document moved.
+GOLDEN_SHA256 = "6089784f66469bf0e6dc52e236a2123dba32fab163b25e1c3a359d72093f7dd2"
+
+
+
+def strict_loads(text):
+    """``json.loads`` that refuses the non-JSON constants NaN/Infinity."""
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def small_config(**kw):
@@ -45,27 +62,63 @@ class TestValidator:
         }
 
     def test_accepts_wellformed(self):
-        assert validate_resilience(self.make_doc()) == []
+        assert check_document(self.make_doc(), RESILIENCE_SHAPE) == []
 
     def test_rejects_wrong_schema_tag(self):
         doc = self.make_doc()
         doc["schema"] = "something/else"
-        assert any("repro/resilience" in p for p in validate_resilience(doc))
+        assert any("repro/resilience" in p for p in check_document(doc, RESILIENCE_SHAPE))
 
     def test_rejects_missing_report_field(self):
         doc = self.make_doc()
         del doc["faulted"]["report"]["spike_ratio"]
-        assert any("spike_ratio" in p for p in validate_resilience(doc))
+        assert any("spike_ratio" in p for p in check_document(doc, RESILIENCE_SHAPE))
 
     def test_rejects_misaligned_series(self):
         doc = self.make_doc()
         doc["baseline"]["series"]["times"].append(2.0)
-        assert any("unequal series" in p for p in validate_resilience(doc))
+        assert any("unequal series" in p for p in check_document(doc, RESILIENCE_SHAPE))
 
     def test_rejects_non_int_counter(self):
         doc = self.make_doc()
         doc["faulted"]["counters"]["total_ops"] = 10.5
-        assert any("total_ops" in p for p in validate_resilience(doc))
+        assert any("total_ops" in p for p in check_document(doc, RESILIENCE_SHAPE))
+
+    def test_accepts_null_undefined_ratios(self):
+        doc = self.make_doc()
+        for key in ("pre_fault_ratio", "spike_ratio", "spike_max_mean"):
+            doc["faulted"]["report"][key] = None
+        assert check_document(doc, RESILIENCE_SHAPE) == []
+
+    def test_rejects_nan(self):
+        doc = self.make_doc()
+        doc["faulted"]["report"]["spike_ratio"] = float("nan")
+        assert any("spike_ratio" in p for p in check_document(doc, RESILIENCE_SHAPE))
+
+
+class TestUndefinedStatistics:
+    """A horizon that ends before the burst starts is a valid run."""
+
+    @pytest.fixture(scope="class")
+    def doc(self):
+        return resilience_experiment(small_config(horizon=20.0), backend="native")
+
+    def test_burst_window_statistics_are_null(self, doc):
+        report = doc["faulted"]["report"]
+        assert report["spike_ratio"] is None
+        assert report["spike_max_mean"] is None
+        assert report["pre_fault_ratio"] is not None
+
+    def test_written_document_is_strict_json(self, doc, tmp_path):
+        path = write_document(tmp_path / "resilience.json", doc, RESILIENCE_SHAPE)
+        assert check_document(strict_loads(path.read_text()), RESILIENCE_SHAPE) == []
+
+    def test_render_prints_a_dash(self, doc):
+        (row,) = [
+            line.split() for line in render_resilience(doc).splitlines()
+            if line.startswith("faulted")
+        ]
+        assert row[2:4] == ["-", "-"]   # spike rho, spike max/mean
 
 
 @pytest.mark.tier2
@@ -75,7 +128,7 @@ class TestResilienceEndToEnd:
         return resilience_experiment(small_config())
 
     def test_document_schema_valid(self, doc):
-        assert validate_resilience(doc) == []
+        assert check_document(doc, RESILIENCE_SHAPE) == []
 
     def test_spike_leaves_band_and_recovers(self, doc):
         faulted = doc["faulted"]["report"]
@@ -97,9 +150,13 @@ class TestResilienceEndToEnd:
         assert again == doc
 
     def test_json_roundtrip(self, doc, tmp_path):
-        path = tmp_path / "resilience.json"
-        write_resilience_json(path, doc)
-        assert validate_resilience(json.loads(path.read_text())) == []
+        path = write_document(tmp_path / "resilience.json", doc, RESILIENCE_SHAPE)
+        assert load_document(path, RESILIENCE_SHAPE) == doc
+
+    def test_golden_digest(self, doc):
+        values = {k: v for k, v in doc.items() if k != "backend"}
+        text = json.dumps(values, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
 
     def test_render(self, doc):
         out = render_resilience(doc)

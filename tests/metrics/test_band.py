@@ -1,11 +1,13 @@
-"""Tests for the resilience metrics."""
+"""Tests for the Theorem-4 band statistic and its episode summaries."""
 
 import numpy as np
 import pytest
 
-from repro.faults.metrics import (
+from repro.metrics.band import (
     RecoveryReport,
+    band_occupancy,
     extreme_ratio,
+    first_in_band,
     max_mean_ratio,
     recovery_report,
 )
@@ -29,15 +31,72 @@ class TestStatistics:
 
     def test_extreme_ratio_validation(self):
         with pytest.raises(ValueError):
-            extreme_ratio(np.zeros(3), C=4)
+            extreme_ratio(np.float64(3.0), C=4)
+        with pytest.raises(ValueError):
+            extreme_ratio(np.zeros((2, 0)), C=4)
         with pytest.raises(ValueError):
             extreme_ratio(np.zeros((2, 3)), C=0)
+        with pytest.raises(ValueError):
+            extreme_ratio(np.zeros((2, 3)), C=4, capacities=np.ones(2))
+
+    def test_snapshot_and_history_forms_agree_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        history = rng.integers(0, 10**6, size=(200, 33))
+        rho = extreme_ratio(history, 4)
+        for row, r in zip(history, rho):
+            assert float(extreme_ratio(row, 4)) == r
+            assert float(max(row)) / (float(min(row)) + 4) == r
+
+    def test_capacities_normalise_the_loads(self):
+        loads = np.array([[8, 2], [4, 4]])
+        caps = np.array([2.0, 0.5])
+        # normalised rows: [4, 4] and [2, 8]
+        assert extreme_ratio(loads, 4, caps).tolist() == [4 / 8, 8 / 6]
+        # unit capacities are the plain statistic
+        assert np.array_equal(
+            extreme_ratio(loads, 4, np.ones(2)), extreme_ratio(loads, 4)
+        )
+
+    def test_band_occupancy(self):
+        times = [0.0, 1.0, 2.0, 3.0]
+        rho = [5.0, 1.0, 5.0, 1.0]
+        assert band_occupancy(times, rho, 2.0, since=0.0) == 0.5
+        assert band_occupancy(times, rho, 2.0, since=2.5) == 1.0
+        # a trailing window always keeps the latest snapshot
+        assert band_occupancy(times, rho, 2.0, since=times[-1] - 0.0) == 1.0
+        # nothing at or after `since`: undefined, not NaN
+        assert band_occupancy(times, rho, 2.0, since=3.5) is None
+        with pytest.raises(ValueError):
+            band_occupancy(times, rho[:-1], 2.0, since=0.0)
 
     def test_max_mean_ratio_empty_system(self):
         loads = np.array([[0, 0], [3, 1]])
         mm = max_mean_ratio(loads)
         assert mm[0] == 1.0  # empty: defined as balanced
         assert mm[1] == pytest.approx(1.5)
+
+
+class TestFirstInBand:
+    TIMES = [1.0, 2.0, 3.0, 4.0, 5.0]
+    RHO = [3.0, 1.0, 3.0, 3.0, 1.0]   # band 2.0: in band at t=2 and t=5
+
+    @pytest.mark.parametrize(
+        "t, index, delay",
+        [
+            (0.0, 1, 2.0),     # before the first snapshot
+            (2.5, 4, 2.5),     # between snapshots, out of band until t=5
+            (5.5, None, None), # after the last snapshot
+            (2.0, 1, 0.0),     # already in band at the event
+        ],
+    )
+    def test_search(self, t, index, delay):
+        k = first_in_band(self.TIMES, self.RHO, 2.0, t)
+        assert k == index
+        if k is not None:
+            assert self.TIMES[k] - t == delay
+
+    def test_never_back_in_band(self):
+        assert first_in_band(self.TIMES, [3.0] * 5, 2.0, 0.0) is None
 
 
 class TestRecoveryReport:
@@ -70,6 +129,24 @@ class TestRecoveryReport:
         assert rep.reentry_time == 0.0
         assert rep.reentry_snapshots == 0
         assert rep.final_ratio == pytest.approx(5 / 9)
+
+    def test_reentry_is_the_band_search(self):
+        times, loads = self.make_series()
+        p = LBParams(f=1.05, delta=1, C=4)  # band 1.16: back in at t=6
+        rep = recovery_report(times, loads, p, burst_start=2.0, burst_end=4.0)
+        k = first_in_band(times, extreme_ratio(loads, p.C), rep.band, 4.0)
+        assert k == 6
+        assert rep.reentry_time == times[k] - 4.0
+        assert rep.reentry_snapshots == k - 4
+
+    def test_undefined_windows_are_none(self):
+        times, loads = self.make_series()
+        p = LBParams(f=1.3, delta=2, C=4)
+        early = recovery_report(times, loads, p, burst_start=0.0, burst_end=1.0)
+        assert early.pre_fault_ratio is None
+        late = recovery_report(times, loads, p, burst_start=9.0, burst_end=10.0)
+        assert late.spike_ratio is None and late.spike_max_mean is None
+        assert late.reentry_time is None
 
     def test_never_reenters(self):
         times = np.arange(3, dtype=float)

@@ -17,13 +17,14 @@ from repro.observability.schema import validate_trace
 from repro.observability.tracer import Tracer
 from repro.params import LBParams
 from repro.service import (
+    SERVICE_SHAPE,
     ServiceConfig,
     ServiceEngine,
     service_run,
-    validate_service,
 )
 from repro.service.admission import AdmissionController, TokenBucket
 from repro.service.queues import TaskQueues
+from repro.simulation.serialize import check_document
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,7 @@ def smoke_run():
 
 class TestSmokeScenario:
     def test_document_is_schema_valid(self, smoke_run):
-        assert validate_service(smoke_run.doc) == []
+        assert check_document(smoke_run.doc, SERVICE_SHAPE) == []
 
     def test_timeline_enters_shedding_during_burst(self, smoke_run):
         cfg = ServiceConfig.smoke(seed=0)
@@ -141,7 +142,7 @@ class TestQuietService:
             cfg = replace(
                 ServiceConfig(seed=0), traffic=profile, horizon=20.0, rate=2.0
             )
-            assert validate_service(service_run(cfg).doc) == []
+            assert check_document(service_run(cfg).doc, SERVICE_SHAPE) == []
 
 
 class TestServiceEngineGuards:
@@ -165,12 +166,12 @@ class TestValidator:
         doc["slo"].pop("time_in_band")
         doc["final_state"] = "on-fire"
         doc["series"]["rho"] = doc["series"]["rho"][:-1]
-        problems = validate_service(doc)
+        problems = check_document(doc, SERVICE_SHAPE)
         assert any("time_in_band" in p for p in problems)
         assert any("on-fire" in p for p in problems)
         assert any("unequal series" in p for p in problems)
 
     def test_flags_wrong_schema(self):
         assert any(
-            "schema" in p for p in validate_service({"schema": "nope"})
+            "schema" in p for p in check_document({"schema": "nope"}, SERVICE_SHAPE)
         )

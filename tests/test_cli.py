@@ -178,10 +178,11 @@ class TestAsyncAndChaosCommands:
         assert "wrote" in out
         import json
 
-        from repro.experiments.resilience import validate_resilience
+        from repro.experiments.resilience import RESILIENCE_SHAPE
+        from repro.simulation.serialize import check_document
 
         doc = json.loads((tmp_path / "resilience.json").read_text())
-        assert validate_resilience(doc) == []
+        assert check_document(doc, RESILIENCE_SHAPE) == []
         assert doc["config"]["crash_frac"] == 0.15
 
     def test_list_mentions_chaos(self, capsys):
@@ -197,10 +198,11 @@ class TestChurnCommand:
         assert "wrote" in out and "schema valid" in out
         import json
 
-        from repro.experiments.dynamics import validate_dynamics
+        from repro.experiments.dynamics import DYNAMICS_SHAPE
+        from repro.simulation.serialize import check_document
 
         doc = json.loads((tmp_path / "dynamics.json").read_text())
-        assert validate_dynamics(doc) == []
+        assert check_document(doc, DYNAMICS_SHAPE) == []
         assert len({c["topology"] for c in doc["cells"]}) >= 3
 
     def test_smoke_deterministic_per_seed(self, tmp_path, capsys):
@@ -239,6 +241,64 @@ class TestChurnCommand:
         out = capsys.readouterr().out
         assert "# dynamics report" in out
         assert "Theorem-4 band" in out
+
+    def test_smoke_applies_explicit_n_and_horizon(self, tmp_path, capsys):
+        import json
+
+        assert main([
+            "churn", "--smoke", "--n", "8", "--horizon", "4",
+            "--out", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        from repro.experiments.dynamics import DynamicsConfig
+
+        cfg = json.loads((tmp_path / "dynamics.json").read_text())["config"]
+        assert (cfg["n"], cfg["horizon"]) == (8, 4.0)
+        # everything not given explicitly stays the smoke grid
+        smoke = DynamicsConfig.smoke()
+        assert cfg["warmup"] == smoke.warmup
+        assert tuple(cfg["topologies"]) == smoke.topologies
+
+    def test_report_dynamics_rejects_nan(self, tmp_path, capsys):
+        import json
+
+        assert main(["churn", "--smoke", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "dynamics.json"
+        doc = json.loads(path.read_text())
+        doc["cells"][0]["band_occupancy"] = float("nan")
+        path.write_text(json.dumps(doc))   # bare NaN: not JSON
+        with pytest.raises(SystemExit, match="not a valid dynamics"):
+            main(["report", "--dynamics", str(path)])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+class TestStrictJsonDocuments:
+    """Undefined statistics are written as null, never as bare NaN."""
+
+    def test_chaos_burst_past_horizon(self, tmp_path, capsys):
+        import json
+
+        assert main(["chaos", "--horizon", "20", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        text = (tmp_path / "resilience.json").read_text()
+        doc = json.loads(text, parse_constant=_reject_constant)
+        assert doc["faulted"]["report"]["spike_ratio"] is None
+
+    def test_churn_warmup_past_horizon(self, tmp_path, capsys):
+        import json
+
+        assert main([
+            "churn", "--n", "16", "--horizon", "4", "--topologies", "complete",
+            "--churn-rates", "0", "--skews", "0", "--out", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        text = (tmp_path / "dynamics.json").read_text()
+        doc = json.loads(text, parse_constant=_reject_constant)
+        assert doc["cells"][0]["band_occupancy"] is None
 
 
 class TestUnknownNameExit2:
@@ -534,10 +594,11 @@ class TestServeCommand:
         assert "wrote" in out
         import json
 
-        from repro.service import validate_service
+        from repro.service import SERVICE_SHAPE
+        from repro.simulation.serialize import check_document
 
         doc = json.loads((tmp_path / "service.json").read_text())
-        assert validate_service(doc) == []
+        assert check_document(doc, SERVICE_SHAPE) == []
         assert doc["final_state"] == "healthy"
         assert any(tr["state"] == "shedding" for tr in doc["timeline"])
 
