@@ -24,7 +24,7 @@ Observability tools (see docs/OBSERVABILITY.md)::
     repro profile --engine async [--horizon 60]
     repro trace|profile|spans|report --faulted [--n N] [--horizon 80]
     repro bench [--sizes 64,...,1000000 | -n N] [--profile quiet,...]
-                [--ticks T] [--out DIR]
+                [--ticks T] [--seed 7] [--out DIR]
                 [--backend native|multiprocessing] [--jobs N]
                 [--trace-out bench_trace.json]
     repro chaos [--n 16] [--horizon 80] [--plan crash_burst|stragglers|
@@ -73,9 +73,9 @@ renders band occupancy, sojourn quantiles, admission/shed rates and
 the degradation state in place (``q`` quits, ``p`` pauses; ``--once``
 prints a single frame without curses).  ``repro trace --export
 chrome`` (and ``repro bench --trace-out``) write Chrome trace-event
-JSON for Perfetto / ``chrome://tracing``; a bench export merges every
-worker's span buffer into one causally ordered timeline stamped with
-the run id the batch backend propagated across the process boundary.
+JSON for Perfetto / ``chrome://tracing``; a bench export is built from
+the bench document itself: one ``bench:grid`` root span plus one span
+per measured run, on the run's own lane, as long as its measured time.
 
 ``trace``, ``profile``, ``spans`` and ``report`` observe the same
 deterministic run, built in one place: the §7 workload on the
@@ -153,7 +153,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--runs", type=int, default=None, help="runs per config (paper: 100)")
     p.add_argument("--trials", type=int, default=20_000, help="MC trials (fig6/theorem12)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=None,
+        help="random seed (default 0; bench: engine seed, default 7)",
+    )
     p.add_argument("--out", type=Path, default=None, help="directory for CSV output")
     # trace / profile options
     p.add_argument(
@@ -181,8 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace-out", type=Path, default=None,
         help="write the recorded trace to this file (trace; bench: "
-        "export the merged multi-worker bench timeline as a Chrome "
-        "trace here)",
+        "export the bench timeline, one span per measured run, as a "
+        "Chrome trace here)",
     )
     p.add_argument(
         "--export", type=str, default=None, metavar="FORMAT",
@@ -462,6 +465,9 @@ def _run_async(args: argparse.Namespace) -> str:
 #: ``--n`` when not given, for the commands without a config default of
 #: their own (trace/profile/report/spans/chaos)
 _DEFAULT_N = 16
+#: ``--seed`` when not given: 0, except bench's engine seed, which the
+#: committed baselines were recorded with
+_DEFAULT_SEEDS = {"bench": 7}
 
 
 class _ObservedRun(NamedTuple):
@@ -694,13 +700,15 @@ def _run_bench(args: argparse.Namespace) -> str:
             ) from exc
     if not ns or any(n < 2 for n in ns):
         raise SystemExit(f"error: --sizes needs values >= 2, got {args.sizes!r}")
+    if args.ticks is not None and args.ticks < 1:
+        print(f"error: --ticks needs a value >= 1, got {args.ticks}", file=sys.stderr)
+        raise SystemExit(2)
     doc = bench_report(
         ns,
         profiles=profiles,
         params=LBParams(f=args.f, delta=args.delta, C=args.cap),
         ticks=args.ticks,
-        engine_seed=args.seed or 7,
-        trace=args.trace_out is not None,
+        engine_seed=args.seed,
     )
     out_dir = args.out or Path("results")
     path = out_dir / "BENCH_engine.json"
@@ -713,13 +721,15 @@ def _run_bench(args: argparse.Namespace) -> str:
         "(repro report --compare reads the last line as a baseline)"
     )
     if args.trace_out is not None:
+        from repro.experiments.microbench import bench_timeline
         from repro.observability.export import write_chrome_trace
 
-        args.trace_out.parent.mkdir(parents=True, exist_ok=True)
-        count = write_chrome_trace(args.trace_out, doc["_merged_trace"])
+        count = write_chrome_trace(
+            args.trace_out, bench_timeline(doc), run_id=f"bench-{doc['git_rev']}"
+        )
         tail.append(
             f"wrote {count} Chrome trace events to {args.trace_out} "
-            "(merged multi-worker bench timeline; open in Perfetto)"
+            "(bench timeline, one span per run; open in Perfetto)"
         )
     return render_report(doc) + "\n\n" + "\n".join(tail)
 
@@ -1116,8 +1126,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     commands = _ALL if args.command == "all" else [args.command]
     for cmd in commands:
+        seed = _DEFAULT_SEEDS.get(cmd, 0) if args.seed is None else args.seed
         t0 = time.perf_counter()
-        out = _COMMANDS[cmd](args)
+        out = _COMMANDS[cmd](argparse.Namespace(**{**vars(args), "seed": seed}))
         dt = time.perf_counter() - t0
         print(f"== {cmd} ({dt:.1f}s) " + "=" * 40)
         print(out)

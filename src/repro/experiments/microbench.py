@@ -98,7 +98,7 @@ import numpy as np
 from repro.core.columnar import ColumnarEngine
 from repro.core.engine import Engine, EngineConfig
 from repro.experiments.report import render_table
-from repro.observability import Profiler
+from repro.observability import Profiler, SpanRecorder, Tracer
 from repro.params import LBParams
 
 __all__ = [
@@ -110,6 +110,7 @@ __all__ = [
     "BENCH_HISTORY_SCHEMA",
     "append_bench_history",
     "bench_report",
+    "bench_timeline",
     "compare_bench",
     "history_record",
     "load_bench",
@@ -216,6 +217,11 @@ def run_microbench(
     default_warmup, default_ticks = _tick_budget(n, profile)
     warmup = default_warmup if warmup is None else warmup
     ticks = default_ticks if ticks is None else ticks
+    if ticks < 1 or warmup < 0:
+        raise ValueError(
+            f"need ticks >= 1 and warmup >= 0, got ticks={ticks}, "
+            f"warmup={warmup}"
+        )
 
     acts = _make_actions(profile, n, warmup + ticks, workload_seed)
     profiler = Profiler() if profile_sections else None
@@ -282,31 +288,9 @@ def git_rev(repo_root: Path | None = None) -> str:
 
 
 def _bench_point(task: tuple) -> dict[str, Any]:
-    """One (n, profile, engine) measurement (module-level so it pickles).
-
-    With the optional trailing ``trace`` flag set, the measurement is
-    wrapped in a balancing-operation-style span recorded into a private
-    per-task tracer, and the tracer ships home as a ``"_trace"``
-    :func:`~repro.observability.tracer.worker_payload` — stamped
-    with the trace context the batch backend propagated into this
-    process, so the parent can merge every point into one causal
-    timeline (``repro bench --trace-out``).
-    """
-    n, profile, params, engine_seed, workload_seed, engine, ticks = task[:7]
-    trace = bool(task[7]) if len(task) > 7 else False
-    tracer = spans = sid = None
-    if trace:
-        from repro.observability import SpanRecorder, Tracer
-        from repro.observability.tracer import current_context
-
-        tracer = Tracer()
-        spans = SpanRecorder(tracer)
-        ctx = current_context()
-        worker = ctx.worker if ctx is not None else -1
-        sid = spans.start(
-            t=0.0, op=f"bench:{profile}@{n}", proc=max(worker, 0)
-        )
-    rec = run_microbench(
+    """One (n, profile, engine) measurement (module-level so it pickles)."""
+    n, profile, params, engine_seed, workload_seed, engine, ticks = task
+    return run_microbench(
         n,
         profile,
         params=params,
@@ -316,12 +300,6 @@ def _bench_point(task: tuple) -> dict[str, Any]:
         ticks=ticks,
         profile_sections=True,
     )
-    if trace:
-        from repro.observability.tracer import worker_payload
-
-        spans.end(sid, t=float(rec["elapsed_sec"]), status="completed")
-        rec["_trace"] = worker_payload(tracer)
-    return rec
 
 
 def bench_report(
@@ -335,8 +313,6 @@ def bench_report(
     workload_seed: int = 123,
     backend: str | None = None,
     jobs: int | None = None,
-    trace: bool = False,
-    run_id: str | None = None,
 ) -> dict[str, Any]:
     """Full benchmark document (see module docstring for the schema).
 
@@ -348,17 +324,6 @@ def bench_report(
     grid is recorded under ``"backend"``.  Above ``QUIET_ONLY_ABOVE``
     processors only the quiet profile is measured (see module doc).
     ``ticks`` overrides the per-profile tick budget (CI smoke runs).
-
-    With ``trace=True`` the main grid records one span per measurement
-    point into per-task tracers, threads a
-    :class:`~repro.observability.tracer.TraceContext` (``run_id``,
-    defaulting to ``bench-<git rev>``) through the batch backend so
-    every point is stamped with its worker lane, and merges the
-    per-worker buffers into ``doc["_merged_trace"]`` — one causally
-    ordered timeline rooted at a parent ``bench:grid`` span.  The
-    leading underscore keeps it out of the serialised report (see
-    :func:`write_bench_json`); ``repro bench --trace-out`` exports it
-    as a Chrome/Perfetto trace instead.
     """
     from repro.simulation.parallel import get_client
 
@@ -386,55 +351,43 @@ def bench_report(
         for profile in profiles
         if profile == "quiet" or n <= QUIET_ONLY_ABOVE
     ]
-    parent_tracer = parent_spans = ctx = None
-    root = -1
-    trace_payloads: list[dict[str, Any]] = []
-    if trace:
-        from repro.observability import SpanRecorder, Tracer
-        from repro.observability.tracer import TraceContext
-
-        parent_tracer = Tracer()
-        parent_spans = SpanRecorder(parent_tracer)
-        root = parent_spans.start(t=0.0, op="bench:grid", proc=0)
-        ctx = TraceContext(
-            run_id or f"bench-{doc['git_rev']}", parent_span=root
-        )
-        tasks = [t + (True,) for t in tasks]
     with get_client(backend, jobs=jobs) as client:
-        if ctx is not None:
-            client.trace_context = ctx
         # chunksize=1: one (n, profile) point per dispatch, so a
         # parallel backend interleaves sizes instead of striping them
         for rec in client.map_ordered(_bench_point, tasks, chunksize=1):
             rec.pop("_l")
-            payload = rec.pop("_trace", None)
-            if payload is not None:
-                trace_payloads.append(payload)
             doc["runs"].append(rec)
         doc["backend"] = client.used_backend
-
-    if trace:
-        from repro.observability.tracer import (
-            merge_worker_traces,
-            worker_payload,
-        )
-
-        grid_elapsed = sum(r["elapsed_sec"] for r in doc["runs"])
-        parent_spans.end(root, t=float(grid_elapsed), status="completed")
-        doc["_merged_trace"] = merge_worker_traces(
-            [worker_payload(parent_tracer, ctx)] + trace_payloads
-        )
-
     return doc
 
 
+def bench_timeline(doc: dict[str, Any]) -> list[dict]:
+    """The span timeline of a bench document (``repro bench --trace-out``).
+
+    A root ``bench:grid`` span runs from 0 to the summed
+    ``elapsed_sec`` of the runs; run ``i`` of ``doc["runs"]`` is one
+    ``bench:{profile}@{n}`` span on lane ``i`` from 0 to its own
+    ``elapsed_sec``.  The runs are independent, so the timeline is
+    built here from their records rather than traced in the workers.
+    """
+    runs = doc["runs"]
+    spans = SpanRecorder(Tracer())
+    root = spans.start(t=0.0, op="bench:grid", proc=0)
+    ids = [
+        spans.start(t=0.0, op=f"bench:{r['profile']}@{r['n']}", proc=i)
+        for i, r in enumerate(runs)
+    ]
+    for sid, r in zip(ids, runs):
+        spans.end(sid, t=float(r["elapsed_sec"]), status="completed")
+    grid_elapsed = sum(float(r["elapsed_sec"]) for r in runs)
+    spans.end(root, t=grid_elapsed, status="completed")
+    return spans.tracer.events
+
+
 def write_bench_json(path: Path, doc: dict[str, Any]) -> None:
-    """Serialise a bench document, dropping ``_``-prefixed working keys
-    (``_merged_trace`` and friends are in-memory artefacts, not report
-    rows — traces are exported separately via ``--trace-out``)."""
+    """Serialise a bench document."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    slim = {k: v for k, v in doc.items() if not k.startswith("_")}
-    path.write_text(json.dumps(slim, indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 

@@ -10,9 +10,7 @@ package turns every simulation into an inspectable trace:
 * :mod:`repro.observability.tracer` — a ring-buffered structured event
   tracer with NDJSON export.  Zero overhead when disabled: the engines
   hold a plain boolean and skip every emission site with a single
-  branch.  It also holds the cross-process :class:`TraceContext` that
-  stamps per-worker trace buffers so they merge into one causal
-  timeline (:func:`merge_worker_traces`).
+  branch.
 * :mod:`repro.observability.schema` — the instrumentation contract: a
   registry of every event type and its required fields, plus
   validators for single events, in-memory traces and NDJSON files.
@@ -58,13 +56,8 @@ carry and which theorem or figure each one supports — is documented in
 from repro.observability.tracer import (
     NULL_TRACER,
     NullTracer,
-    TraceContext,
     Tracer,
-    current_context,
     event_time,
-    merge_worker_traces,
-    set_current_context,
-    worker_payload,
 )
 from repro.observability.schema import (
     EVENT_SCHEMAS,
@@ -163,10 +156,5 @@ __all__ = [
     "to_html",
     "sparkline",
     "TelemetrySampler",
-    "TraceContext",
-    "current_context",
-    "set_current_context",
-    "worker_payload",
-    "merge_worker_traces",
     "event_time",
 ]

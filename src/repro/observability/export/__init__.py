@@ -8,10 +8,10 @@ Three export surfaces over the live telemetry layer
   Prometheus text exposition format and serve it over HTTP with the
   stdlib ``http.server`` (``repro serve --telemetry PORT``), plus the
   small exposition parser the ``repro top`` client uses;
-* :mod:`repro.observability.export.chrome` — render a recorded (or
-  merged multi-worker) event trace as a Chrome trace-event JSON file
-  loadable in Perfetto / ``chrome://tracing`` (``repro trace --export
-  chrome``).
+* :mod:`repro.observability.export.chrome` — render a recorded event
+  trace as a Chrome trace-event JSON file loadable in Perfetto /
+  ``chrome://tracing`` (``repro trace --export chrome``, ``repro bench
+  --trace-out``).
 
 Formats and metric names are documented in ``docs/OBSERVABILITY.md``
 ("Telemetry").

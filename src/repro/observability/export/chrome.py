@@ -1,8 +1,8 @@
 """Chrome trace-event / Perfetto export of recorded traces.
 
-Renders a schema-valid event stream — a single tracer buffer or a
-:func:`~repro.observability.tracer.merge_worker_traces` merged
-multi-worker timeline — as the `Chrome trace-event JSON format
+Renders a schema-valid event stream — a tracer buffer, or the bench
+timeline :func:`~repro.experiments.microbench.bench_timeline` builds
+from a bench document — as the `Chrome trace-event JSON format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_,
 loadable in Perfetto (ui.perfetto.dev) or ``chrome://tracing`` as a
 flamegraph timeline.
@@ -10,17 +10,15 @@ flamegraph timeline.
 Mapping (model time ``t``/``time`` becomes microseconds):
 
 * ``span_start`` / ``span_end`` — duration begin/end (``B``/``E``) on
-  the span's processor lane; every ``B`` carries the run id from the
-  stream's ``trace_context`` provenance events in its ``args``, which
-  is how a merged multiprocessing timeline shows which run each worker
-  span belongs to;
+  the span's processor lane; every ``B`` carries the caller's
+  ``run_id`` in its ``args``;
 * ``span_point`` — thread-scoped instant on the owning span's lane;
 * ``fault_crash``/``fault_recover`` and ``node_leave``/``node_join`` —
   paired into complete (``X``) windows on the affected processor's
   lane, so crash windows and churn leave windows read as solid blocks
   under the spans they disrupt (unpaired openers close at the last
   event time);
-* ``trace_context`` / ``trace_truncated`` and other instantaneous
+* ``trace_truncated`` and other instantaneous
   events (``topology_change``, ``monitor_breach``, ...) — instants,
   process-scoped where no processor is named;
 * profiler sections (when a profiler is passed) — one aggregate ``X``
@@ -69,23 +67,13 @@ def chrome_trace_events(
     events: Sequence[Mapping],
     *,
     profiler=None,
-    run_id: str | None = None,
+    run_id: str = "",
 ) -> list[dict]:
     """Render ``events`` as a list of Chrome trace-event dicts.
 
-    ``run_id`` overrides the run id stamped into span ``args``; by
-    default it is read from the stream's first ``trace_context`` event
-    (empty when the stream has none — single-process traces).
+    ``run_id`` names the run in the process lane and in every span's
+    ``args`` (empty by default).
     """
-    if run_id is None:
-        run_id = next(
-            (
-                str(ev.get("run_id", ""))
-                for ev in events
-                if ev.get("type") == "trace_context"
-            ),
-            "",
-        )
     out: list[dict] = [
         {
             "ph": "M", "pid": _PID_RUN, "tid": 0, "name": "process_name",
@@ -186,7 +174,7 @@ def write_chrome_trace(
     events: Sequence[Mapping],
     *,
     profiler=None,
-    run_id: str | None = None,
+    run_id: str = "",
 ) -> int:
     """Write a Chrome trace JSON file; return the trace-event count."""
     trace_events = chrome_trace_events(
@@ -197,16 +185,7 @@ def write_chrome_trace(
         "displayTimeUnit": "ms",
         "otherData": {
             "producer": "repro trace --export chrome",
-            "run_id": run_id
-            if run_id is not None
-            else next(
-                (
-                    str(ev.get("run_id", ""))
-                    for ev in events
-                    if ev.get("type") == "trace_context"
-                ),
-                "",
-            ),
+            "run_id": run_id,
         },
     }
     own = isinstance(path, (str, Path))

@@ -256,18 +256,12 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
             "A balancing-operation span closed with its outcome.",
             span=int, t=float, status=str, migrated=int,
         ),
-        # -- cross-process trace propagation (repro.observability.tracer) ---
-        _schema(
-            "trace_context",
-            "repro.observability.tracer",
-            "Provenance marker for one merged per-worker event buffer.",
-            time=float, run_id=str, worker=int, parent_span=int, dropped=int,
-        ),
         _schema(
             "trace_truncated",
-            "repro.observability.tracer",
-            "A merged or reconstructed buffer had evicted events (ring overflow).",
-            time=float, worker=int, dropped=int,
+            "repro.observability.spans",
+            "A reconstructed span stream had orphaned points or ends "
+            "(ring overflow).",
+            time=float, dropped=int,
         ),
         # -- dynamic network churn (repro.dynnet.network) ----------------
         _schema(

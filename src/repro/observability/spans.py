@@ -117,14 +117,12 @@ def spans_from_trace(
     Tolerates truncated traces — points/ends whose start was evicted
     from a ring buffer are dropped, spans without an end stay open
     (``status is None``) — but not *silently*: when orphans are found
-    (or the stream carries a ``trace_context`` marker reporting ring
-    evictions) a ``trace_truncated`` warning event is emitted into
-    ``tracer``, the same loud-by-default shape as a ``monitor_breach``.
+    a ``trace_truncated`` warning event is emitted into ``tracer``, the
+    same loud-by-default shape as a ``monitor_breach``.
     """
     spans: dict[int, Span] = {}
     orphans = 0
     first_orphan_t = 0.0
-    context_drops = 0
     for ev in events:
         etype = ev.get("type")
         if etype == "span_start":
@@ -151,19 +149,8 @@ def spans_from_trace(
                 if not orphans:
                     first_orphan_t = float(ev["t"])
                 orphans += 1
-        elif etype == "trace_context":
-            context_drops += int(ev.get("dropped", 0))
-    if (
-        tracer is not None
-        and getattr(tracer, "enabled", False)
-        and (orphans or context_drops)
-    ):
-        tracer.emit(
-            "trace_truncated",
-            time=first_orphan_t,
-            worker=-1,
-            dropped=int(orphans + context_drops),
-        )
+    if orphans and tracer is not None and getattr(tracer, "enabled", False):
+        tracer.emit("trace_truncated", time=first_orphan_t, dropped=orphans)
     return [spans[k] for k in sorted(spans)]
 
 

@@ -93,6 +93,9 @@ class TelemetrySampler:
         self.queues = None
         self.samples = 0
         self.points: deque[dict] = deque(maxlen=self.window)
+        # cumulative churn-event counts and the newest tracer seq they cover
+        self._churn: dict[str, int] = {}
+        self._churn_seq = -1
         self._last: float | None = None
         self._lock = threading.Lock()
 
@@ -153,18 +156,30 @@ class TelemetrySampler:
             point["breaches"] = breaches
         point["tracer_dropped"] = int(getattr(self.tracer, "dropped", 0))
         if getattr(self.tracer, "enabled", False):
-            churn: dict[str, int] = {}
-            for ev in self.tracer:
-                k = ev.get("type")
-                if k in ("topology_change", "node_leave", "node_join"):
-                    churn[k] = churn.get(k, 0) + 1
-            if churn:
-                point["churn"] = churn
+            self._count_churn()
+            if self._churn:
+                point["churn"] = dict(self._churn)
         with self._lock:
             self.points.append(point)
             self.samples += 1
             self._last = t
         return True
+
+    def _count_churn(self) -> None:
+        """Add the churn events emitted since the previous sample to the
+        running totals, scanning the ring newest first down to the last
+        ``seq`` already counted (events evicted in between are lost to
+        ``tracer_dropped``, never recounted)."""
+        newest = self._churn_seq
+        for ev in reversed(self.tracer):
+            seq = ev["seq"]
+            if seq <= self._churn_seq:
+                break
+            newest = max(newest, seq)
+            k = ev["type"]
+            if k in ("topology_change", "node_leave", "node_join"):
+                self._churn[k] = self._churn.get(k, 0) + 1
+        self._churn_seq = newest
 
     # -- reading (exporters hold the same lock) ---------------------------
 

@@ -23,21 +23,6 @@ Events are emitted in *program order*: ``seq`` totally orders the
 trace even where several events share a tick (e.g. a ``trigger``
 followed by ``partner_select``, ``balance`` and its ``transfer``
 fan-out all happen within one global tick).
-
-**Cross-process trace context.**  A :class:`TraceContext` names a run
-(``run_id``) and the parent span a batch was dispatched under, and
-travels across the :class:`~repro.simulation.parallel.BatchClient`
-boundary: the client wraps each task so the worker process sees
-:func:`current_context` with its own ``worker`` index before the task
-function runs.  Workers record into private tracers and ship
-:func:`worker_payload` dicts back (the same serialise-and-reduce shape
-the metrics registry uses); :func:`merge_worker_traces` folds any
-number of payloads into one causally-ordered, schema-valid timeline —
-span ids remapped so they cannot collide, a ``trace_context``
-provenance event opening each buffer, a ``trace_truncated`` warning
-wherever a ring buffer had evicted events, ``seq`` reassigned so
-:func:`~repro.observability.schema.validate_trace` passes.  The wire
-contract is documented in ``docs/OBSERVABILITY.md`` ("Telemetry").
 """
 
 from __future__ import annotations
@@ -45,7 +30,6 @@ from __future__ import annotations
 import json
 from collections import Counter as _Counter
 from collections import deque
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping
 
@@ -55,12 +39,7 @@ __all__ = [
     "NULL_TRACER",
     "write_ndjson",
     "read_ndjson",
-    "TraceContext",
-    "current_context",
-    "set_current_context",
-    "worker_payload",
     "event_time",
-    "merge_worker_traces",
 ]
 
 
@@ -119,6 +98,10 @@ class Tracer:
 
     def __iter__(self) -> Iterator[dict]:
         return iter(self._events)
+
+    def __reversed__(self) -> Iterator[dict]:
+        """Buffered events, newest first."""
+        return reversed(self._events)
 
     def counts(self) -> _Counter:
         """Event-type histogram of the buffered events."""
@@ -217,140 +200,8 @@ def read_ndjson(path: str | Path | IO[str]) -> list[dict]:
             fh.close()
 
 
-# -- cross-process trace context ------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class TraceContext:
-    """Provenance a batch dispatch carries across the process boundary.
-
-    ``run_id`` names the whole run (every worker of a run shares it);
-    ``parent_span`` is the span id the dispatch site was recording
-    under (-1 when none); ``worker`` is the per-task index the backend
-    stamps via :meth:`child` (-1 in the parent).
-    """
-
-    run_id: str
-    parent_span: int = -1
-    worker: int = -1
-
-    def child(self, worker: int) -> "TraceContext":
-        """The context a worker task runs under: same run, own index."""
-        return replace(self, worker=int(worker))
-
-    def describe(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "parent_span": self.parent_span,
-            "worker": self.worker,
-        }
-
-
-_CURRENT: TraceContext | None = None
-
-
-def current_context() -> TraceContext | None:
-    """The :class:`TraceContext` installed in this process, if any."""
-    return _CURRENT
-
-
-def set_current_context(ctx: TraceContext | None) -> None:
-    """Install (or clear) the process-wide trace context.
-
-    Worker processes are single-task-at-a-time, so one module-level
-    slot suffices; the batch client installs the child context before the
-    task function runs and clear it after.
-    """
-    global _CURRENT
-    _CURRENT = ctx
-
-
-def worker_payload(tracer, context: TraceContext | None = None) -> dict:
-    """The plain-dict trace a worker ships back through the pool.
-
-    ``context`` defaults to :func:`current_context` — inside a
-    backend-dispatched task that is the propagated parent context with
-    this task's ``worker`` index already stamped.
-    """
-    ctx = context if context is not None else current_context()
-    return {
-        "context": ctx.describe() if ctx is not None else {
-            "run_id": "", "parent_span": -1, "worker": -1,
-        },
-        "events": list(getattr(tracer, "events", ())),
-        "dropped": int(getattr(tracer, "dropped", 0)),
-    }
-
-
 def event_time(ev: Mapping) -> float:
     """An event's timestamp: async events carry ``time``, synchronous
     and span events carry ``t`` (``span``-less events without either —
     e.g. ``backend_fallback`` — sort at 0.0)."""
     return float(ev.get("time", ev.get("t", 0.0)))
-
-
-def merge_worker_traces(
-    payloads: Iterable[Mapping], *, start_seq: int = 0
-) -> list[dict]:
-    """Fold per-worker trace payloads into one causally-ordered timeline.
-
-    ``payloads`` are :func:`worker_payload` dicts in *causal priority
-    order*: put the parent's buffer first so that at equal timestamps
-    the parent's events (the spans that dispatched the work) sort
-    before the workers' (the spans they opened in response) — the
-    property test pins that parent spans open before their children.
-
-    Per payload, in order:
-
-    * a ``trace_context`` provenance event opens the buffer (stamped
-      with the payload's run id, worker index, parent span and drop
-      count, at the buffer's first event time);
-    * span ids are remapped by a per-payload offset so independently
-      allocated ids cannot collide in the merged stream;
-    * a ``trace_truncated`` warning event is injected when the
-      payload's ring buffer had evicted events — truncation is loud,
-      never silent.
-
-    The merged stream is sorted by ``(time, payload rank, original
-    seq)`` and ``seq`` reassigned from ``start_seq``, so the result
-    passes :func:`~repro.observability.schema.validate_trace`.
-    """
-    staged: list[tuple[float, int, int, dict]] = []
-    span_offset = 0
-    for rank, payload in enumerate(payloads):
-        ctx = payload.get("context") or {}
-        events = payload.get("events") or []
-        dropped = int(payload.get("dropped", 0))
-        t0 = event_time(events[0]) if events else 0.0
-        # rank breaks ties at equal times; -2/-1 keep the provenance
-        # marker (and truncation warning) ahead of the buffer's events
-        staged.append((t0, rank, -2, {
-            "type": "trace_context",
-            "time": t0,
-            "run_id": str(ctx.get("run_id", "")),
-            "worker": int(ctx.get("worker", -1)),
-            "parent_span": int(ctx.get("parent_span", -1)),
-            "dropped": dropped,
-        }))
-        if dropped:
-            staged.append((t0, rank, -1, {
-                "type": "trace_truncated",
-                "time": t0,
-                "worker": int(ctx.get("worker", -1)),
-                "dropped": dropped,
-            }))
-        max_span = -1
-        for ev in events:
-            ev = dict(ev)
-            if ev.get("type") in ("span_start", "span_point", "span_end"):
-                sid = int(ev["span"])
-                max_span = max(max_span, sid)
-                ev["span"] = sid + span_offset
-            staged.append((event_time(ev), rank, int(ev.get("seq", 0)), ev))
-        span_offset += max_span + 1
-    staged.sort(key=lambda item: item[:3])
-    merged = []
-    for seq, (_, _, _, ev) in enumerate(staged, start=start_seq):
-        ev["seq"] = seq
-        merged.append(ev)
-    return merged

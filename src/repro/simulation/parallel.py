@@ -32,8 +32,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from repro.observability.tracer import TraceContext, set_current_context
-
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -122,33 +120,6 @@ def resolve_backend(
     return backend, jobs
 
 
-class _ContextualTask:
-    """Picklable wrapper installing the propagated trace context.
-
-    The client enumerates the batch and wraps the task function so each
-    task sees :func:`repro.observability.tracer.current_context`
-    with its own task index stamped as ``worker`` *before* the task
-    function runs — the index is the submission position, so the
-    stamped context is deterministic regardless of which OS process
-    executes the task.  The wrapper composes with chunked ``pool.map``
-    dispatch because it travels with the function, not the pool.
-    """
-
-    __slots__ = ("fn", "ctx")
-
-    def __init__(self, fn: Callable, ctx: TraceContext) -> None:
-        self.fn = fn
-        self.ctx = ctx
-
-    def __call__(self, pair):
-        index, item = pair
-        set_current_context(self.ctx.child(worker=index))
-        try:
-            return self.fn(item)
-        finally:
-            set_current_context(None)
-
-
 class BatchClient:
     """Runs batches of independent tasks inline or on a process pool.
 
@@ -163,9 +134,6 @@ class BatchClient:
         self.backend = backend
         self.jobs = jobs
         self.tracer = tracer
-        #: optional TraceContext propagated to every task of every
-        #: subsequent batch (see docs/OBSERVABILITY.md, "Telemetry")
-        self.trace_context: TraceContext | None = None
         self.fell_back = False
         self._pool: ProcessPoolExecutor | None = None
         self._closed = False
@@ -193,12 +161,6 @@ class BatchClient:
         floored at 1.
         """
         self._check_open()
-        # contextualise before any dispatch decision so the propagated
-        # trace context reaches tasks identically on the pool, on the
-        # trivial-batch inline path, and after a fallback
-        ctx = self.trace_context
-        if ctx is not None:
-            fn, items = _ContextualTask(fn, ctx), enumerate(items)
         if self.backend == "native" or self.fell_back:
             yield from map(fn, items)
             return

@@ -1,4 +1,5 @@
-"""Tests for the bench-document readers and the regression compare."""
+"""Tests for the bench-document readers, the regression compare, the
+bench timeline and the harness's input checks."""
 
 import copy
 import json
@@ -7,10 +8,14 @@ import pytest
 
 from repro.experiments.microbench import (
     BENCH_SCHEMA,
+    bench_report,
+    bench_timeline,
     compare_bench,
     load_bench,
     load_bench_history,
+    run_microbench,
 )
+from repro.observability import validate_trace
 
 
 def bench_doc(**overrides):
@@ -20,16 +25,54 @@ def bench_doc(**overrides):
         "runs": [
             {
                 "n": 64, "profile": "quiet", "ticks_per_sec": 1000.0,
+                "elapsed_sec": 0.2,
                 "total_ops": 0, "events": {"trigger": 0},
             },
             {
                 "n": 64, "profile": "stationary", "ticks_per_sec": 500.0,
+                "elapsed_sec": 0.4,
                 "total_ops": 2215, "events": {"trigger": 2215, "borrow": 90},
             },
         ],
     }
     doc.update(overrides)
     return doc
+
+
+class TestBenchTimeline:
+    def test_one_span_per_run_under_the_grid_span(self):
+        doc = bench_doc()
+        events = bench_timeline(doc)
+        validate_trace(events)
+        starts = [e for e in events if e["type"] == "span_start"]
+        ends = {e["span"]: e["t"] for e in events if e["type"] == "span_end"}
+        assert len(starts) == len(ends) == 1 + len(doc["runs"])
+        assert (starts[0]["op"], starts[0]["t"]) == ("bench:grid", 0.0)
+        assert ends[starts[0]["span"]] == pytest.approx(0.6)
+        for i, (start, run) in enumerate(zip(starts[1:], doc["runs"])):
+            assert start["op"] == f"bench:{run['profile']}@{run['n']}"
+            assert (start["proc"], start["t"]) == (i, 0.0)
+            assert ends[start["span"]] == run["elapsed_sec"]
+
+    def test_same_timeline_on_either_backend_apart_from_end_times(self):
+        def shape(backend, jobs):
+            doc = bench_report(
+                (16,), profiles=("quiet", "stationary"), ticks=5,
+                backend=backend, jobs=jobs,
+            )
+            return [
+                {k: v for k, v in e.items() if e["type"] != "span_end" or k != "t"}
+                for e in bench_timeline(doc)
+            ]
+
+        assert shape("native", 1) == shape("multiprocessing", 2)
+
+
+class TestRunMicrobenchInputs:
+    @pytest.mark.parametrize("kwargs", [{"ticks": 0}, {"ticks": -5}, {"warmup": -1}])
+    def test_rejects_empty_or_negative_budgets(self, kwargs):
+        with pytest.raises(ValueError, match="ticks >= 1 and warmup >= 0"):
+            run_microbench(16, "quiet", **kwargs)
 
 
 class TestCompareBench:

@@ -2,13 +2,11 @@
 
 Prometheus text exposition (render + parse round-trip, HTTP server),
 the Chrome trace-event exporter (shapes, fault windows, truncation
-handling), the golden merged trace of a seeded two-worker
-multiprocessing dispatch, and the dashboard rendering.
+handling), and the dashboard rendering.
 """
 
 import io
 import json
-from pathlib import Path
 
 import pytest
 
@@ -17,12 +15,8 @@ from repro.observability import (
     Profiler,
     SpanRecorder,
     TelemetrySampler,
-    TraceContext,
     Tracer,
-    merge_worker_traces,
     spans_from_trace,
-    validate_trace,
-    worker_payload,
 )
 from repro.observability.export import (
     TelemetryServer,
@@ -39,9 +33,7 @@ from repro.observability.top import (
 )
 from repro.params import LBParams
 from repro.service import ServiceConfig, service_run
-from repro.simulation.parallel import get_client
 
-DATA = Path(__file__).parent / "data"
 PARAMS = LBParams(f=1.5, delta=1, C=2)
 
 
@@ -218,31 +210,6 @@ class TestChromeExport:
         assert doc["displayTimeUnit"] == "ms"
         assert doc["otherData"]["run_id"] == "r1"
 
-    def test_run_id_read_from_trace_context(self):
-        merged = merge_worker_traces([
-            worker_payload(Tracer(), TraceContext("from-ctx"))
-        ])
-        buf = io.StringIO()
-        write_chrome_trace(buf, merged)
-        doc = json.loads(buf.getvalue())
-        assert doc["otherData"]["run_id"] == "from-ctx"
-
-    def test_truncated_merge_still_exports(self):
-        """Ring eviction x export: the warning survives into the trace."""
-        tracer = Tracer(capacity=3)
-        spans = SpanRecorder(tracer)
-        for i in range(5):
-            sid = spans.start(t=float(i), op=f"op{i}", proc=0)
-            spans.end(sid, t=float(i) + 0.5, status="completed")
-        payload = worker_payload(tracer, TraceContext("trunc", worker=0))
-        merged = merge_worker_traces([payload])
-        validate_trace(merged)
-        out = chrome_trace_events(merged)
-        names = [e.get("name") for e in out]
-        assert "trace_truncated" in names
-        # orphaned span_ends (start evicted) render on lane 0, harmless
-        assert all("ph" in e for e in out)
-
     def test_spans_from_trace_warns_on_truncation(self):
         tracer = Tracer(capacity=3)
         spans = SpanRecorder(tracer)
@@ -254,66 +221,6 @@ class TestChromeExport:
         warnings = [e for e in warn.events if e["type"] == "trace_truncated"]
         assert len(warnings) == 1 and warnings[0]["dropped"] > 0
         assert recovered  # the surviving spans still reconstruct
-
-
-RUN_ID = "golden-2w"
-
-
-def _golden_worker(idx: int) -> dict:
-    """One deterministic worker task: all timestamps are model time."""
-    from repro.observability import (
-        SpanRecorder as _SpanRecorder,
-        Tracer as _Tracer,
-        current_context,
-        worker_payload as _worker_payload,
-    )
-
-    tracer = _Tracer()
-    spans = _SpanRecorder(tracer)
-    ctx = current_context()
-    worker = ctx.worker if ctx is not None else -1
-    sid = spans.start(t=1.0 + idx, op=f"task-{idx}", proc=max(worker, 0))
-    spans.point(sid, t=1.5 + idx, phase="balance", proc=max(worker, 0))
-    spans.end(sid, t=2.0 + idx, status="completed", migrated=idx)
-    return _worker_payload(tracer)
-
-
-def golden_merged_trace() -> list[dict]:
-    """The seeded two-worker multiprocessing dispatch, merged."""
-    parent_tracer = Tracer()
-    parent_spans = SpanRecorder(parent_tracer)
-    root = parent_spans.start(t=0.0, op="grid", proc=0)
-    ctx = TraceContext(RUN_ID, parent_span=root)
-    with get_client("multiprocessing", jobs=2) as client:
-        client.trace_context = ctx
-        payloads = list(client.map_ordered(_golden_worker, [0, 1]))
-    parent_spans.end(root, t=4.0, status="completed")
-    return merge_worker_traces(
-        [worker_payload(parent_tracer, ctx)] + payloads
-    )
-
-
-class TestGoldenMultiprocessingTrace:
-    def test_workers_carry_the_propagated_context(self):
-        merged = golden_merged_trace()
-        contexts = [e for e in merged if e["type"] == "trace_context"]
-        assert [c["run_id"] for c in contexts] == [RUN_ID] * 3
-        assert sorted(c["worker"] for c in contexts) == [-1, 0, 1]
-        assert {c["parent_span"] for c in contexts} == {0}
-
-    def test_matches_the_committed_golden_file(self):
-        """Bit-stable: the merged Chrome export equals the checked-in
-        golden (pool or inline-fallback execution, any worker order)."""
-        buf = io.StringIO()
-        write_chrome_trace(buf, golden_merged_trace())
-        golden = (DATA / "golden_chrome_2worker.json").read_text()
-        assert json.loads(buf.getvalue()) == json.loads(golden)
-
-    def test_chrome_spans_share_one_run_id(self):
-        out = chrome_trace_events(golden_merged_trace())
-        begins = [e for e in out if e["ph"] == "B"]
-        assert {e["args"]["run_id"] for e in begins} == {RUN_ID}
-        assert sorted(e["tid"] for e in begins) == [0, 0, 1]
 
 
 def _frame_history():

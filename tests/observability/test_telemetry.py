@@ -1,197 +1,33 @@
-"""Tests for the live telemetry layer: sampler, trace context, merging.
+"""Tests for the live telemetry layer.
 
-Covers the two halves of :mod:`repro.observability.telemetry` —
-
-* the windowed :class:`TelemetrySampler` (interval thinning, window
-  bound, service binding, rolling band occupancy) and its bit-identity
-  contract: a run with a sampler attached is indistinguishable, down
-  to the RNG stream state, from a run without one;
-* cross-process trace context (:class:`TraceContext`,
-  :func:`worker_payload`, :func:`merge_worker_traces`) including a
-  hypothesis property that merged timelines are causally ordered —
-  time-sorted, schema-valid ``seq``, parent spans open before their
-  children.
+Covers the windowed :class:`TelemetrySampler` of
+:mod:`repro.observability.telemetry` (interval thinning, window bound,
+service binding, rolling band occupancy, cumulative churn counts) and
+its bit-identity contract: a run with a sampler attached is
+indistinguishable, down to the RNG stream state, from a run without
+one.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.core.columnar import ColumnarEngine
 from repro.core.engine import Engine, EngineConfig
 from repro.observability import (
     SpanRecorder,
     TelemetrySampler,
-    TraceContext,
     Tracer,
-    current_context,
-    merge_worker_traces,
-    set_current_context,
-    validate_trace,
-    worker_payload,
 )
-from repro.observability.tracer import event_time
+from repro.observability.export.prometheus import (
+    parse_exposition,
+    render_exposition,
+)
 from repro.params import LBParams
 from repro.service import ServiceConfig, service_run
 from repro.simulation.driver import Simulation, run_simulation
 from repro.workload import UniformRandom
 
 PARAMS = LBParams(f=1.5, delta=1, C=2)
-
-
-@pytest.fixture(autouse=True)
-def _clean_context():
-    """Never leak an installed trace context between tests."""
-    set_current_context(None)
-    yield
-    set_current_context(None)
-
-
-class TestTraceContext:
-    def test_child_stamps_worker_only(self):
-        ctx = TraceContext("run-7", parent_span=3)
-        child = ctx.child(5)
-        assert child == TraceContext("run-7", parent_span=3, worker=5)
-        assert ctx.worker == -1  # frozen parent untouched
-
-    def test_describe_is_plain_data(self):
-        assert TraceContext("r", parent_span=1, worker=2).describe() == {
-            "run_id": "r", "parent_span": 1, "worker": 2,
-        }
-
-    def test_install_and_clear(self):
-        assert current_context() is None
-        ctx = TraceContext("r")
-        set_current_context(ctx)
-        assert current_context() is ctx
-        set_current_context(None)
-        assert current_context() is None
-
-
-class TestWorkerPayload:
-    def test_without_context_uses_sentinel(self):
-        payload = worker_payload(Tracer())
-        assert payload == {
-            "context": {"run_id": "", "parent_span": -1, "worker": -1},
-            "events": [],
-            "dropped": 0,
-        }
-
-    def test_picks_up_installed_context(self):
-        set_current_context(TraceContext("r", parent_span=0, worker=4))
-        assert worker_payload(Tracer())["context"]["worker"] == 4
-
-    def test_explicit_context_wins(self):
-        set_current_context(TraceContext("installed"))
-        ctx = TraceContext("explicit", worker=1)
-        assert worker_payload(Tracer(), ctx)["context"]["run_id"] == "explicit"
-
-    def test_carries_events_and_drops(self):
-        tracer = Tracer(capacity=2)
-        spans = SpanRecorder(tracer)
-        for i in range(3):
-            sid = spans.start(t=float(i), op=f"op{i}", proc=0)
-            spans.end(sid, t=float(i), status="completed")
-        payload = worker_payload(tracer)
-        assert len(payload["events"]) == 2
-        assert payload["dropped"] == 4
-
-
-def _span_payload(times, worker, *, run_id="run", parent_span=0):
-    """A well-formed worker payload with one closed span per time."""
-    tracer = Tracer()
-    spans = SpanRecorder(tracer)
-    for i, t in enumerate(times):
-        sid = spans.start(t=float(t), op=f"w{worker}:{i}", proc=max(worker, 0))
-        spans.end(sid, t=float(t), status="completed")
-    ctx = TraceContext(run_id, parent_span=parent_span, worker=worker)
-    return worker_payload(tracer, ctx)
-
-
-class TestMergeWorkerTraces:
-    def test_merged_timeline_is_schema_valid(self):
-        merged = merge_worker_traces([
-            _span_payload([0.0, 2.0], -1),
-            _span_payload([1.0], 0),
-            _span_payload([0.5, 3.0], 1),
-        ])
-        counts = validate_trace(merged)  # raises on bad seq/fields
-        assert counts["trace_context"] == 3
-        assert counts["span_start"] == 5
-
-    def test_span_ids_cannot_collide(self):
-        # both workers allocated span ids 0..1 independently
-        merged = merge_worker_traces([
-            _span_payload([0.0, 1.0], 0),
-            _span_payload([0.0, 1.0], 1),
-        ])
-        sids = [ev["span"] for ev in merged if ev["type"] == "span_start"]
-        assert len(sids) == len(set(sids)) == 4
-
-    def test_provenance_event_opens_each_buffer(self):
-        merged = merge_worker_traces(
-            [_span_payload([5.0], 0, run_id="abc")], start_seq=10
-        )
-        head = merged[0]
-        assert head["type"] == "trace_context"
-        assert head["run_id"] == "abc"
-        assert head["time"] == 5.0  # stamped at the buffer's first event
-        assert [ev["seq"] for ev in merged] == list(range(10, 10 + len(merged)))
-
-    def test_truncated_buffer_warns_loudly(self):
-        tracer = Tracer(capacity=2)
-        spans = SpanRecorder(tracer)
-        for i in range(4):
-            sid = spans.start(t=float(i), op=f"op{i}", proc=0)
-            spans.end(sid, t=float(i), status="completed")
-        payload = worker_payload(tracer, TraceContext("r", worker=2))
-        merged = merge_worker_traces([payload])
-        warnings = [ev for ev in merged if ev["type"] == "trace_truncated"]
-        assert len(warnings) == 1
-        assert warnings[0]["dropped"] == payload["dropped"] > 0
-        assert warnings[0]["worker"] == 2
-
-    def test_parent_rank_breaks_timestamp_ties(self):
-        # parent dispatches at t=0, workers start at t=0 too: the
-        # parent's span must still open first in the merged stream
-        merged = merge_worker_traces([
-            _span_payload([0.0], -1, parent_span=-1),
-            _span_payload([0.0], 0),
-            _span_payload([0.0], 1),
-        ])
-        starts = [ev for ev in merged if ev["type"] == "span_start"]
-        assert starts[0]["op"] == "w-1:0"
-
-    @given(
-        worker_times=st.lists(
-            st.lists(
-                st.floats(min_value=0.0, max_value=100.0),
-                min_size=0, max_size=6,
-            ).map(sorted),
-            min_size=0, max_size=4,
-        )
-    )
-    def test_merge_properties(self, worker_times):
-        """Merged timelines are causally ordered, whatever the buffers.
-
-        Time-sorted, strictly increasing seq (via validate_trace), one
-        provenance event per payload, and the parent's spans open
-        before any worker span at the same or later time.
-        """
-        parent = _span_payload([0.0], -1, parent_span=-1)
-        payloads = [parent] + [
-            _span_payload(times, w) for w, times in enumerate(worker_times)
-        ]
-        merged = merge_worker_traces(payloads)
-        validate_trace(merged)
-        stamps = [event_time(ev) for ev in merged]
-        assert stamps == sorted(stamps)
-        n_contexts = sum(ev["type"] == "trace_context" for ev in merged)
-        assert n_contexts == len(payloads)
-        starts = [ev for ev in merged if ev["type"] == "span_start"]
-        if starts:  # worker times are all >= the parent's t=0 dispatch
-            assert starts[0]["op"] == "w-1:0"
 
 
 class TestTelemetrySampler:
@@ -255,6 +91,20 @@ class TestTelemetrySampler:
         sampler = TelemetrySampler(interval=0.0, tracer=tracer)
         sampler.sample(0.0)
         assert sampler.snapshot()["latest"]["tracer_dropped"] > 0
+
+    def test_churn_counter_never_decreases_while_the_ring_evicts(self):
+        tracer = Tracer(capacity=4)
+        sampler = TelemetrySampler(interval=0.0, tracer=tracer)
+        scraped = []
+        events = ["node_leave", "node_leave"] + ["tick"] * 6
+        for t, etype in enumerate(events):
+            tracer.emit(etype, t=float(t), proc=0)
+            sampler.sample(float(t))
+            series = parse_exposition(render_exposition(sampler))
+            counter = series.get("repro_churn_events_total", {})
+            scraped.append(sum(counter.values()))
+        assert tracer.dropped > 0  # both leaves were evicted
+        assert scraped == [1, 2, 2, 2, 2, 2, 2, 2]
 
 
 class TestServiceBinding:

@@ -550,6 +550,30 @@ class TestBenchSmokeFlags:
         assert doc["runs"][0]["ticks"] == 10
         assert doc["runs"][0]["engine"] == "columnar"
 
+    @pytest.mark.parametrize("ticks", ["0", "-5"])
+    def test_ticks_below_one_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, ticks
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "bench", "--profile", "quiet", "-n", "64", "--ticks", ticks,
+                "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert "--ticks" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, seed", [(["--seed", "0"], 0), ([], 7)])
+    def test_seed_is_the_engine_seed(self, tmp_path, capsys, argv, seed):
+        import json
+
+        assert main([
+            "bench", "--profile", "quiet", "-n", "64", "--ticks", "10",
+            "--out", str(tmp_path), *argv,
+        ]) == 0
+        doc = json.loads((tmp_path / "BENCH_engine.json").read_text())
+        assert doc["params"]["engine_seed"] == seed
+
 
 class TestSizeFlag:
     """``--n`` given explicitly is honoured, whatever its value."""
@@ -725,23 +749,38 @@ class TestTelemetryCli:
         ]) == 0
         assert "within tolerance" in capsys.readouterr().out
 
-    def test_bench_trace_out_writes_merged_timeline(
+    def test_bench_trace_out_writes_bench_timeline(
         self, tmp_path, capsys
     ):
         import json
 
+        args = [
+            "bench", "--profile", "quiet,stationary", "-n", "64",
+            "--ticks", "10", "--jobs", "2", "--backend", "multiprocessing",
+        ]
         trace = tmp_path / "bench_trace.json"
         assert main([
-            "bench", "--profile", "quiet", "-n", "64", "--ticks", "10",
-            "--jobs", "2", "--backend", "multiprocessing",
-            "--out", str(tmp_path), "--trace-out", str(trace),
+            *args, "--out", str(tmp_path), "--trace-out", str(trace),
         ]) == 0
+        assert main([*args, "--out", str(tmp_path / "plain")]) == 0
         capsys.readouterr()
+        bench = json.loads((tmp_path / "BENCH_engine.json").read_text())
+        runs = bench["runs"]
         doc = json.loads(trace.read_text())
         begins = [e for e in doc["traceEvents"] if e.get("ph") == "B"]
-        run_ids = {e["args"]["run_id"] for e in begins}
-        assert len(run_ids) == 1  # one propagated id across all workers
+        assert len(begins) == 1 + len(runs) == 3
         assert begins[0]["name"] == "bench:grid"
+        assert [(e["name"], e["tid"]) for e in begins[1:]] == [
+            (f"bench:{r['profile']}@{r['n']}", i) for i, r in enumerate(runs)
+        ]
+        run_id = f"bench-{bench['git_rev']}"
+        assert {e["args"]["run_id"] for e in begins} == {run_id}
+        assert doc["otherData"]["run_id"] == run_id
+        # the trace export leaves the measured counters untouched
+        plain = json.loads((tmp_path / "plain" / "BENCH_engine.json").read_text())
+        assert [(r["total_ops"], r["events"]) for r in runs] == [
+            (r["total_ops"], r["events"]) for r in plain["runs"]
+        ]
 
     def test_serve_telemetry_serves_and_stops(self, tmp_path, capsys):
         assert main([
