@@ -134,7 +134,7 @@ import time
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 __all__ = ["main"]
 
@@ -571,11 +571,7 @@ def _run_trace(args: argparse.Namespace) -> str:
     if args.export is not None:
         _check_choice("export format", args.export, ("ndjson", "chrome"))
         if args.trace_out is None:
-            print(
-                "error: --export needs --trace-out to name the output file",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
+            _usage_error("--export needs --trace-out to name the output file")
 
     if args.diff:
         a_path, b_path = args.diff
@@ -648,6 +644,12 @@ def _run_profile(args: argparse.Namespace) -> str:
     return "\n".join([header, "", *profiler_section(profiler)])
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Report bad input the CLI's one way: ``error: ...`` on stderr, exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _check_choice(kind: str, value: str, valid) -> None:
     """Fail fast (exit 2) on an unknown registry name.
 
@@ -659,12 +661,7 @@ def _check_choice(kind: str, value: str, valid) -> None:
     """
     if value not in valid:
         plural = kind[:-1] + "ies" if kind.endswith("y") else kind + "s"
-        print(
-            f"error: unknown {kind} {value!r} "
-            f"(known {plural}: {', '.join(valid)})",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+        _usage_error(f"unknown {kind} {value!r} (known {plural}: {', '.join(valid)})")
 
 
 def _run_bench(args: argparse.Namespace) -> str:
@@ -683,26 +680,20 @@ def _run_bench(args: argparse.Namespace) -> str:
         for name in profiles:
             _check_choice("profile", name, PROFILES)
         if not profiles:
-            print(
-                f"error: --profile needs at least one of "
-                f"{', '.join(PROFILES)}",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
+            _usage_error(f"--profile needs at least one of {', '.join(PROFILES)}")
     if args.n is not None:
         ns = (args.n,)
+        if args.n < 2:
+            _usage_error(f"-n needs a value >= 2, got {args.n}")
     else:
         try:
             ns = tuple(int(x) for x in args.sizes.split(",") if x)
-        except ValueError as exc:
-            raise SystemExit(
-                f"error: --sizes expects comma-separated ints, got {args.sizes!r}"
-            ) from exc
-    if not ns or any(n < 2 for n in ns):
-        raise SystemExit(f"error: --sizes needs values >= 2, got {args.sizes!r}")
+        except ValueError:
+            _usage_error(f"--sizes expects comma-separated ints, got {args.sizes!r}")
+        if not ns or any(n < 2 for n in ns):
+            _usage_error(f"--sizes needs values >= 2, got {args.sizes!r}")
     if args.ticks is not None and args.ticks < 1:
-        print(f"error: --ticks needs a value >= 1, got {args.ticks}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"--ticks needs a value >= 1, got {args.ticks}")
     doc = bench_report(
         ns,
         profiles=profiles,
@@ -908,12 +899,10 @@ def _run_churn(args: argparse.Namespace) -> str:
                     float(x) for x in opt.split(",") if x.strip()
                 )
             except ValueError:
-                print(
-                    f"error: --{field.replace('_', '-')} expects "
-                    f"comma-separated numbers, got {opt!r}",
-                    file=sys.stderr,
+                _usage_error(
+                    f"--{field.replace('_', '-')} expects "
+                    f"comma-separated numbers, got {opt!r}"
                 )
-                raise SystemExit(2) from None
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     doc = dynamics_experiment(cfg)
@@ -1077,8 +1066,7 @@ def _batch_selection(backend: str | None, jobs: int | None):
     try:
         backend, jobs = resolve_backend(backend, jobs)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(str(exc))
     saved = {key: os.environ.get(key) for key in ("REPRO_BACKEND", "REPRO_JOBS")}
     os.environ["REPRO_BACKEND"] = backend
     os.environ["REPRO_JOBS"] = str(jobs)

@@ -83,6 +83,7 @@ registry* path used by the multi-run harness (see
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -400,49 +401,49 @@ class AsyncEngine:
         snaps = [self.l.copy()]
         next_snap = self.snapshot_dt
 
-        for ev in self.queue.drain_until(horizon):
-            while ev.time >= next_snap - 1e-12 and next_snap <= horizon:
+        for t, _seq, payload in self.queue.drain_until(horizon):
+            while t >= next_snap - 1e-12 and next_snap <= horizon:
                 snap_times.append(next_snap)
                 snaps.append(self.l.copy())
                 if self.monitors is not None:
                     self.monitors.observe(next_snap, snaps[-1])
                 self._on_snapshot(next_snap, snaps[-1])
                 next_snap += self.snapshot_dt
-            self.time = ev.time
-            kind = ev.payload[0]
+            self.time = t
+            kind = payload[0]
             if self._trace:
                 self.tracer.emit(
                     "async_deliver",
-                    time=float(ev.time),
+                    time=float(t),
                     kind=self._kind_name(kind),
-                    proc=int(ev.payload[1]),
+                    proc=int(payload[1]),
                 )
             if kind == _ACTION:
                 if self._profile:
                     with self.profiler.section("async.action"):
-                        self._do_action(ev.payload[1])
+                        self._do_action(payload[1])
                 else:
-                    self._do_action(ev.payload[1])
+                    self._do_action(payload[1])
             elif kind == _COMPLETE:
                 if self._profile:
                     with self.profiler.section("async.complete"):
-                        self._complete_balance(*ev.payload[1:])
+                        self._complete_balance(*payload[1:])
                 else:
-                    self._complete_balance(*ev.payload[1:])
+                    self._complete_balance(*payload[1:])
             elif kind == _RETRY:
                 if self._profile:
                     with self.profiler.section("async.retry"):
-                        self._do_retry(ev.payload[1])
+                        self._do_retry(payload[1])
                 else:
-                    self._do_retry(ev.payload[1])
+                    self._do_retry(payload[1])
             elif kind == _TIMEOUT:
-                self._reclaim(ev.payload[1], ev.payload[2])
+                self._reclaim(payload[1], payload[2])
             elif kind == _FAULT:
-                self._fault_boundary(ev.payload[1], ev.payload[2])
+                self._fault_boundary(payload[1], payload[2])
             elif kind == _CHURN:
                 self.dynnet.advance(self.time)
             else:
-                self._dispatch_extra(kind, ev.payload)
+                self._dispatch_extra(kind, payload)
         while next_snap <= horizon:
             snap_times.append(next_snap)
             snaps.append(self.l.copy())
@@ -505,9 +506,9 @@ class AsyncEngine:
         """A periodic load snapshot was taken (after monitors ran)."""
 
     def _post_balance(
-        self, alive_idx: np.ndarray, before: np.ndarray, after: np.ndarray
+        self, alive: Sequence[int], before: Sequence[int], after: Sequence[int]
     ) -> None:
-        """Loads were redistributed among ``alive_idx`` (before→after)."""
+        """Loads were redistributed among ``alive`` (before→after)."""
 
     def set_trigger_factor(self, f: float) -> None:
         """Re-arm the balancing trigger with a new factor ``f``.
@@ -691,8 +692,10 @@ class AsyncEngine:
                 )
             return
         del self._inflight[op]
-        parts = np.asarray(group, dtype=np.int64)
-        self.busy[parts] = False
+        # a group is at most delta + 1 processors: plain ints beat numpy
+        busy = self.busy
+        for p in group:
+            busy[p] = False
         if self.faults is not None:
             alive = tuple(
                 p for p in group if not self.faults.crashed(p, self.time)
@@ -707,25 +710,25 @@ class AsyncEngine:
                 if sid is not None:
                     self.spans.end(sid, t=self.time, status="aborted")
             return
-        alive_idx = np.asarray(alive, dtype=np.int64)
-        before = self.l[alive_idx].copy()
-        total = int(before.sum())
+        l, l_old = self.l, self.l_old
+        before = [int(l[p]) for p in alive]
         after = even_split(
-            total, len(alive), start=int(self.rng.integers(len(alive)))
-        )
-        self.l[alive_idx] = after
-        self._post_balance(alive_idx, before, after)
-        migrated = int(np.maximum(after - before, 0).sum())
+            sum(before), len(alive), start=int(self.rng.integers(len(alive)))
+        ).tolist()
+        migrated = 0
+        for p, b, a in zip(alive, before, after):
+            l[p] = a
+            l_old[p] = a
+            if a > b:
+                migrated += a - b
+        self._post_balance(alive, before, after)
         self.packets_migrated += migrated
-        self.l_old[alive_idx] = self.l[alive_idx]
         self.total_ops += 1
         if self._trace:
             self.tracer.emit(
                 "async_balance", time=float(self.time), initiator=int(i),
-                group=[int(p) for p in alive],
-                loads_before=[int(v) for v in before],
-                loads_after=[int(v) for v in after],
-                migrated=migrated,
+                group=[int(p) for p in alive], loads_before=before,
+                loads_after=after, migrated=migrated,
             )
         if self._span:
             sid = self._op_span.pop(op, None)
@@ -740,7 +743,8 @@ class AsyncEngine:
         if info is None:
             return  # the completion arrived in time
         group, t0 = info
-        self.busy[np.asarray(group, dtype=np.int64)] = False
+        for p in group:
+            self.busy[p] = False
         self.reclaimed_ops += 1
         if self._trace:
             self.tracer.emit(

@@ -62,6 +62,7 @@ import numpy as np
 
 from repro.core.engine import Engine, EngineConfig
 from repro.core.rngadvance import PermutationSkipper, quiet_apply
+from repro.core.selection import GlobalRandomSelector
 
 __all__ = [
     "ColumnarEngine",
@@ -275,7 +276,8 @@ class ColumnarEngine(Engine):
     kernel:
         ``"auto"`` (default) uses the C kernels of
         :mod:`repro.core.rngadvance` when they pass their exactness
-        probe; ``"off"`` forces the pure numpy/python fallbacks.
+        probe; ``"off"`` forces the pure numpy/python fallbacks, the
+        default selector's partner draws included.
 
     Custom per-processor ``triggers`` (which may carry per-check state,
     e.g. :class:`~repro.core.triggers.AdaptiveTrigger`, so they must see
@@ -315,6 +317,9 @@ class ColumnarEngine(Engine):
         self._deep_left = 0
         self._use_kernel = kernel != "off"
         self._skipper = PermutationSkipper(self.rng, kernel=kernel)
+        if selector is None and dynnet is None:
+            # the default selector's partner draws follow the same switch
+            self.selector = GlobalRandomSelector(self.n, kernel=kernel)
         self.pipeline = PassPipeline(
             [ClassifyPass(), FusedQuietPass(), ResidualPass()]
         )

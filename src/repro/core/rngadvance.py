@@ -1,4 +1,4 @@
-"""Bit-exact RNG fast-forward and fused quiet-tick apply (C kernels).
+"""Bit-exact RNG replays and the fused quiet-tick apply (C kernels).
 
 The engines draw one ``rng.permutation(n)`` per tick to randomise the
 processor sweep order.  On an *all-fast* tick (every processor is a
@@ -8,6 +8,12 @@ because the next tick's draws must come from the same stream position as
 the scalar sweep's.  At n = 10⁵–10⁶ materialising and discarding that
 permutation dominates the tick, so :class:`PermutationSkipper` advances
 the generator state *without* building the array.
+
+Every balancing operation draws its ``delta`` partners with
+``rng.choice(n - 1, delta, replace=False)`` (see
+:class:`~repro.core.selection.GlobalRandomSelector`).  From Python that
+call costs ~12 µs, most of it numpy set-up around a handful of draws,
+so :class:`ChoiceReplayer` replays it in C: picks and state alike.
 
 Exactness contract
 ------------------
@@ -22,42 +28,60 @@ high half on every 64-bit draw, even when the buffered value is about to
 be consumed, which is why the kernels below do the same (the replay must
 reproduce the buffer byte-for-byte, not just the accepted values).
 
-Three tiers, best available wins, each verified at first use by a probe
-that replays real ``permutation`` calls and compares the **full bit
-generator state dict** (including the 32-bit buffer) against the kernel:
+``Generator.choice(m, size, replace=False)`` (numpy 2.x) takes Floyd's
+branch when ``m <= 10_000`` or ``size <= m // 50``: for ``j = m-size ..
+m-1`` draw ``v`` in ``[0, j]`` (a repeat becomes ``j``), then shuffle the
+picks with draws in ``[0, i]`` for ``i = size-1 .. 1``.  Each draw is
+Lemire's *bounded multiply* on the same buffered 32-bit words, not the
+permutation's masked rejection.  Elsewhere choice tail-shuffles a full
+``arange(m)``; the replay leaves that branch to numpy.
 
-* ``pcg64`` — writes numpy's PCG64 state struct directly through
-  ``bit_generator.ctypes.state_address`` and steps the 128-bit LCG +
-  XSL-RR output function in C.  No Python per tick at all.
+Three tiers, best available wins, each verified at first use by a probe
+that replays real calls and compares the **full bit generator state
+dict** (including the 32-bit buffer), and for ``choice`` the picks,
+against the kernel; the choice probe covers both sides of the Floyd
+cutoff:
+
+* ``pcg64`` — permutation skips only: writes numpy's PCG64 state struct
+  directly through ``bit_generator.ctypes.state_address`` and steps the
+  128-bit LCG + XSL-RR output function in C.  No Python per tick at
+  all.  A partner draw is only a few 32-bit words, so its cost is the
+  ctypes call and it has no such tier.
 * ``next32`` — generic: calls the bit generator's own ``next_uint32``
-  C function pointer from C, so any bit generator works; the rejection
-  loop is identical by construction.
-* ``python`` — draw the real permutation and discard it (always exact,
-  the reference the probes compare against).
+  C function pointer from C, so any bit generator works; the draw loop
+  is identical by construction.
+* ``python`` — make the real numpy call (always exact, the reference the
+  probes compare against).
 
 ``quiet_apply`` is the companion kernel: validate + apply a whole
 all-fast ±1 tick (``l``, ``d.diag``, ``d.row_sums``) in one C pass,
 falling back to numpy when no compiler is available.
 
-Set ``REPRO_NO_CKERNEL=1`` to disable both kernels (pure-python tiers
-only); the engines stay bit-identical either way, only slower.
+A failed build, or a probe that rejects a compiled tier, raises one
+``RuntimeWarning`` naming the tier that runs instead.  Set
+``REPRO_NO_CKERNEL=1`` to disable every kernel quietly (pure-python
+tiers only); the engines stay bit-identical either way, only slower.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["PermutationSkipper", "quiet_apply", "kernel_available"]
+__all__ = ["ChoiceReplayer", "PermutationSkipper", "quiet_apply", "kernel_available"]
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 typedef unsigned __int128 u128;
 
@@ -134,6 +158,59 @@ void advance_shuffle_next32(next32_fn next32, void *bg_state, uint64_t n) {
     }
 }
 
+/* Partner draws: replay Generator.choice(m, size, replace=False) on
+ * numpy's Floyd branch, then shift every pick >= skip up by one (so the
+ * picks range over 0..m without `skip`).  Floyd: for j = m-size .. m-1
+ * draw v in [0, j] (a repeat becomes j, which no earlier pick can be);
+ * then numpy's _shuffle_int of the picks with draws in [0, i] for
+ * i = size-1 .. 1.  Every draw is random_bounded_uint64(0, rng): no
+ * draw for rng == 0, else Lemire's bounded 32-bit draw. */
+static inline uint64_t bounded32(next32_fn next32, void *ctx, uint64_t rng) {
+    if (rng == 0) return 0;
+    const uint32_t excl = (uint32_t)rng + 1;
+    uint64_t m = (uint64_t)next32(ctx) * excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < excl) {
+        const uint32_t threshold = (UINT32_MAX - (uint32_t)rng) % excl;
+        while (leftover < threshold) {
+            m = (uint64_t)next32(ctx) * excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return m >> 32;
+}
+
+/* Returns 0, or -1 (nothing drawn) when the pick set cannot be
+ * allocated.  Requires 1 <= size <= m <= UINT32_MAX. */
+int choice_next32(next32_fn next32, void *ctx, uint64_t m,
+                  uint64_t size, uint64_t skip, int64_t *out) {
+    uint64_t cap = 4;
+    while (cap < 2 * size) cap <<= 1;
+    uint64_t *seen = malloc(cap * sizeof(uint64_t));
+    if (!seen) return -1;
+    memset(seen, 0xff, cap * sizeof(uint64_t));
+    const uint64_t first = m - size, mask = cap - 1;
+    for (uint64_t j = first; j < m; j++) {
+        uint64_t v = bounded32(next32, ctx, j);
+        uint64_t at = v & mask;
+        while (seen[at] != UINT64_MAX && seen[at] != v) at = (at + 1) & mask;
+        if (seen[at] == v) {
+            v = j;
+            at = v & mask;
+            while (seen[at] != UINT64_MAX) at = (at + 1) & mask;
+        }
+        seen[at] = v;
+        out[j - first] = (int64_t)v;
+    }
+    free(seen);
+    for (uint64_t i = size - 1; i >= 1; i--) {
+        const uint64_t j = bounded32(next32, ctx, i);
+        const int64_t t = out[j]; out[j] = out[i]; out[i] = t;
+    }
+    for (uint64_t k = 0; k < size; k++) out[k] += ((uint64_t)out[k] >= skip);
+    return 0;
+}
+
 /* Fused all-fast tick: validate every action is in {-1,0,1}, then apply
  * l += a, diag += a, row_sums += a in one pass.  Returns 0 on success
  * (npos/nneg = generate/consume counts) or -(k+1) for the first invalid
@@ -163,15 +240,24 @@ _LL = ctypes.POINTER(ctypes.c_longlong)
 # CDLL or False (build failed / disabled)
 _lib: ctypes.CDLL | bool | None = None
 
-# probe verdicts per bit-generator class: "pcg64" | "next32" | "python"
-_TIER_CACHE: dict[type, str] = {}
+# probe verdicts per (replay, bit-generator class): "pcg64" | "next32" | "python"
+_TIER_CACHE: dict[tuple[str, type], str] = {}
+
+
+def _warn_fallback(why: str, tier: str) -> None:
+    warnings.warn(
+        f"{why}; running the {tier} tier (bit-identical, slower)",
+        RuntimeWarning,
+        stacklevel=4,
+    )
 
 
 def _build_library() -> ctypes.CDLL | None:
     """Compile the kernel source once per machine (cached .so) and load it.
 
     Returns None when disabled (``REPRO_NO_CKERNEL``) or when no C
-    compiler is available — callers fall back to pure numpy/python.
+    compiler is available — callers fall back to pure numpy/python, and
+    the second case warns once per process.
     """
     global _lib
     if _lib is not None:
@@ -200,8 +286,7 @@ def _build_library() -> ctypes.CDLL | None:
                 if res.returncode == 0:
                     break
             else:
-                _lib = False
-                return None
+                raise OSError("no C compiler built the kernel source")
             os.replace(tmp_so, so)  # atomic vs concurrent worker builds
         lib = ctypes.CDLL(str(so))
         lib.advance_shuffle_pcg64.argtypes = [ctypes.c_void_p, ctypes.c_uint64]
@@ -212,10 +297,14 @@ def _build_library() -> ctypes.CDLL | None:
             ctypes.c_uint64,
         ]
         lib.advance_shuffle_next32.restype = None
+        draw = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p]
+        lib.choice_next32.argtypes = [ctypes.c_void_p, ctypes.c_void_p, *draw]
+        lib.choice_next32.restype = ctypes.c_int
         lib.quiet_apply.argtypes = [_LL, _LL, _LL, _LL, ctypes.c_longlong, _LL, _LL]
         lib.quiet_apply.restype = ctypes.c_longlong
-    except Exception:
+    except Exception as exc:
         _lib = False
+        _warn_fallback(f"the C kernels are unavailable ({exc})", "python")
         return None
     _lib = lib
     return lib
@@ -239,48 +328,110 @@ def _states_equal(a, b) -> bool:
     return a == b
 
 
+def _twins(bitgen_cls, seed: int, pre: int):
+    """Two generators in one state after ``pre`` 32-bit draws (an odd
+    count leaves a buffered high half pending)."""
+    pair = [np.random.Generator(bitgen_cls(seed=seed)) for _ in range(2)]
+    if pre:
+        for gen in pair:
+            gen.integers(0, 3, size=pre)
+    return pair
+
+
 # (permutation size, 32-bit pre-draws to desync the uinteger buffer)
-_PROBE_CASES = ((3, 0), (17, 1), (64, 0), (255, 2), (1000, 3), (100003, 1))
+_SKIP_CASES = ((3, 0), (17, 1), (64, 0), (255, 2), (1000, 3), (100003, 1))
+
+# (population m, picks, skip, 32-bit pre-draws): partner-sized draws,
+# an exhausted population, and both sides of numpy's Floyd cutoff —
+# (10_000, 300) and (20_000, 400) replay in C, (10_001, 201) and
+# (20_000, 401) take the tail-shuffle branch
+_CHOICE_CASES = (
+    (1, 1, 0, 0), (2, 2, 1, 1), (3, 2, 3, 0), (255, 2, 17, 3),
+    (1023, 3, 0, 1), (10_000, 300, 4999, 2), (10_001, 201, 7, 1),
+    (20_000, 400, 19_999, 1), (20_000, 401, 3, 0), (100_001, 5, 100_000, 3),
+)
 
 
-def _probe(bitgen_cls, advance) -> bool:
-    """Replay real permutations and compare full state dicts vs the kernel."""
-    try:
-        for off, (m, pre) in enumerate(_PROBE_CASES):
-            ref = np.random.Generator(bitgen_cls(seed=90210 + off))
-            cand = np.random.Generator(bitgen_cls(seed=90210 + off))
-            if pre:
-                # odd 32-bit consumption leaves a buffered high half —
-                # the kernel must pick it up exactly where numpy would
-                ref.integers(0, 3, size=pre)
-                cand.integers(0, 3, size=pre)
-            ref.permutation(m)
-            advance(cand, m)
-            if not _states_equal(ref.bit_generator.state, cand.bit_generator.state):
-                return False
-    except Exception:
-        return False
+def _probe_skip(bitgen_cls, tier: str) -> bool:
+    for off, (m, pre) in enumerate(_SKIP_CASES):
+        ref, cand = _twins(bitgen_cls, 90210 + off, pre)
+        ref.permutation(m)
+        skipper = PermutationSkipper(cand, kernel="off")
+        skipper._bind(tier)
+        skipper.skip(m)
+        if not _states_equal(ref.bit_generator.state, cand.bit_generator.state):
+            return False
     return True
 
 
-def _select_tier(lib, bitgen_cls) -> str:
-    if bitgen_cls is np.random.PCG64:
+def _probe_choice(bitgen_cls, tier: str) -> bool:
+    for off, (m, size, skip, pre) in enumerate(_CHOICE_CASES):
+        ref, cand = _twins(bitgen_cls, 4242 + off, pre)
+        want = _choice_python(ref, m, size, skip)
+        replayer = ChoiceReplayer(cand, kernel="off")
+        replayer._bind(tier)
+        got = replayer.choice(m, size, skip)
+        if not (
+            np.array_equal(want, got)
+            and _states_equal(ref.bit_generator.state, cand.bit_generator.state)
+        ):
+            return False
+    return True
 
-        def _adv_raw(gen, m):
-            lib.advance_shuffle_pcg64(gen.bit_generator.ctypes.state_address, m)
 
-        if _probe(bitgen_cls, _adv_raw):
-            return "pcg64"
+def check_kernel_mode(kernel: str) -> str:
+    """Validate a ``kernel=`` switch: ``"auto"`` (compiled tiers that
+    pass their probe) or ``"off"`` (the python tier only)."""
+    if kernel not in ("auto", "off"):
+        raise ValueError(f"kernel must be 'auto' or 'off', got {kernel!r}")
+    return kernel
 
-    def _adv_generic(gen, m):
-        cif = gen.bit_generator.ctypes
-        lib.advance_shuffle_next32(
-            ctypes.cast(cif.next_uint32, ctypes.c_void_p), cif.state, m
+
+def _resolve_tier(replay: str, bitgen_cls, kernel: str) -> str:
+    """The tier ``replay`` runs on for ``bitgen_cls``: the first compiled
+    tier that passes its probe (probed once per process), else python."""
+    if check_kernel_mode(kernel) == "off" or _build_library() is None:
+        return "python"
+    key = (replay, bitgen_cls)
+    tier = _TIER_CACHE.get(key)
+    if tier is not None:
+        return tier
+    probe = _probe_skip if replay == "skip" else _probe_choice
+    # a partner draw is a few 32-bit words, so the ctypes call dominates
+    # and the generic tier is the only compiled choice replay
+    pcg64 = replay == "skip" and bitgen_cls is np.random.PCG64
+    compiled = ("pcg64", "next32") if pcg64 else ("next32",)
+    rejected = []
+    tier = "python"
+    for cand in compiled:
+        try:
+            ok = probe(bitgen_cls, cand)
+        except Exception:
+            ok = False
+        if ok:
+            tier = cand
+            break
+        rejected.append(cand)
+    if rejected:
+        _warn_fallback(
+            f"the {replay} kernel's {'/'.join(rejected)} tier failed its "
+            f"exactness probe on {bitgen_cls.__name__}",
+            tier,
         )
+    _TIER_CACHE[key] = tier
+    return tier
 
-    if _probe(bitgen_cls, _adv_generic):
-        return "next32"
-    return "python"
+
+def _kernel(name: str, rng: np.random.Generator, tier: str):
+    """Kernel ``{name}_{tier}`` with its generator arguments bound: the
+    PCG64 state struct, or the generic ``next_uint32`` pointer + state."""
+    cif = rng.bit_generator.ctypes
+    if tier == "pcg64":
+        # the state struct address is fixed for the bitgen's lifetime
+        head = (cif.state_address,)
+    else:
+        head = (ctypes.cast(cif.next_uint32, ctypes.c_void_p), cif.state)
+    return functools.partial(getattr(_lib, f"{name}_{tier}"), *head)
 
 
 class PermutationSkipper:
@@ -298,44 +449,62 @@ class PermutationSkipper:
     """
 
     def __init__(self, rng: np.random.Generator, *, kernel: str = "auto") -> None:
-        if kernel not in ("auto", "off"):
-            raise ValueError(f"kernel must be 'auto' or 'off', got {kernel!r}")
         self.rng = rng
-        self.tier = "python"
-        self._fn = None
-        if kernel == "off":
-            return
-        lib = _build_library()
-        if lib is None:
-            return
-        bg = rng.bit_generator
-        cls = type(bg)
-        tier = _TIER_CACHE.get(cls)
-        if tier is None:
-            tier = _select_tier(lib, cls)
-            _TIER_CACHE[cls] = tier
+        self._bind(_resolve_tier("skip", type(rng.bit_generator), kernel))
+
+    def _bind(self, tier: str) -> None:
         self.tier = tier
-        if tier == "pcg64":
-            # the state struct address is fixed for the bitgen's lifetime
-            self._addr = bg.ctypes.state_address
-            self._fn = lib.advance_shuffle_pcg64
-        elif tier == "next32":
-            self._next32 = ctypes.cast(bg.ctypes.next_uint32, ctypes.c_void_p)
-            self._state = bg.ctypes.state
-            self._fn = lib.advance_shuffle_next32
+        self._fn = None if tier == "python" else _kernel("advance_shuffle", self.rng, tier)
 
     def skip(self, n: int) -> None:
         """Consume exactly the draws of one ``permutation(n)`` call."""
         if n < 2:
             return  # a 0/1-element shuffle draws nothing
-        tier = self.tier
         # the 32-bit rejection scheme only covers ranges up to UINT32_MAX
-        if tier == "pcg64" and n - 1 <= 0xFFFFFFFF:
-            self._fn(self._addr, n)
-        elif tier == "next32" and n - 1 <= 0xFFFFFFFF:
-            self._fn(self._next32, self._state, n)
+        if self._fn is not None and n - 1 <= 0xFFFFFFFF:
+            self._fn(n)
         else:
             self.rng.permutation(n)
+
+
+def _choice_python(rng, m: int, size: int, skip: int) -> np.ndarray:
+    picks = rng.choice(m, size=size, replace=False)
+    picks[picks >= skip] += 1
+    return picks
+
+
+class ChoiceReplayer:
+    """Draw distinct ids exactly as ``rng.choice(m, size, replace=False)``.
+
+    ``choice(m, size, skip)`` returns the picks of that call with every
+    pick ``>= skip`` shifted up by one — ``size`` distinct ids from
+    ``0..m`` without ``skip`` — and leaves ``rng.bit_generator.state``
+    bit-identical to the real call.  Probing is as for
+    :class:`PermutationSkipper`; the tier is ``"next32"`` or
+    ``"python"``.  The compiled tier replays numpy's Floyd branch only (``m <= 10_000`` or ``size <= m // 50``); other
+    draws, and the python tier, call ``rng.choice`` itself.  Each call
+    returns a fresh array.
+    """
+
+    def __init__(self, rng: np.random.Generator, *, kernel: str = "auto") -> None:
+        self.rng = rng
+        self._bind(_resolve_tier("choice", type(rng.bit_generator), kernel))
+
+    def _bind(self, tier: str) -> None:
+        self.tier = tier
+        self._fn = None if tier == "python" else _kernel("choice", self.rng, tier)
+
+    def choice(self, m: int, size: int, skip: int) -> np.ndarray:
+        fn = self._fn
+        if (
+            fn is not None
+            and 0 < size <= m <= 0xFFFFFFFF
+            and (m <= 10_000 or size <= m // 50)
+        ):
+            picks = np.empty(size, dtype=np.int64)
+            if fn(m, size, skip, picks.ctypes.data) == 0:
+                return picks
+        return _choice_python(self.rng, m, size, skip)
 
 
 def _quiet_apply_numpy(acts, l, diag, row_sums):  # noqa: E741 - paper symbol

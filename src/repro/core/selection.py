@@ -20,6 +20,8 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from repro.core.rngadvance import ChoiceReplayer, check_kernel_mode
+
 __all__ = [
     "CandidateSelector",
     "GlobalRandomSelector",
@@ -40,12 +42,28 @@ class CandidateSelector(Protocol):
 
 
 class GlobalRandomSelector:
-    """Uniform choice of ``delta`` distinct partners among all others."""
+    """Uniform choice of ``delta`` distinct partners among all others.
 
-    def __init__(self, n: int) -> None:
+    The draw is ``rng.choice(n - 1, delta, replace=False)`` with ids
+    ``>= initiator`` shifted up by one: uniform over the ``n - 1``
+    others without rejection sampling.  It is replayed bit for bit by
+    :class:`~repro.core.rngadvance.ChoiceReplayer`, bound to the
+    generator last passed to :meth:`select`; ``kernel="off"`` forces
+    its python tier, which calls ``rng.choice`` itself.
+    """
+
+    def __init__(self, n: int, *, kernel: str = "auto") -> None:
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
         self.n = n
+        self.kernel = check_kernel_mode(kernel)
+        self._draw: ChoiceReplayer | None = None
+
+    @property
+    def tier(self) -> str | None:
+        """The partner-draw tier for the bound generator (None before
+        the first :meth:`select`)."""
+        return None if self._draw is None else self._draw.tier
 
     def select(
         self, initiator: int, delta: int, rng: np.random.Generator
@@ -54,13 +72,10 @@ class GlobalRandomSelector:
             raise ValueError(f"initiator {initiator} out of range 0..{self.n - 1}")
         if not 1 <= delta < self.n:
             raise ValueError(f"need 1 <= delta < n, got delta={delta}, n={self.n}")
-        # draw from 0..n-2 and shift ids >= initiator by one: uniform
-        # over the n-1 others without rejection sampling (in-place shift
-        # — this runs once per balancing op, thousands of times per
-        # second on event-dense workloads)
-        picks = rng.choice(self.n - 1, size=delta, replace=False)
-        picks[picks >= initiator] += 1
-        return picks
+        draw = self._draw
+        if draw is None or draw.rng is not rng:
+            draw = self._draw = ChoiceReplayer(rng, kernel=self.kernel)
+        return draw.choice(self.n - 1, delta, initiator)
 
 
 class NeighborhoodSelector:

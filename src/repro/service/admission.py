@@ -87,15 +87,16 @@ class AdmissionController:
         """Enable/disable the non-critical brown-out (ladder hook)."""
         self.brownout = bool(active)
 
-    def decide(self, now: float, arrival, depths: np.ndarray):
+    def decide(self, now: float, arrival, loads: np.ndarray):
         """Decide one arrival: ``(admitted, target, reason)``.
 
         ``target`` is the routed processor (power-of-two-choices over
-        the live ``depths``); ``reason`` is ``None`` on admit, else one
-        of :data:`SHED_REASONS`.  Counters update as a side effect.
+        the engine's ``loads``, which equal the live queue depths);
+        ``reason`` is ``None`` on admit, else one of
+        :data:`SHED_REASONS`.  Counters update as a side effect.
         """
         self.offered += 1
-        target = arrival.route(depths)
+        target = arrival.route(loads)
         if self.brownout and not arrival.critical:
             self.shed["brownout"] += 1
             return False, target, "brownout"

@@ -32,6 +32,7 @@ fire underneath the service exactly as they do in the resilience sweep.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,8 +199,10 @@ class ServiceEngine(AsyncEngine):
             super()._dispatch_extra(kind, payload)
 
     def _handle_arrival(self, arrival: Arrival) -> None:
+        # route on the load vector: it equals the live queue depths at
+        # every event boundary (see repro.service.queues)
         admitted, target, _reason = self.admission.decide(
-            self.time, arrival, self.queues.depths()
+            self.time, arrival, self.l
         )
         if not admitted:
             return
@@ -224,9 +227,9 @@ class ServiceEngine(AsyncEngine):
         self.queues.pop_oldest(i, self.time)
 
     def _post_balance(
-        self, alive_idx: np.ndarray, before: np.ndarray, after: np.ndarray
+        self, alive: Sequence[int], before: Sequence[int], after: Sequence[int]
     ) -> None:
-        self.queues.migrate(alive_idx, before, after)
+        self.queues.migrate(alive, before, after)
 
     def _on_snapshot(self, t: float, loads: np.ndarray) -> None:
         hot = self.queues.hot_fraction(self.ladder.cfg.high_watermark)

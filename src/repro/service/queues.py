@@ -15,6 +15,10 @@ every path that changes ``l`` goes through a queue operation —
   loads (``migrate``): donors give up their *newest* tasks (the oldest
   keep their place in line), receivers merge them in arrival order.
 
+Because of that invariant the front door routes on the engine's load
+vector; :meth:`TaskQueues.depths` rebuilds the same n-array from the
+queues and is kept for end-of-run checks, not for the per-event path.
+
 Queues are *bounded* (``cap``): the front door rejects arrivals to a
 full queue (reject-newest — see
 :class:`~repro.service.admission.AdmissionController`), and the
@@ -27,6 +31,7 @@ Everything here is deterministic and RNG-free.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -87,7 +92,7 @@ class TaskQueues:
         return sojourn
 
     def migrate(
-        self, alive_idx: np.ndarray, before: np.ndarray, after: np.ndarray
+        self, alive_idx: Sequence[int], before: Sequence[int], after: Sequence[int]
     ) -> int:
         """Mirror a balancing redistribution onto the timestamp queues.
 

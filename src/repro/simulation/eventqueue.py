@@ -3,50 +3,58 @@
 A thin, fully deterministic wrapper over ``heapq``: events at equal
 times pop in insertion order (a monotone sequence number breaks ties),
 so simulations are reproducible regardless of float-time collisions.
+
+An :class:`Event` is a plain ``(time, seq, payload)`` tuple, so
+``heapq`` orders it with C tuple comparison.  ``seq`` is unique, so two
+events never compare equal on ``(time, seq)`` and the payload is never
+compared: it need not be orderable.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Generic, Iterator, TypeVar
+from typing import Any, Generic, Iterator, NamedTuple, TypeVar
 
 P = TypeVar("P")
 
 __all__ = ["Event", "EventQueue"]
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Event(Generic[P]):
+class Event(NamedTuple):
     """One scheduled event; ordering is (time, seq)."""
 
     time: float
     seq: int
-    payload: P = field(compare=False)
+    payload: Any
+
+
+_new_event = tuple.__new__
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class EventQueue(Generic[P]):
     """Min-heap of :class:`Event` with deterministic tie-breaking."""
 
     def __init__(self) -> None:
-        self._heap: list[Event[P]] = []
+        self._heap: list[Event] = []
         self._seq = 0
 
-    def push(self, time: float, payload: P) -> Event[P]:
+    def push(self, time: float, payload: P) -> Event:
         if time < 0:
             raise ValueError(f"event time must be >= 0, got {time}")
-        ev = Event(time=time, seq=self._seq, payload=payload)
+        ev = _new_event(Event, (time, self._seq, payload))
         self._seq += 1
-        heapq.heappush(self._heap, ev)
+        _heappush(self._heap, ev)
         return ev
 
-    def pop(self) -> Event[P]:
+    def pop(self) -> Event:
         if not self._heap:
             raise IndexError("pop from empty event queue")
-        return heapq.heappop(self._heap)
+        return _heappop(self._heap)
 
     def peek_time(self) -> float | None:
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -54,7 +62,8 @@ class EventQueue(Generic[P]):
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def drain_until(self, horizon: float) -> Iterator[Event[P]]:
+    def drain_until(self, horizon: float) -> Iterator[Event]:
         """Pop events with ``time <= horizon`` in order."""
-        while self._heap and self._heap[0].time <= horizon:
-            yield heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= horizon:
+            yield _heappop(heap)

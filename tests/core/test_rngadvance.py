@@ -3,7 +3,10 @@
 :class:`~repro.core.rngadvance.PermutationSkipper` must leave the bound
 generator's full bit-generator state exactly where a real
 ``rng.permutation(n)`` call would — for every n, with and without a
-buffered 32-bit high half pending — and
+buffered 32-bit high half pending;
+:class:`~repro.core.rngadvance.ChoiceReplayer` must return the picks of
+``rng.choice(m, size, replace=False)`` (shifted past the initiator) and
+leave the same state behind; and
 :func:`~repro.core.rngadvance.quiet_apply` must match the pure-numpy
 fallback bit for bit, including the no-mutation-on-error guarantee.
 The kernels are allowed to be *absent* (no C compiler, or
@@ -13,11 +16,14 @@ fallbacks too, which the forced-fallback tests pin.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core import rngadvance
 from repro.core.rngadvance import (
+    ChoiceReplayer,
     PermutationSkipper,
     _states_equal,
     quiet_apply,
@@ -26,6 +32,12 @@ from repro.core.rngadvance import (
 
 def _state(rng):
     return rng.bit_generator.state
+
+
+def _reference_choice(rng, m, size, skip):
+    picks = rng.choice(m, size=size, replace=False)
+    picks[picks >= skip] += 1
+    return picks
 
 
 class TestPermutationSkipper:
@@ -92,6 +104,146 @@ class TestPermutationSkipper:
         # here we just pin that the attribute is one of the known tiers
         skipper = PermutationSkipper(np.random.default_rng(0))
         assert skipper.tier in ("pcg64", "next32", "python")
+
+
+class TestChoiceReplayer:
+    # partner-sized draws, an exhausted population, and both sides of
+    # numpy's Floyd cutoff (m <= 10_000 or size <= m // 50)
+    @pytest.mark.parametrize(
+        "m, size",
+        [
+            (1, 1), (2, 1), (2, 2), (3, 2), (32, 4), (255, 2), (1023, 3),
+            (1023, 5), (10_000, 300), (10_000, 10_000), (10_001, 200),
+            (10_001, 201), (20_000, 400), (20_000, 401), (100_000, 5),
+        ],
+    )
+    @pytest.mark.parametrize("pre", [0, 1, 2])
+    def test_matches_rng_choice_picks_and_state(self, m, size, pre):
+        ref = np.random.default_rng(1000 + m)
+        cand = np.random.default_rng(1000 + m)
+        if pre:
+            # an odd 32-bit pre-draw leaves numpy's high half buffered
+            ref.integers(0, 3, size=pre)
+            cand.integers(0, 3, size=pre)
+        skip = m // 3
+        want = _reference_choice(ref, m, size, skip)
+        got = ChoiceReplayer(cand).choice(m, size, skip)
+        assert np.array_equal(want, got)
+        assert _states_equal(_state(ref), _state(cand))
+
+    @pytest.mark.parametrize(
+        "bitgen", [np.random.PCG64, np.random.MT19937, np.random.Philox]
+    )
+    def test_stream_stays_in_step_over_many_draws(self, bitgen):
+        for seed in range(20):
+            ref = np.random.Generator(bitgen(seed))
+            cand = np.random.Generator(bitgen(seed))
+            replayer = ChoiceReplayer(cand)
+            for k, (n, delta) in enumerate([(2, 1), (3, 2), (33, 3), (256, 2), (1024, 5)] * 4):
+                skip = (seed + 7 * k) % n
+                assert np.array_equal(
+                    _reference_choice(ref, n - 1, delta, skip),
+                    replayer.choice(n - 1, delta, skip),
+                )
+                assert ref.integers(0, 10**9) == cand.integers(0, 10**9)
+            assert _states_equal(_state(ref), _state(cand))
+
+    def test_kernel_runs_on_the_floyd_branch_only(self):
+        replayer = ChoiceReplayer(np.random.default_rng(0))
+        if replayer.tier == "python":
+            pytest.skip("no compiled tier on this machine")
+        calls = []
+        kernel = replayer._fn
+
+        def counting(*args):
+            calls.append(args[:2])
+            return kernel(*args)
+
+        replayer._fn = counting
+        for m, size in [(20_000, 400), (20_000, 401), (10_000, 9_000), (10_001, 201)]:
+            replayer.choice(m, size, 0)
+        assert calls == [(20_000, 400), (10_000, 9_000)]
+
+    def test_each_call_returns_a_fresh_array(self):
+        replayer = ChoiceReplayer(np.random.default_rng(3))
+        first = replayer.choice(100, 3, 0)
+        second = replayer.choice(100, 3, 0)
+        assert not np.shares_memory(first, second)
+
+    def test_kernel_off_forces_python_tier(self):
+        assert ChoiceReplayer(np.random.default_rng(0), kernel="off").tier == "python"
+
+    def test_compiled_tiers_pass_their_probes(self, monkeypatch):
+        # a rejected tier only degrades to python (still exact), so pin
+        # that the kernels as written pass, wherever they build
+        if not rngadvance.kernel_available():
+            pytest.skip("no compiled kernels on this machine")
+        monkeypatch.setattr(rngadvance, "_TIER_CACHE", {})
+        mt = np.random.Generator(np.random.MT19937(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ChoiceReplayer(np.random.default_rng(0)).tier == "next32"
+            assert ChoiceReplayer(mt).tier == "next32"
+            assert PermutationSkipper(np.random.default_rng(0)).tier in ("pcg64", "next32")
+            assert PermutationSkipper(mt).tier == "next32"
+
+    def test_wrong_kernel_fails_the_probe_and_falls_back(self, monkeypatch):
+        def draws_nothing(*args):  # claims success, touches nothing
+            return 0
+
+        real = rngadvance._build_library()
+        fake = type("FakeLib", (), {
+            "choice_next32": staticmethod(draws_nothing),
+            "advance_shuffle_pcg64": getattr(real, "advance_shuffle_pcg64", None),
+            "advance_shuffle_next32": getattr(real, "advance_shuffle_next32", None),
+        })()
+        monkeypatch.setattr(rngadvance, "_lib", fake)
+        monkeypatch.setattr(rngadvance, "_TIER_CACHE", {})
+        ref = np.random.default_rng(5)
+        cand = np.random.default_rng(5)
+        with pytest.warns(RuntimeWarning, match="choice kernel's next32 tier"):
+            replayer = ChoiceReplayer(cand)
+        assert replayer.tier == "python"
+        for skip in range(6):
+            assert np.array_equal(
+                _reference_choice(ref, 255, 2, skip), replayer.choice(255, 2, skip)
+            )
+        assert _states_equal(_state(ref), _state(cand))
+        # the verdict is cached: a second replayer neither probes nor warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ChoiceReplayer(np.random.default_rng(6)).tier == "python"
+
+
+class TestLoudFallback:
+    def _no_compiler(self, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise OSError("no such compiler")
+
+        monkeypatch.setattr(rngadvance, "_lib", None)
+        monkeypatch.setattr(rngadvance, "_TIER_CACHE", {})
+        monkeypatch.setattr(rngadvance.tempfile, "gettempdir", lambda: str(tmp_path))
+        monkeypatch.setattr(rngadvance.subprocess, "run", fail)
+
+    def test_failed_build_warns_once_naming_the_python_tier(
+        self, monkeypatch, tmp_path
+    ):
+        self._no_compiler(monkeypatch, tmp_path)
+        monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
+        with pytest.warns(RuntimeWarning, match="running the python tier"):
+            skipper = PermutationSkipper(np.random.default_rng(0))
+        assert skipper.tier == "python"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ChoiceReplayer(np.random.default_rng(0)).tier == "python"
+
+    def test_disabled_kernels_stay_quiet(self, monkeypatch, tmp_path):
+        self._no_compiler(monkeypatch, tmp_path)
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert PermutationSkipper(np.random.default_rng(0)).tier == "python"
+            assert ChoiceReplayer(np.random.default_rng(0)).tier == "python"
 
 
 def _fresh_state(n=16, seed=3):

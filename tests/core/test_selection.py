@@ -60,6 +60,71 @@ class TestGlobalRandom:
         assert len(np.unique(picks)) == delta
 
 
+class TestGlobalRandomReplay:
+    """The selector's draws are ``rng.choice`` replayed bit for bit."""
+
+    @staticmethod
+    def _reference(rng, n, initiator, delta):
+        picks = rng.choice(n - 1, size=delta, replace=False)
+        picks[picks >= initiator] += 1
+        return picks
+
+    @pytest.mark.parametrize("kernel", ["auto", "off"])
+    @pytest.mark.parametrize("n, delta", [(2, 1), (3, 2), (33, 3), (256, 2), (10_001, 5)])
+    def test_matches_rng_choice(self, kernel, n, delta):
+        ref = np.random.default_rng(n)
+        cand = np.random.default_rng(n)
+        sel = GlobalRandomSelector(n, kernel=kernel)
+        for k in range(40):
+            i = (7 * k) % n
+            assert np.array_equal(self._reference(ref, n, i, delta), sel.select(i, delta, cand))
+        assert ref.bit_generator.state == cand.bit_generator.state
+
+    def test_tier_is_resolved_per_bound_generator(self):
+        sel = GlobalRandomSelector(16)
+        assert sel.tier is None
+        sel.select(0, 2, np.random.default_rng(0))
+        assert sel.tier in ("next32", "python")
+        sel.select(0, 2, np.random.Generator(np.random.MT19937(0)))
+        assert sel.tier in ("next32", "python")
+        assert GlobalRandomSelector(16, kernel="off").tier is None
+
+    def test_rebinds_when_handed_another_generator(self):
+        a_ref, b_ref = np.random.default_rng(1), np.random.default_rng(2)
+        a, b = np.random.default_rng(1), np.random.default_rng(2)
+        sel = GlobalRandomSelector(64)
+        for k in range(10):
+            rng, ref = (a, a_ref) if k % 2 else (b, b_ref)
+            assert np.array_equal(self._reference(ref, 64, k, 3), sel.select(k, 3, rng))
+
+    def test_kernel_off_forces_the_python_tier(self):
+        sel = GlobalRandomSelector(16, kernel="off")
+        sel.select(3, 2, np.random.default_rng(0))
+        assert sel.tier == "python"
+        with pytest.raises(ValueError, match="kernel"):
+            GlobalRandomSelector(16, kernel="fast")
+
+    def test_columnar_engine_passes_its_kernel_switch_on(self):
+        from repro.core.columnar import ColumnarEngine
+        from repro.core.engine import EngineConfig
+        from repro.params import LBParams
+
+        cfg = EngineConfig(n=32, params=LBParams(f=1.3, delta=2, C=4))
+        off = ColumnarEngine(cfg, kernel="off")
+        assert off.selector.kernel == "off"
+        assert ColumnarEngine(cfg).selector.kernel == "auto"
+
+    def test_disabled_kernels_force_the_python_tier(self, monkeypatch):
+        from repro.core import rngadvance
+
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+        monkeypatch.setattr(rngadvance, "_lib", None)
+        monkeypatch.setattr(rngadvance, "_TIER_CACHE", {})
+        sel = GlobalRandomSelector(16)
+        sel.select(3, 2, np.random.default_rng(0))
+        assert sel.tier == "python"
+
+
 class TestNeighborhood:
     def test_small_pool_used_entirely(self, rng):
         sel = NeighborhoodSelector([[1], [0]])

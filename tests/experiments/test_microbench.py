@@ -34,6 +34,7 @@ def bench_doc(**overrides):
                 "total_ops": 2215, "events": {"trigger": 2215, "borrow": 90},
             },
         ],
+        "grid_elapsed_sec": 0.6,
     }
     doc.update(overrides)
     return doc
@@ -53,6 +54,27 @@ class TestBenchTimeline:
             assert start["op"] == f"bench:{run['profile']}@{run['n']}"
             assert (start["proc"], start["t"]) == (i, 0.0)
             assert ends[start["span"]] == run["elapsed_sec"]
+
+    def test_grid_span_ends_at_the_grid_wall_time_when_runs_overlap(self):
+        # two runs of 0.2 s and 0.4 s overlapped on a pool: the grid took
+        # 0.45 s of wall time, not the 0.6 s its runs sum to
+        doc = bench_doc(grid_elapsed_sec=0.45)
+        events = bench_timeline(doc)
+        validate_trace(events)
+        root = next(e["span"] for e in events if e.get("op") == "bench:grid")
+        ends = {e["span"]: e["t"] for e in events if e["type"] == "span_end"}
+        assert ends[root] == 0.45
+        assert ends[root] < sum(r["elapsed_sec"] for r in doc["runs"])
+        assert max(ends.values()) == ends[root]
+
+    def test_report_records_the_grid_wall_time(self):
+        doc = bench_report((16,), profiles=("quiet", "stationary"), ticks=5)
+        longest = max(r["elapsed_sec"] for r in doc["runs"])
+        assert doc["grid_elapsed_sec"] >= longest
+        events = bench_timeline(doc)
+        root = next(e["span"] for e in events if e.get("op") == "bench:grid")
+        ends = {e["span"]: e["t"] for e in events if e["type"] == "span_end"}
+        assert ends[root] == doc["grid_elapsed_sec"]
 
     def test_same_timeline_on_either_backend_apart_from_end_times(self):
         def shape(backend, jobs):

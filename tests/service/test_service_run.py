@@ -6,6 +6,8 @@ document whose degradation timeline enters ``shedding`` during the
 burst and returns to ``healthy`` after it, deterministically.
 """
 
+import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +27,14 @@ from repro.service import (
 from repro.service.admission import AdmissionController, TokenBucket
 from repro.service.queues import TaskQueues
 from repro.simulation.serialize import check_document
+
+
+#: sha256 of the seed-0 smoke chaos run: its document (sorted-key
+#: JSON), final loads and final engine RNG state.  The serve loop's
+#: speed-ups (routing on the load vector, the tuple heap, int-level
+#: balance completion, compiled partner draws) must leave it unchanged;
+#: perfbench's serve digest covers no chaos path.
+GOLDEN_CHAOS_SHA256 = "2848ee7bca56d65185a252db75f9eca4103f832e186a283608d721a94541b62b"
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +84,50 @@ class TestSmokeScenario:
         engine = smoke_run.engine
         assert (engine.queues.depths() == engine.l).all()
         assert engine.queues.total() == int(engine.l.sum())
+
+    def test_golden_chaos_digest(self, smoke_run):
+        blob = json.dumps(
+            {
+                "doc": smoke_run.doc,
+                "loads": [int(v) for v in smoke_run.engine.l],
+                "rng": smoke_run.engine.rng.bit_generator.state,
+            },
+            sort_keys=True,
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_CHAOS_SHA256
+
+
+class TestDepthEqualsLoad:
+    """Arrivals route on the load vector because it equals the live
+    queue depths at every event boundary, chaos included."""
+
+    @pytest.mark.parametrize("seed", [0, 1009])
+    def test_depths_equal_loads_after_every_queue_event(self, monkeypatch, seed):
+        checked = dict.fromkeys(("_handle_arrival", "_on_consume", "_post_balance"), 0)
+
+        def checking(name):
+            original = getattr(ServiceEngine, name)
+
+            def wrapper(self, *args):
+                original(self, *args)
+                assert np.array_equal(self.queues.depths(), self.l), (name, self.time)
+                checked[name] += 1
+
+            return wrapper
+
+        for name in checked:
+            monkeypatch.setattr(ServiceEngine, name, checking(name))
+        run = service_run(ServiceConfig.smoke(seed=seed), chaos=True)
+        assert run.doc["counters"]["fault_stats"]["lost_messages"] > 0
+        assert all(checked.values()), checked
+
+    def test_serve_episode_never_reads_queue_depths(self, monkeypatch, smoke_run):
+        def forbidden(self):
+            raise AssertionError("the serve loop read TaskQueues.depths()")
+
+        monkeypatch.setattr(TaskQueues, "depths", forbidden)
+        run = service_run(ServiceConfig.smoke(seed=0), chaos=True)
+        assert run.doc == smoke_run.doc
 
 
 class TestDeterminism:

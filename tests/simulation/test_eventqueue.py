@@ -21,6 +21,21 @@ class TestEventQueue:
             q.push(1.0, name)
         assert [q.pop().payload for _ in range(5)] == list("abcde")
 
+    def test_equal_times_with_unorderable_payloads_pop_in_insertion_order(self):
+        # the sequence number decides every tie, so payloads (dicts here)
+        # are never compared
+        q = EventQueue()
+        for k in range(5):
+            q.push(2.0, {"k": k})
+        q.push(1.0, {"k": -1})
+        assert [q.pop().payload["k"] for _ in range(6)] == [-1, 0, 1, 2, 3, 4]
+
+    def test_events_are_plain_tuples(self):
+        q = EventQueue()
+        ev = q.push(1.5, "x")
+        assert isinstance(ev, tuple)
+        assert (ev.time, ev.seq, ev.payload) == ev == (1.5, 0, "x")
+
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             EventQueue().pop()

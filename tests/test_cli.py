@@ -563,6 +563,25 @@ class TestBenchSmokeFlags:
         assert "--ticks" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["-n", "1"], "error: -n needs a value >= 2, got 1"),
+            (["--sizes", "1"], "error: --sizes needs values >= 2, got '1'"),
+            (["--sizes", "x"], "error: --sizes expects comma-separated ints, got 'x'"),
+        ],
+    )
+    def test_bad_size_names_the_option_given_and_exits_2(
+        self, tmp_path, capsys, argv, message
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv, seed", [(["--seed", "0"], 0), ([], 7)])
     def test_seed_is_the_engine_seed(self, tmp_path, capsys, argv, seed):
         import json
