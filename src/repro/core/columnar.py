@@ -4,28 +4,34 @@ The scalar sweep of :class:`~repro.core.engine.Engine` walks every
 processor in Python each tick.  This module keeps the struct-of-arrays
 state the engine already has — ``l``, ``l_old``, ``d.diag``,
 ``d.row_sums``, ``b.row_sums`` as numpy columns, the ledgers'
-off-diagonals sparse (CSR export via ``ClassLedger.to_csr``) — and
-expresses the whole tick as an ordered list of **array passes**
-composed by :class:`PassPipeline`::
+off-diagonals sparse (``{class: count}`` dict rows, CSR export via
+``ClassLedger.to_csr``) — and expresses the whole tick as an ordered
+list of **array passes** composed by :class:`PassPipeline`::
 
     classify -> advance+apply -> residual
 
 * **classify** — probes the deep-quiet horizon first; otherwise one
   fused band pass (:meth:`FactorTrigger.quiet_interval`) produces the
   fast/starved/slow masks and picks the tick *mode* (``deep`` /
-  ``bulk`` / ``residual`` / ``dense``);
+  ``bulk`` / ``residual``);
 * **advance+apply** (:class:`FusedQuietPass`) — consume the tick's
   permutation draw: a bit-exact RNG fast-forward
   (:class:`~repro.core.rngadvance.PermutationSkipper`) when the
   permutation's values are never read, followed by the bulk ±1
   application of an all-fast tick; the real draw otherwise;
-* **residual** — everything that needs per-processor semantics: the
-  inherited scalar handlers (partner-match → deal → repay →
-  debt-settle, with their spans and trace events) run at exactly the
-  permutation positions of slow or mid-tick-dirtied processors.  With
-  few such stops the fast *segments between* them apply as bulk
-  gathers; with many (``dense``) a buffered Python walk applies the
-  fast runs between stops instead.
+* **residual** — a tick with any slow processor walks the permutation
+  with per-processor semantics.  The compiled **tick walk**
+  (``tick_walk`` in :mod:`repro.core.rngadvance`) runs every handler
+  of the scalar sweep — generate, repay, consume, starve, borrow, the
+  factor-``f`` trigger, the balancing operation, self-debt settlement
+  and the class-``j`` dance — in C, over the engine's own columns and
+  dict rows, and calls back into Python only for the producer exchange
+  (``Engine._exchange_with_producer``).  Where the walk does not apply
+  (an observer is attached, a custom selector or ``dynnet`` draws the
+  partners, ``kernel="off"``, or numpy's Floyd branch does not draw
+  them), :meth:`ColumnarEngine._dense_sweep` walks in Python: fast runs
+  buffered and applied in bulk, the inherited scalar handlers at every
+  slow or mid-tick-dirtied processor.
 
 The fused advance+apply pass hosts the **deep-quiet lane**: when nothing
 in the network owes a debt and every processor's band margin allows at
@@ -44,10 +50,14 @@ oracle.  Fast processors draw no RNG and touch only their own diagonal,
 so bulk application commutes with any interleaving; the permutation
 skip is bit-exact by the probe in :mod:`repro.core.rngadvance`; and the
 deep-quiet horizon is derived from the same integer bands the
-classifier uses.  The result is RNG- and trace-identical to ``Engine``
-— pinned on the seeded equivalence grid, per-tick by a hypothesis
-property, and through a full monitors-on golden trace
-(``tests/core/test_columnar_equivalence.py``).
+classifier uses.  The tick walk replays the handlers' draws through the
+bit generator's own ``next_uint32`` and is gated by a first-use probe
+against :meth:`ColumnarEngine._dense_sweep` (state and full RNG state).
+The result is RNG- and trace-identical to ``Engine`` — pinned on the
+seeded equivalence grid, per-tick by a hypothesis property, and through
+a full monitors-on golden trace
+(``tests/core/test_columnar_equivalence.py``), and for the walk by
+lockstep runs in ``tests/core/test_tick_walk.py``.
 
 See ``docs/PERFORMANCE.md`` for the pass catalogue and the horizon
 derivation.
@@ -55,14 +65,22 @@ derivation.
 
 from __future__ import annotations
 
-import heapq
+import ctypes
 import time
 
 import numpy as np
 
 from repro.core.engine import Engine, EngineConfig
-from repro.core.rngadvance import PermutationSkipper, quiet_apply
+from repro.core.rngadvance import (
+    PermutationSkipper,
+    _states_equal,
+    floyd_branch,
+    quiet_apply,
+    walk_function,
+    walk_probed,
+)
 from repro.core.selection import GlobalRandomSelector
+from repro.params import LBParams
 
 __all__ = [
     "ColumnarEngine",
@@ -73,59 +91,24 @@ __all__ = [
     "ResidualPass",
 ]
 
-# the segmented residual sweep pays a few numpy gathers per scalar stop;
-# when the average fast segment between stops is shorter than this, the
-# buffered Python walk of the dense lane wins
-_MIN_SEGMENT = 32
-
 
 class _TickFrame:
     """Mutable per-tick scratch carried between passes.
 
     ``fast_gen``/``fast_con``/``starved`` mark the event-free
     processors classify found (debt-free generate, consume-own, starved
-    consume — each with the trigger staying quiet); ``slow`` is every
-    other processor with a non-zero action.
+    consume — each with the trigger staying quiet); every other
+    processor with a non-zero action is slow.
     """
 
-    __slots__ = (
-        "actions", "fast_gen", "fast_con", "starved", "slow", "order", "mode",
-    )
+    __slots__ = ("actions", "fast_gen", "fast_con", "starved", "order", "mode")
 
     def __init__(self, actions: np.ndarray) -> None:
         self.actions = actions
-        self.fast_gen = self.fast_con = self.starved = self.slow = None
+        self.fast_gen = self.fast_con = self.starved = None
         self.order: np.ndarray | None = None
-        # "deep" | "bulk" | "residual" | "dense" — set by classify
+        # "deep" | "bulk" | "residual" — set by classify
         self.mode = ""
-
-
-class _NotifyingSet(set):
-    """The engine's ``_dirty`` set with a mutation hook.
-
-    The residual sweep installs a hook for the duration of one tick so
-    that a processor dirtied by someone else's balancing operation is
-    *scheduled* as a scalar stop if its turn is still ahead — the array
-    analogue of the dense lane's ``i not in dirty`` re-check.
-    """
-
-    __slots__ = ("hook",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.hook = None
-
-    def add(self, item) -> None:
-        super().add(item)
-        if self.hook is not None:
-            self.hook(item)
-
-    def update(self, items) -> None:
-        if self.hook is None:
-            super().update(items)
-        else:
-            for item in items:
-                self.add(item)
 
 
 class TickPass:
@@ -180,15 +163,8 @@ class ClassifyPass(TickPass):
             con_mask & (eng.l > 0) & (own >= 1) & (own_con > lo) & (own_con < hi)
         )
         slow = (gen_mask | con_mask) & ~(fast_gen | fast_con | starved)
-        frame.fast_gen, frame.fast_con = fast_gen, fast_con
-        frame.starved, frame.slow = starved, slow
-        n_slow = int(np.count_nonzero(slow))
-        if n_slow == 0:
-            frame.mode = "bulk"
-        elif n_slow * _MIN_SEGMENT > eng.n:
-            frame.mode = "dense"
-        else:
-            frame.mode = "residual"
+        frame.fast_gen, frame.fast_con, frame.starved = fast_gen, fast_con, starved
+        frame.mode = "residual" if slow.any() else "bulk"
 
 
 class FusedQuietPass(TickPass):
@@ -223,20 +199,24 @@ class FusedQuietPass(TickPass):
             if n_starved:
                 eng.counters.starved += n_starved
         else:
-            # residual and dense ticks read the permutation's values
+            # a residual tick reads the permutation's values
             frame.order = eng.rng.permutation(eng.n)
 
 
 class ResidualPass(TickPass):
-    """Per-processor semantics: scalar stops + bulk fast runs."""
+    """Per-processor semantics: the compiled tick walk, or the Python
+    walk where the compiled one does not apply."""
 
     name = "residual"
     section = "columnar.residual"
 
     def run(self, eng: "ColumnarEngine", frame: _TickFrame) -> None:
-        if frame.mode == "residual":
-            eng._residual_sweep(frame)
-        elif frame.mode == "dense":
+        if frame.mode != "residual":
+            return
+        walk = eng._tick_walk()
+        if walk:
+            walk.run(eng, frame)
+        else:
             eng._dense_sweep(frame)
 
 
@@ -265,6 +245,129 @@ class PassPipeline:
                 p.run(eng, frame)
 
 
+# -- the compiled tick walk ------------------------------------------------
+
+# the walk's counter deltas, in its accumulator order: BorrowCounters
+# fields, then engine totals
+_WALK_COUNTERS = (
+    "total_borrow", "borrow_fail", "decrease_sim", "repayments",
+    "consume_blocked", "starved", "debt_annihilated", "debts_settled",
+)
+_WALK_TOTALS = ("total_ops", "packets_migrated", "total_generated", "total_consumed")
+_WALK_COLUMNS = ("l", "l_old", "local_time", "d_diag", "d_rs", "b_diag", "b_rs")
+
+
+def _columns(eng: Engine) -> tuple[np.ndarray, ...]:
+    """The state columns the walk writes, in ``_WALK_COLUMNS`` order."""
+    return (
+        eng.l, eng.l_old, eng.local_time,
+        eng.d.diag, eng.d.row_sums, eng.b.diag, eng.b.row_sums,
+    )
+
+
+class _WalkConfig(ctypes.Structure):
+    """The walk's view of one engine (``walk_cfg`` in the C source)."""
+
+    _fields_ = [
+        *[(name, ctypes.c_void_p) for name in (*_WALK_COLUMNS, "acc")],
+        *[(name, ctypes.c_int64) for name in ("n", "delta", "cap", "strict", "refresh")],
+        ("f", ctypes.c_double),
+        ("next32", ctypes.c_void_p),
+        ("bg", ctypes.c_void_p),
+    ]
+
+
+class _TickWalk:
+    """The compiled tick walk bound to one engine's columns and generator.
+
+    The C side holds raw pointers into the columns and the bit
+    generator's state, so this object keeps references to all of them;
+    :meth:`ColumnarEngine._tick_walk` rebinds when a column is replaced.
+    """
+
+    @staticmethod
+    def fits(eng: "ColumnarEngine") -> bool:
+        """Whether every state column is contiguous int64 of length n."""
+        return all(
+            col.dtype == np.int64 and col.shape == (eng.n,) and col.flags.c_contiguous
+            for col in _columns(eng)
+        )
+
+    def __init__(self, fn, eng: "ColumnarEngine") -> None:
+        cols = _columns(eng)
+        self._fn = fn
+        self.cols = cols
+        self.rng = eng.rng
+        self.keys = tuple(range(eng.n))
+        self.acc = np.zeros(len(_WALK_COUNTERS) + len(_WALK_TOTALS), dtype=np.int64)
+        cif = eng.rng.bit_generator.ctypes
+        self.cfg = _WalkConfig(
+            *[col.ctypes.data for col in cols],
+            self.acc.ctypes.data,
+            eng.n,
+            eng.params.delta,
+            eng.params.C,
+            eng.trigger.strict,
+            eng.config.refresh_participants,
+            eng.trigger.f,
+            ctypes.cast(cif.next_uint32, ctypes.c_void_p).value,
+            cif.state.value,
+        )
+        self._cfg = ctypes.addressof(self.cfg)
+
+    def bound_to(self, eng: "ColumnarEngine") -> bool:
+        return all(a is b for a, b in zip(_columns(eng), self.cols))
+
+    def run(self, eng: "ColumnarEngine", frame: _TickFrame) -> None:
+        order = np.ascontiguousarray(frame.order, dtype=np.int64)
+        acts = np.ascontiguousarray(frame.actions, dtype=np.int64)
+        try:
+            self._fn(
+                self._cfg, eng.d.rows, eng.b.rows, self.keys,
+                eng._exchange_with_producer, order.ctypes.data, acts.ctypes.data,
+            )
+        finally:
+            deltas = self.acc.tolist()
+            counters = eng.counters
+            for name, dv in zip(_WALK_COUNTERS, deltas):
+                setattr(counters, name, getattr(counters, name) + dv)
+            for name, dv in zip(_WALK_TOTALS, deltas[len(_WALK_COUNTERS):]):
+                setattr(eng, name, getattr(eng, name) + dv)
+
+
+def _same_state(a: Engine, b: Engine) -> bool:
+    """Whether two engines agree on every column, both ledgers, every
+    counter and the full bit-generator state."""
+    return (
+        all(np.array_equal(x, y) for x, y in zip(_columns(a), _columns(b)))
+        and a.d.rows == b.d.rows
+        and a.b.rows == b.b.rows
+        and a.counters.as_tuple() == b.counters.as_tuple()
+        and all(getattr(a, name) == getattr(b, name) for name in _WALK_TOTALS)
+        and _states_equal(a.rng.bit_generator.state, b.rng.bit_generator.state)
+    )
+
+
+def _probe_walk(fn, bitgen_cls) -> bool:
+    """A short seeded event-dense run (growth, then drain: borrows,
+    exchanges, dances) through the walk and through ``_dense_sweep``."""
+    n = 24
+    wr = np.random.default_rng(24)
+    acts = np.concatenate([
+        np.where(wr.random((30, n)) < 0.7, 1, -1),
+        np.where(wr.random((40, n)) < 0.35, 1, -1),
+    ])
+    config = EngineConfig(n=n, params=LBParams(f=1.2, delta=2, C=2))
+    pair = []
+    for walked in (True, False):
+        eng = ColumnarEngine(config, rng=np.random.Generator(bitgen_cls(2024)))
+        eng._walk = _TickWalk(fn, eng) if walked else False
+        for row in acts:
+            eng.step(row)
+        pair.append(eng)
+    return _same_state(*pair)
+
+
 class ColumnarEngine(Engine):
     """Struct-of-arrays engine, bit-identical to the scalar sweep.
 
@@ -276,8 +379,9 @@ class ColumnarEngine(Engine):
     kernel:
         ``"auto"`` (default) uses the C kernels of
         :mod:`repro.core.rngadvance` when they pass their exactness
-        probe; ``"off"`` forces the pure numpy/python fallbacks, the
-        default selector's partner draws included.
+        probe, the compiled tick walk included; ``"off"`` forces the
+        pure numpy/python fallbacks, the partner draws of the default
+        selector and of a ``dynnet`` included.
 
     Custom per-processor ``triggers`` (which may carry per-check state,
     e.g. :class:`~repro.core.triggers.AdaptiveTrigger`, so they must see
@@ -311,15 +415,29 @@ class ColumnarEngine(Engine):
             dynnet=dynnet,
         )
         self._vectorized = triggers is None
-        # replace the plain dirty set with the hook-capable one before
-        # any tick runs (the scalar handlers mutate it via add/update)
-        self._dirty = _NotifyingSet()
         self._deep_left = 0
         self._use_kernel = kernel != "off"
         self._skipper = PermutationSkipper(self.rng, kernel=kernel)
-        if selector is None and dynnet is None:
+        if dynnet is not None:
+            dynnet.attach(kernel=kernel)
+        elif selector is None:
             # the default selector's partner draws follow the same switch
             self.selector = GlobalRandomSelector(self.n, kernel=kernel)
+        # the compiled walk replaces the Python handlers' sweep only when
+        # nothing observes them (the tracer's events, the spans and the
+        # profiler's per-handler sections come from the handlers), the
+        # engine's own selector draws the partners on numpy's Floyd
+        # branch, and the kernels are on; None = bind at the first
+        # residual tick, False = never
+        observed = self._trace or self._span or self._profile
+        walkable = (
+            not observed
+            and selector is None
+            and dynnet is None
+            and self._use_kernel
+            and floyd_branch(self.n - 1, self.params.delta)
+        )
+        self._walk: _TickWalk | bool | None = None if walkable else False
         self.pipeline = PassPipeline(
             [ClassifyPass(), FusedQuietPass(), ResidualPass()]
         )
@@ -336,6 +454,26 @@ class ColumnarEngine(Engine):
     def invalidate_horizon(self) -> None:
         """Drop the deep-quiet horizon after external state mutation."""
         self._deep_left = 0
+
+    def _tick_walk(self) -> _TickWalk | bool:
+        """The compiled walk for this tick, or False for ``_dense_sweep``.
+
+        Loaded, probed (once per process and bit-generator class) and
+        bound at the first residual tick, so runs that never reach one
+        pay nothing; rebound when a state column is replaced.
+        """
+        walk = self._walk
+        if walk is None or (walk and not walk.bound_to(self)):
+            fn = walk_function()
+            ok = (
+                fn is not None
+                and _TickWalk.fits(self)
+                and walk_probed(
+                    type(self.rng.bit_generator), lambda cls: _probe_walk(fn, cls)
+                )
+            )
+            walk = self._walk = _TickWalk(fn, self) if ok else False
+        return walk
 
     # -- deep-quiet horizon ----------------------------------------------
 
@@ -387,78 +525,17 @@ class ColumnarEngine(Engine):
             self.l[con_ids] -= 1
             self.total_consumed += len(con_ids)
 
-    # -- residual sweeps --------------------------------------------------
-
-    def _residual_sweep(self, frame: _TickFrame) -> None:
-        """Scalar stops at slow/dirtied positions, bulk gathers between.
-
-        A min-heap over permutation *positions* holds the pending scalar
-        stops — initially the slow-classified processors, extended live
-        by the dirty-set hook whenever a balancing operation touches a
-        processor whose turn is still ahead (matching the dense lane's
-        conservative re-route).  Between consecutive stops every
-        processor is provably fast/starved/idle, so those segments apply
-        as gathers; the scalar handlers themselves are the inherited
-        ones, so RNG draws, trace events and spans are bit-identical.
-        """
-        order = frame.order
-        actions = frame.actions
-        n = self.n
-        fast_gen, fast_con, starved = frame.fast_gen, frame.fast_con, frame.starved
-
-        # permutation position of each processor, for the dirty hook
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        heap = np.nonzero(frame.slow[order])[0].tolist()  # ascending = heapified
-        scheduled = frame.slow.copy()
-
-        pos_now = -1  # position of the stop currently running
-
-        def on_dirty(j: int) -> None:
-            # schedule j as a scalar stop iff its turn is still ahead
-            # and it would otherwise act in a bulk segment
-            if not scheduled[j] and rank[j] > pos_now and actions[j] != 0:
-                scheduled[j] = True
-                heapq.heappush(heap, int(rank[j]))
-
-        def apply_segment(seg: np.ndarray) -> int:
-            # every processor in seg is fast, starved or idle (scheduled
-            # stops bound the segment); returns the starved count
-            self._apply_fast(seg[fast_gen[seg]], seg[fast_con[seg]])
-            return int(np.count_nonzero(starved[seg]))
-
-        dirty = self._dirty
-        dirty.hook = on_dirty
-        try:
-            cursor = 0
-            n_starved = 0
-            while heap:
-                p = heapq.heappop(heap)
-                pos_now = p
-                if p > cursor:
-                    n_starved += apply_segment(order[cursor:p])
-                cursor = p + 1
-                i = int(order[p])
-                if int(actions[i]) == 1:
-                    self._generate(i)
-                else:
-                    self._consume(i)
-            if cursor < n:
-                pos_now = n
-                n_starved += apply_segment(order[cursor:n])
-            if n_starved:
-                self.counters.starved += n_starved
-        finally:
-            dirty.hook = None
+    # -- the Python walk --------------------------------------------------
 
     def _dense_sweep(self, frame: _TickFrame) -> None:
-        """Buffered Python walk for ticks with many scalar stops.
+        """Buffered Python walk of a residual tick.
 
         Walks the permutation, buffering consecutive fast processors and
         flushing the buffer through :meth:`_apply_fast` before each slow
         (or mid-tick-dirtied) processor runs its scalar handler — the
         flush puts the fast run's effects in place first, so the
-        interleaving is exact.
+        interleaving is exact.  The lane of observed runs and of runs
+        the compiled walk does not cover.
         """
         act_l = frame.actions.tolist()
         fast_gen_l = frame.fast_gen.tolist()

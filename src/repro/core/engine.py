@@ -608,7 +608,11 @@ class Engine:
         3. ``sum l == total_generated - total_consumed`` (real packets
            are conserved by balancing and migration);
         4. ``sum b == total_borrow - repayments - debts_settled``
-           (debt ledger closes).
+           (debt ledger closes);
+        5. every ``b`` entry is 0 or 1: a borrow needs ``b[i][j] == 0``,
+           the snake re-deal deals a class total of at most ``k`` over
+           ``k`` participants, and the dance deals a column whose total
+           is at most the group size.
 
         Additionally the ledgers' internal caches are verified (row-sum
         cache vs stored entries, pruned zeros), and at small ``n`` the
@@ -621,6 +625,8 @@ class Engine:
             raise AssertionError("negative d entry")
         if self.b.min_value() < 0:
             raise AssertionError("negative b entry")
+        if self.b.max_value() > 1:
+            raise AssertionError(f"b entry {self.b.max_value()} above 1")
         if (self.l < 0).any():
             raise AssertionError("negative load")
         if not np.array_equal(self.d.row_sums, self.l):

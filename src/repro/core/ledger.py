@@ -308,6 +308,14 @@ class ClassLedger:
                     lo = v
         return lo
 
+    def max_value(self) -> int:
+        """Largest stored entry (0 if no off-diagonal entries)."""
+        hi = int(self.diag.max()) if self.n else 0
+        for row in self.rows:
+            if row:
+                hi = max(hi, max(row.values()))
+        return hi
+
     def __repr__(self) -> str:
         return (
             f"ClassLedger(n={self.n}, active={self.active_entries()}, "

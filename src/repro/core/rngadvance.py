@@ -57,6 +57,25 @@ cutoff:
 all-fast ±1 tick (``l``, ``d.diag``, ``d.row_sums``) in one C pass,
 falling back to numpy when no compiler is available.
 
+The tick walk
+-------------
+``tick_walk`` is the event-dense tick of
+:class:`~repro.core.columnar.ColumnarEngine`: the scalar sweep's
+handlers, balancing operation and class-``j`` dance included, in C over
+the engine's numpy columns and ``{class: count}`` ledger rows.  It
+draws through ``bounded32`` (``rng.integers(k)``: Lemire's bounded
+32-bit draw, nothing drawn for ``k == 1``) and the ``choice_next32``
+Floyd replay, and calls back into Python only for the producer
+exchange.  It reads the dict rows through the CPython API, so it
+includes ``Python.h`` and is a library of its own.
+:func:`_build_library` compiles it with the other kernels;
+:func:`walk_function` loads it at its first use, and the engine's
+first-use probe is cached with the tiers (:func:`walk_probed`).
+
+Builds live in ``repro_ckernel_{abi}_{digest}`` under the temp dir —
+the interpreter's extension ABI tag and a digest of the sources — and
+a fresh build removes the builds of other digests for its ABI.
+
 A failed build, or a probe that rejects a compiled tier, raises one
 ``RuntimeWarning`` naming the tier that runs instead.  Set
 ``REPRO_NO_CKERNEL=1`` to disable every kernel quietly (pure-python
@@ -69,14 +88,25 @@ import ctypes
 import functools
 import hashlib
 import os
+import re
+import shutil
 import subprocess
+import sysconfig
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["ChoiceReplayer", "PermutationSkipper", "quiet_apply", "kernel_available"]
+__all__ = [
+    "ChoiceReplayer",
+    "PermutationSkipper",
+    "floyd_branch",
+    "kernel_available",
+    "quiet_apply",
+    "walk_function",
+    "walk_probed",
+]
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -234,13 +264,502 @@ long long quiet_apply(const long long *acts, long long *l, long long *diag,
 }
 """
 
+# The event-dense tick of ColumnarEngine: Engine._sweep's per-processor
+# handlers over the engine's own state, drawing from the bit generator
+# through bounded32 and choice_next32 above.  It includes Python.h (the
+# ledger rows are {class: count} dicts), so it is a library of its own,
+# built per interpreter ABI.
+_WALK_SOURCE = (
+    "#define PY_SSIZE_T_CLEAN\n#include <Python.h>\n"
+    + _C_SOURCE
+    + r"""
+/* layout mirrors repro.core.columnar._WalkConfig */
+typedef struct {
+    int64_t *l, *l_old, *local_time, *d_diag, *d_rs, *b_diag, *b_rs, *acc;
+    int64_t n, delta, cap, strict, refresh;
+    double f;
+    next32_fn next32;
+    void *bg;
+} walk_cfg;
+
+/* counter deltas, in columnar._WALK_COUNTERS order */
+enum { TOTAL_BORROW, BORROW_FAIL, DECREASE_SIM, REPAYMENTS, CONSUME_BLOCKED,
+       STARVED, DEBT_ANNIHILATED, DEBTS_SETTLED, TOTAL_OPS, PACKETS_MIGRATED,
+       TOTAL_GENERATED, TOTAL_CONSUMED, N_ACC };
+
+/* one ClassLedger: dense diagonal and row sums, {class: count} rows */
+typedef struct { int64_t *diag, *rs; PyObject *rows; } ledger;
+
+typedef struct { int64_t c, v; } entry;
+
+typedef struct {
+    const walk_cfg *c;
+    int64_t *acc;
+    ledger d, b;
+    PyObject *keys;      /* tuple(range(n)): the class keys of the rows */
+    PyObject *exchange;  /* bound Engine._exchange_with_producer */
+    /* delta + 2 slots each */
+    int64_t *parts, *old, *sums, *bsums, *ndiag, *grp, *col, *hold, *picks;
+    int64_t *buf;        /* scratch sized from the rows it holds */
+    Py_ssize_t cap;
+} walk;
+
+#define KEY(w, c) PyTuple_GET_ITEM((w)->keys, (c))
+
+static inline uint64_t draw(walk *w, uint64_t k) {  /* rng.integers(k) */
+    return bounded32(w->c->next32, w->c->bg, k - 1);
+}
+
+static int64_t *scratch(walk *w, Py_ssize_t need) {
+    if (need > w->cap) {
+        int64_t *grown = PyMem_Realloc(w->buf, (size_t)need * sizeof(int64_t));
+        if (!grown) { PyErr_NoMemory(); return NULL; }
+        w->buf = grown;
+        w->cap = need;
+    }
+    return w->buf;
+}
+
+static PyObject *row_of(const ledger *L, int64_t i) {
+    PyObject *row = PyList_GET_ITEM(L->rows, i);
+    if (!PyDict_CheckExact(row)) {
+        PyErr_SetString(PyExc_TypeError, "ledger rows must be dicts");
+        return NULL;
+    }
+    return row;
+}
+
+static int class_of(const walk *w, PyObject *key, int64_t *c) {
+    const long long v = PyLong_AsLongLong(key);
+    if (v == -1 && PyErr_Occurred()) return -1;
+    if (v < 0 || v >= w->c->n) {
+        PyErr_Format(PyExc_ValueError, "ledger class %lld out of range", v);
+        return -1;
+    }
+    *c = v;
+    return 0;
+}
+
+static int count_of(PyObject *val, int64_t *v) {
+    *v = PyLong_AsLongLong(val);
+    return (*v == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int cmp_i64(const void *a, const void *b) {
+    const int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+static int cmp_entry(const void *a, const void *b) {
+    const int64_t x = ((const entry *)a)->c, y = ((const entry *)b)->c;
+    return (x > y) - (x < y);
+}
+
+/* ClassLedger.get */
+static int get(walk *w, const ledger *L, int64_t i, int64_t j, int64_t *v) {
+    if (i == j) { *v = L->diag[i]; return 0; }
+    PyObject *row = row_of(L, i);
+    if (!row) return -1;
+    PyObject *val = PyDict_GetItemWithError(row, KEY(w, j));
+    if (!val) { *v = 0; return PyErr_Occurred() ? -1 : 0; }
+    return count_of(val, v);
+}
+
+/* ClassLedger.add: prunes zeros off the diagonal */
+static int add(walk *w, const ledger *L, int64_t i, int64_t j, int64_t dv) {
+    if (dv == 0) return 0;
+    if (i == j) {
+        L->diag[i] += dv;
+    } else {
+        int64_t v;
+        if (get(w, L, i, j, &v) < 0) return -1;
+        PyObject *row = PyList_GET_ITEM(L->rows, i);
+        if (v + dv) {
+            PyObject *val = PyLong_FromLongLong(v + dv);
+            if (!val) return -1;
+            const int rc = PyDict_SetItem(row, KEY(w, j), val);
+            Py_DECREF(val);
+            if (rc < 0) return -1;
+        } else if (PyDict_DelItem(row, KEY(w, j)) < 0) {
+            return -1;
+        }
+    }
+    L->rs[i] += dv;
+    return 0;
+}
+
+/* ClassLedger.positive_classes of b row i, ascending */
+static Py_ssize_t owed(walk *w, int64_t i, int64_t **out) {
+    PyObject *row = row_of(&w->b, i), *key, *val;
+    if (!row) return -1;
+    int64_t *buf = scratch(w, PyDict_GET_SIZE(row) + 1);
+    if (!buf) return -1;
+    Py_ssize_t pos = 0, k = 0;
+    while (PyDict_Next(row, &pos, &key, &val)) {
+        int64_t v;
+        if (count_of(val, &v) < 0) return -1;
+        if (v > 0 && class_of(w, key, &buf[k++]) < 0) return -1;
+    }
+    if (w->b.diag[i] > 0) buf[k++] = i;
+    qsort(buf, (size_t)k, sizeof *buf, cmp_i64);
+    *out = buf;
+    return k;
+}
+
+/* borrowing.eligible_borrow_classes_sparse of row i, ascending */
+static Py_ssize_t eligible(walk *w, int64_t i, int64_t **out) {
+    PyObject *drow = row_of(&w->d, i), *brow = row_of(&w->b, i), *key, *val;
+    if (!drow || !brow) return -1;
+    int64_t *buf = scratch(w, PyDict_GET_SIZE(drow) + 1);
+    if (!buf) return -1;
+    const int debts = PyDict_GET_SIZE(brow) > 0;
+    Py_ssize_t pos = 0, k = 0;
+    while (PyDict_Next(drow, &pos, &key, &val)) {
+        int64_t v;
+        if (count_of(val, &v) < 0) return -1;
+        if (v <= 0) continue;
+        if (debts) {
+            const int owes = PyDict_Contains(brow, key);
+            if (owes < 0) return -1;
+            if (owes) continue;
+        }
+        if (class_of(w, key, &buf[k++]) < 0) return -1;
+    }
+    qsort(buf, (size_t)k, sizeof *buf, cmp_i64);
+    *out = buf;
+    return k;
+}
+
+/* borrowing.pick_from_classes */
+static int pick(walk *w, const int64_t *xs, Py_ssize_t k, int64_t *out) {
+    if (k == 0) {
+        PyErr_SetString(PyExc_ValueError, "no outstanding debt to pick from");
+        return -1;
+    }
+    *out = xs[draw(w, (uint64_t)k)];
+    return 0;
+}
+
+/* FactorTrigger.check != NONE, in the same doubles */
+static int fires(const walk_cfg *c, int64_t own, int64_t old) {
+    const double o = (double)own, od = (double)old;
+    if (c->strict) return o >= c->f * od || o <= od / c->f;
+    if (old == 0) return own >= 1;
+    return (o >= c->f * od && own > old) || (o <= od / c->f && own < old);
+}
+
+/* ClassLedger.snake_redeal of the k participant rows; new row sums into
+ * sums */
+static int snake(walk *w, const ledger *L, const int64_t *parts, int64_t k,
+                 int64_t start, int64_t *sums) {
+    Py_ssize_t m = k, ne = 0;
+    for (int64_t q = 0; q < k; q++) {
+        PyObject *row = row_of(L, parts[q]);
+        if (!row) return -1;
+        m += PyDict_GET_SIZE(row);
+    }
+    entry *e = (entry *)scratch(w, 2 * m);
+    if (!e) return -1;
+    for (int64_t q = 0; q < k; q++) {
+        const int64_t p = parts[q];
+        PyObject *row = PyList_GET_ITEM(L->rows, p), *key, *val;
+        Py_ssize_t pos = 0;
+        while (PyDict_Next(row, &pos, &key, &val)) {
+            if (class_of(w, key, &e[ne].c) < 0 || count_of(val, &e[ne].v) < 0)
+                return -1;
+            ne++;
+        }
+        if (L->diag[p]) { e[ne].c = p; e[ne].v = L->diag[p]; ne++; }
+    }
+    qsort(e, (size_t)ne, sizeof *e, cmp_entry);
+    int64_t *ndiag = w->ndiag;
+    for (int64_t q = 0; q < k; q++) {
+        PyDict_Clear(PyList_GET_ITEM(L->rows, parts[q]));
+        ndiag[q] = sums[q] = 0;
+    }
+    int64_t ptr = start % k;
+    for (Py_ssize_t x = 0; x < ne;) {
+        const int64_t c = e[x].c;
+        int64_t total = 0, qc = -1;
+        for (; x < ne && e[x].c == c; x++) total += e[x].v;
+        for (int64_t q = 0; q < k; q++)
+            if (parts[q] == c) qc = q;
+        const int64_t base = total / k, rem = total % k;
+        for (int64_t q = 0; q < k; q++) {
+            const int64_t v = base + ((q - ptr + k) % k < rem);
+            if (!v) continue;
+            sums[q] += v;
+            if (q == qc) { ndiag[q] = v; continue; }
+            PyObject *val = PyLong_FromLongLong(v);
+            if (!val) return -1;
+            const int rc = PyDict_SetItem(PyList_GET_ITEM(L->rows, parts[q]), KEY(w, c), val);
+            Py_DECREF(val);
+            if (rc < 0) return -1;
+        }
+        if (rem) { ptr += rem; if (ptr >= k) ptr -= k; }
+    }
+    for (int64_t q = 0; q < k; q++) {
+        L->diag[parts[q]] = ndiag[q];
+        L->rs[parts[q]] = sums[q];
+    }
+    return 0;
+}
+
+static int partners(walk *w, int64_t skip, int64_t *out) {
+    if (choice_next32(w->c->next32, w->c->bg, (uint64_t)(w->c->n - 1),
+                      (uint64_t)w->c->delta, (uint64_t)skip, out) < 0) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+/* Engine._balance without observers */
+static int balance(walk *w, int64_t i) {
+    const walk_cfg *c = w->c;
+    const int64_t k = c->delta + 1;
+    int64_t *parts = w->parts, *sums = w->sums;
+    parts[0] = i;
+    if (partners(w, i, parts + 1) < 0) return -1;
+    for (int64_t q = 0; q < k; q++) w->old[q] = c->l[parts[q]];
+    const int64_t start_d = (int64_t)draw(w, (uint64_t)k);
+    if (snake(w, &w->d, parts, k, start_d, sums) < 0) return -1;
+    /* drawn whether or not any debts are present */
+    const int64_t start_b = (int64_t)draw(w, (uint64_t)k);
+    int debts = 0;
+    for (int64_t q = 0; q < k; q++) debts |= w->b.rs[parts[q]] != 0;
+    if (debts && snake(w, &w->b, parts, k, start_b, w->bsums) < 0) return -1;
+    int64_t moved = 0;
+    for (int64_t q = 0; q < k; q++) {
+        const int64_t diff = sums[q] - w->old[q];
+        if (diff > 0) moved += diff;
+        c->l[parts[q]] = sums[q];
+    }
+    w->acc[PACKETS_MIGRATED] += moved;
+    w->acc[TOTAL_OPS]++;
+    for (int64_t q = 0; q < (c->refresh ? k : 1); q++) {
+        c->l_old[parts[q]] = w->d.diag[parts[q]];
+        c->local_time[parts[q]]++;
+    }
+    /* appendix final rule: a debt to one's own class settles in place */
+    for (int64_t q = 0; q < k; q++) {
+        const int64_t p = parts[q], count = w->b.diag[p];
+        if (count > 0) {
+            w->acc[DECREASE_SIM]++;
+            w->acc[DEBTS_SETTLED] += count;
+            w->b.diag[p] -= count;
+            w->b.rs[p] -= count;
+        }
+    }
+    return 0;
+}
+
+/* Engine._maybe_balance */
+static int maybe_balance(walk *w, int64_t i) {
+    const int64_t own = w->d.diag[i], old = w->c->l_old[i];
+    if (own < 0 || old < 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "loads must be non-negative, got own=%lld, l_old=%lld",
+                     (long long)own, (long long)old);
+        return -1;
+    }
+    return fires(w->c, own, old) ? balance(w, i) : 0;
+}
+
+/* Engine._simulated_decrease */
+static int simulated_decrease(walk *w, int64_t j) {
+    w->acc[DECREASE_SIM]++;
+    return maybe_balance(w, j);
+}
+
+/* Engine._class_balancing_dance */
+static int dance(walk *w, int64_t i, int64_t j) {
+    const walk_cfg *c = w->c;
+    int64_t *grp = w->grp, *col = w->col;
+    w->acc[BORROW_FAIL]++;
+    if (partners(w, j, w->picks) < 0) return -1;
+    int64_t k = 0;
+    grp[k++] = j;
+    grp[k++] = i;
+    for (int64_t x = 0; x < c->delta; x++) {
+        int64_t q = 0;
+        while (q < k && grp[q] != w->picks[x]) q++;
+        if (q == k) grp[k++] = w->picks[x];
+    }
+    qsort(grp, (size_t)k, sizeof *grp, cmp_i64);
+    /* the d column first, then the b column: one even split each */
+    for (int deal = 0; deal < 2; deal++) {
+        const ledger *L = deal ? &w->b : &w->d;
+        int64_t total = 0, moved = 0;
+        for (int64_t q = 0; q < k; q++) {
+            if (get(w, L, grp[q], j, &col[q]) < 0) return -1;
+            total += col[q];
+        }
+        const int64_t start = (int64_t)draw(w, (uint64_t)k);
+        const int64_t base = total / k, rem = total % k;
+        for (int64_t q = 0; q < k; q++) {
+            const int64_t diff = base + ((q - start + k) % k < rem) - col[q];
+            if (diff > 0) moved += diff;
+            if (add(w, L, grp[q], j, diff) < 0) return -1;
+            if (!deal) c->l[grp[q]] += diff;
+        }
+        if (!deal) w->acc[PACKETS_MIGRATED] += moved;
+    }
+    int64_t debt;
+    if (get(w, &w->b, i, j, &debt) < 0) return -1;
+    if (debt == 0) return 0;  /* the debt moved away in the re-deal */
+    Py_ssize_t h = 0;
+    for (int64_t q = 0; q < k; q++) {
+        int64_t v;
+        if (get(w, &w->d, grp[q], j, &v) < 0) return -1;
+        if (v > 0) w->hold[h++] = grp[q];
+    }
+    if (h) {
+        int64_t p;
+        if (pick(w, w->hold, h, &p) < 0 || add(w, &w->d, p, j, -1) < 0) return -1;
+        c->l[p]--;
+        if (add(w, &w->b, i, j, -1) < 0 || add(w, &w->d, i, j, 1) < 0) return -1;
+        c->l[i]++;
+        w->acc[DEBTS_SETTLED]++;
+        w->acc[PACKETS_MIGRATED]++;
+    } else {
+        if (add(w, &w->b, i, j, -1) < 0) return -1;
+        w->acc[DEBT_ANNIHILATED]++;
+        w->acc[DEBTS_SETTLED]++;
+    }
+    return simulated_decrease(w, j);
+}
+
+/* Engine._reduce_debt; the producer exchange calls back into Python */
+static int reduce_debt(walk *w, int64_t i) {
+    int64_t *cls, j;
+    const Py_ssize_t k = owed(w, i, &cls);
+    if (k < 0 || pick(w, cls, k, &j) < 0) return -1;
+    if (j == i) {
+        const int64_t count = w->b.diag[i];
+        w->acc[DEBTS_SETTLED] += count;
+        if (add(w, &w->b, i, i, -count) < 0) return -1;
+        return simulated_decrease(w, i);
+    }
+    if (w->d.diag[j] > 0) {
+        PyObject *r = PyObject_CallFunctionObjArgs(w->exchange, KEY(w, i), KEY(w, j), NULL);
+        if (!r) return -1;
+        Py_DECREF(r);
+        return 0;
+    }
+    return dance(w, i, j);
+}
+
+/* Engine._borrow: 1 if a packet was consumed, 0 if not, -1 on error */
+static int borrow(walk *w, int64_t i) {
+    if (w->b.rs[i] >= w->c->cap) return 0;
+    int64_t *cls, j;
+    const Py_ssize_t k = eligible(w, i, &cls);
+    if (k <= 0) return (int)k;
+    j = cls[draw(w, (uint64_t)k)];
+    if (add(w, &w->b, i, j, 1) < 0 || add(w, &w->d, i, j, -1) < 0) return -1;
+    w->c->l[i]--;
+    w->acc[TOTAL_CONSUMED]++;
+    w->acc[TOTAL_BORROW]++;
+    return 1;
+}
+
+/* Engine._generate */
+static int generate(walk *w, int64_t i) {
+    if (w->b.rs[i] > 0) {
+        int64_t *cls, j;
+        const Py_ssize_t k = owed(w, i, &cls);
+        if (k < 0 || pick(w, cls, k, &j) < 0) return -1;
+        if (add(w, &w->b, i, j, -1) < 0 || add(w, &w->d, i, j, 1) < 0) return -1;
+        w->acc[REPAYMENTS]++;
+    } else {
+        w->d.diag[i]++;
+        w->d.rs[i]++;
+    }
+    w->c->l[i]++;
+    w->acc[TOTAL_GENERATED]++;
+    return maybe_balance(w, i);
+}
+
+/* Engine._consume */
+static int consume(walk *w, int64_t i) {
+    int64_t *l = w->c->l;
+    if (l[i] == 0) { w->acc[STARVED]++; return 0; }
+    if (w->d.diag[i] >= 1) {
+        w->d.diag[i]--;
+        w->d.rs[i]--;
+        l[i]--;
+        w->acc[TOTAL_CONSUMED]++;
+        return maybe_balance(w, i);
+    }
+    int r = borrow(w, i);
+    if (r) return r < 0 ? -1 : 0;
+    if (reduce_debt(w, i) < 0) return -1;
+    r = borrow(w, i);
+    if (r < 0) return -1;
+    if (r == 0) w->acc[CONSUME_BLOCKED]++;
+    return 0;
+}
+
+/* One tick: every processor of `order` acts once, as in Engine._sweep.
+ * Counter deltas go to c->acc, zeroed here.  Returns None, or NULL with
+ * the exception set (the state then stands as far as the walk got). */
+PyObject *tick_walk(const walk_cfg *c, PyObject *d_rows, PyObject *b_rows,
+                    PyObject *keys, PyObject *exchange,
+                    const int64_t *order, const int64_t *acts) {
+    const int64_t n = c->n;
+    if (!PyList_CheckExact(d_rows) || PyList_GET_SIZE(d_rows) != n ||
+        !PyList_CheckExact(b_rows) || PyList_GET_SIZE(b_rows) != n ||
+        !PyTuple_CheckExact(keys) || PyTuple_GET_SIZE(keys) != n) {
+        PyErr_SetString(PyExc_TypeError, "ledger rows or class keys do not match n");
+        return NULL;
+    }
+    memset(c->acc, 0, N_ACC * sizeof(int64_t));
+    const size_t slots = (size_t)c->delta + 2;
+    int64_t *mem = PyMem_Malloc(9 * slots * sizeof(int64_t));
+    if (!mem) return PyErr_NoMemory();
+    walk w = {
+        .c = c, .acc = c->acc,
+        .d = {c->d_diag, c->d_rs, d_rows}, .b = {c->b_diag, c->b_rs, b_rows},
+        .keys = keys, .exchange = exchange,
+        .parts = mem, .old = mem + slots, .sums = mem + 2 * slots,
+        .bsums = mem + 3 * slots, .ndiag = mem + 4 * slots,
+        .grp = mem + 5 * slots, .col = mem + 6 * slots,
+        .hold = mem + 7 * slots, .picks = mem + 8 * slots,
+        .buf = NULL, .cap = 0,
+    };
+    int rc = 0;
+    for (int64_t t = 0; t < n && rc == 0; t++) {
+        const int64_t i = order[t];
+        if (i < 0 || i >= n) {
+            PyErr_SetString(PyExc_ValueError, "sweep order out of range");
+            rc = -1;
+        } else if (acts[i] == 1) {
+            rc = generate(&w, i);
+        } else if (acts[i] == -1) {
+            rc = consume(&w, i);
+        }
+    }
+    PyMem_Free(w.buf);
+    PyMem_Free(mem);
+    if (rc < 0) return NULL;
+    Py_RETURN_NONE;
+}
+"""
+)
+
 _LL = ctypes.POINTER(ctypes.c_longlong)
 
 # compiled-library singleton: None until first build attempt, then the
 # CDLL or False (build failed / disabled)
 _lib: ctypes.CDLL | bool | None = None
+# the tick walk: its built library path (or the build error), and its
+# entry point once loaded (False: unavailable)
+_walk_build: Path | Exception | None = None
+_walk_fn = None
 
-# probe verdicts per (replay, bit-generator class): "pcg64" | "next32" | "python"
+# probe verdicts per (replay, bit-generator class): "pcg64" | "next32" |
+# "python", and "walk" | "python" for the tick walk
 _TIER_CACHE: dict[tuple[str, type], str] = {}
 
 
@@ -252,42 +771,76 @@ def _warn_fallback(why: str, tier: str) -> None:
     )
 
 
+def _abi_tag() -> str:
+    """The interpreter's extension ABI (``cpython_311_x86_64_linux_gnu``):
+    the walk compiles against this interpreter's headers."""
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or "unknown"
+    return re.sub(r"[^0-9A-Za-z]+", "_", suffix.rsplit(".", 1)[0]).strip("_")
+
+
+def _compile(cache: Path, name: str, source: str, flags: list[str]) -> Path:
+    """``cache/{name}.so`` built from ``source`` unless already there."""
+    so = cache / f"{name}.so"
+    if so.exists():
+        return so
+    cache.mkdir(parents=True, exist_ok=True)
+    # per-process file names: concurrent workers may build at once
+    csrc = cache / f"{name}.{os.getpid()}.c"
+    csrc.write_text(source)
+    tmp_so = cache / f"{name}.{os.getpid()}.so"
+    errors = []
+    for cc in ("cc", "gcc", "clang"):
+        try:
+            res = subprocess.run(
+                [cc, "-O3", "-shared", "-fPIC", *flags, "-o", str(tmp_so), str(csrc)],
+                capture_output=True,
+                timeout=120,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if res.returncode == 0:
+            break
+        errors.append(res.stderr.decode(errors="replace").strip().partition("\n")[0])
+    else:
+        raise OSError(f"no C compiler built the {name} source {errors}")
+    csrc.unlink(missing_ok=True)
+    os.replace(tmp_so, so)  # atomic vs concurrent worker builds
+    return so
+
+
+def _remove_stale_builds(cache: Path, tag: str) -> None:
+    """Delete the builds of other sources for this ABI (a loaded library
+    survives the unlink on Linux)."""
+    stale = re.compile(rf"repro_ckernel_{re.escape(tag)}_[0-9a-f]{{16}}")
+    for other in cache.parent.iterdir():
+        if other != cache and stale.fullmatch(other.name):
+            shutil.rmtree(other, ignore_errors=True)
+
+
 def _build_library() -> ctypes.CDLL | None:
-    """Compile the kernel source once per machine (cached .so) and load it.
+    """Compile the kernel sources once per machine and ABI, load the kernels.
+
+    Builds live in ``repro_ckernel_{abi}_{digest}`` under the temp dir;
+    a fresh build removes the other digests of its ABI.  The tick walk
+    is compiled here too (so one priming call builds everything) but
+    loaded only by :func:`walk_function`, at its first use.
 
     Returns None when disabled (``REPRO_NO_CKERNEL``) or when no C
     compiler is available — callers fall back to pure numpy/python, and
     the second case warns once per process.
     """
-    global _lib
+    global _lib, _walk_build
     if _lib is not None:
         return _lib if _lib is not False else None
     if os.environ.get("REPRO_NO_CKERNEL"):
         _lib = False
         return None
     try:
-        digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-        cache = Path(tempfile.gettempdir()) / f"repro_ckernel_{digest}"
-        so = cache / "kernel.so"
-        if not so.exists():
-            cache.mkdir(parents=True, exist_ok=True)
-            csrc = cache / "kernel.c"
-            csrc.write_text(_C_SOURCE)
-            tmp_so = cache / f"kernel.{os.getpid()}.so"
-            for cc in ("cc", "gcc", "clang"):
-                try:
-                    res = subprocess.run(
-                        [cc, "-O3", "-shared", "-fPIC", "-o", str(tmp_so), str(csrc)],
-                        capture_output=True,
-                        timeout=120,
-                    )
-                except (OSError, subprocess.TimeoutExpired):
-                    continue
-                if res.returncode == 0:
-                    break
-            else:
-                raise OSError("no C compiler built the kernel source")
-            os.replace(tmp_so, so)  # atomic vs concurrent worker builds
+        tag = _abi_tag()
+        digest = hashlib.sha256((_C_SOURCE + _WALK_SOURCE).encode()).hexdigest()[:16]
+        cache = Path(tempfile.gettempdir()) / f"repro_ckernel_{tag}_{digest}"
+        fresh = not cache.exists()
+        so = _compile(cache, "kernel", _C_SOURCE, [])
         lib = ctypes.CDLL(str(so))
         lib.advance_shuffle_pcg64.argtypes = [ctypes.c_void_p, ctypes.c_uint64]
         lib.advance_shuffle_pcg64.restype = None
@@ -306,8 +859,40 @@ def _build_library() -> ctypes.CDLL | None:
         _lib = False
         _warn_fallback(f"the C kernels are unavailable ({exc})", "python")
         return None
+    try:
+        include = sysconfig.get_paths()["include"]
+        _walk_build = _compile(cache, "walk", _WALK_SOURCE, [f"-I{include}"])
+    except (OSError, KeyError) as exc:
+        _walk_build = exc  # reported when a tick first needs the walk
+    if fresh:
+        _remove_stale_builds(cache, tag)
     _lib = lib
     return lib
+
+
+def walk_function():
+    """The compiled tick walk (``tick_walk``), loaded at its first use.
+
+    None when the kernels are off or the walk failed to build or load;
+    that failure warns once.
+    """
+    global _walk_fn
+    if _build_library() is None:
+        return None
+    if _walk_fn is None:
+        _walk_fn = False
+        try:
+            if not isinstance(_walk_build, Path):
+                raise OSError(f"not built: {_walk_build}")
+            fn = ctypes.PyDLL(str(_walk_build)).tick_walk
+        except (OSError, AttributeError) as exc:
+            _warn_fallback(f"the compiled tick walk is unavailable ({exc})", "python")
+        else:
+            obj = ctypes.py_object
+            fn.argtypes = [ctypes.c_void_p, obj, obj, obj, obj, ctypes.c_void_p, ctypes.c_void_p]
+            fn.restype = obj
+            _walk_fn = fn
+    return _walk_fn or None
 
 
 def kernel_available() -> bool:
@@ -422,6 +1007,25 @@ def _resolve_tier(replay: str, bitgen_cls, kernel: str) -> str:
     return tier
 
 
+def walk_probed(bitgen_cls, probe) -> bool:
+    """Whether the tick walk passed ``probe(bitgen_cls)``: probed once
+    per process and bit-generator class; a failure warns once."""
+    key = ("walk", bitgen_cls)
+    tier = _TIER_CACHE.get(key)
+    if tier is None:
+        try:
+            ok = probe(bitgen_cls)
+        except Exception:
+            ok = False
+        tier = _TIER_CACHE[key] = "walk" if ok else "python"
+        if not ok:
+            _warn_fallback(
+                f"the tick walk failed its exactness probe on {bitgen_cls.__name__}",
+                "python",
+            )
+    return tier == "walk"
+
+
 def _kernel(name: str, rng: np.random.Generator, tier: str):
     """Kernel ``{name}_{tier}`` with its generator arguments bound: the
     PCG64 state struct, or the generic ``next_uint32`` pointer + state."""
@@ -467,6 +1071,12 @@ class PermutationSkipper:
             self.rng.permutation(n)
 
 
+def floyd_branch(m: int, size: int) -> bool:
+    """Whether ``rng.choice(m, size, replace=False)`` takes numpy's Floyd
+    branch, the one the compiled replays cover."""
+    return m <= 10_000 or size <= m // 50
+
+
 def _choice_python(rng, m: int, size: int, skip: int) -> np.ndarray:
     picks = rng.choice(m, size=size, replace=False)
     picks[picks >= skip] += 1
@@ -496,11 +1106,7 @@ class ChoiceReplayer:
 
     def choice(self, m: int, size: int, skip: int) -> np.ndarray:
         fn = self._fn
-        if (
-            fn is not None
-            and 0 < size <= m <= 0xFFFFFFFF
-            and (m <= 10_000 or size <= m // 50)
-        ):
+        if fn is not None and 0 < size <= m <= 0xFFFFFFFF and floyd_branch(m, size):
             picks = np.empty(size, dtype=np.int64)
             if fn(m, size, skip, picks.ctypes.data) == 0:
                 return picks

@@ -34,7 +34,7 @@ The stock suite (:meth:`MonitorSuite.standard`) covers:
 * :class:`ConservationMonitor` — the engine's exact ledger laws, every
   tick: ``l == row sums of d``, ``sum l == generated - consumed``,
   ``sum b == borrows - repayments - settlements``, and the per-entry
-  capacity law ``b[i][j] <= C`` (the one-debt-per-class rule keeps
+  capacity law ``b[i][j] <= 1`` (the one-debt-per-class rule keeps
   entries 0/1; row sums may transiently exceed ``C`` after a re-deal,
   so the row-sum form is intentionally not a law).  Synchronous engine
   only (the practical asynchronous variant has no ledgers); any
@@ -372,13 +372,14 @@ class ConservationMonitor(Monitor):
         expect = c.total_borrow - c.repayments - c.debts_settled
         if engine.b.total() != expect:
             self._trip("debt", t, float(engine.b.total()), float(expect))
-        # law 4: no debt entry b[i][j] exceeds the borrow capacity C.
-        # (The appendix's one-debt-per-class rule keeps entries in
-        # {0, 1}; the *row sum* is gated at C only at borrow time and
-        # legitimately exceeds C for a few ticks when a snake re-deal
-        # concentrates several participants' markers on one processor,
-        # so the row-sum form is deliberately not a law here.)
-        cap = int(engine.params.C)
+        # law 4: every debt entry b[i][j] is 0 or 1.  The appendix's
+        # one-debt-per-class rule creates entries of 1 only, and every
+        # re-deal spreads a column of such entries over at least as
+        # many processors.  (The *row sum* is gated at C only at borrow
+        # time and legitimately exceeds C for a few ticks when a snake
+        # re-deal concentrates several participants' markers on one
+        # processor, so the row-sum form is deliberately not a law here.)
+        cap = 1
         worst, bad_proc = 0, -1
         if engine.b.diag.size:
             k = int(engine.b.diag.argmax())

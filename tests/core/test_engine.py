@@ -194,6 +194,13 @@ class TestInvariantMode:
         with pytest.raises(AssertionError):
             e.assert_invariants()
 
+    def test_debt_entry_above_one_detected(self):
+        e = make_engine()
+        e.b.add(2, 3, 2)
+        e.counters.total_borrow += 2  # the debt ledger still closes
+        with pytest.raises(AssertionError, match="b entry 2 above 1"):
+            e.assert_invariants()
+
 
 class TestPropertyRandomWalk:
     @given(
@@ -219,6 +226,25 @@ class TestPropertyRandomWalk:
         for _ in range(50):
             e.step(rng.integers(-1, 2, size=n))  # asserts internally
         assert e.l.sum() == e.total_generated - e.total_consumed
+
+    @given(
+        n=st.integers(8, 16),
+        delta=st.integers(1, 3),
+        f=st.floats(1.05, 2.0),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_debt_entries_stay_zero_or_one(self, n, delta, f, seed):
+        """``b`` in {0, 1} at every tick, on a dance-heavy stream: C = 1
+        and a growth phase followed by a drain, so borrows fail and run
+        the class-j dance, whose deals must not stack two debts."""
+        params = LBParams(f=f, delta=delta, C=1, require_provable=False)
+        e = Engine(EngineConfig(n=n, params=params, check_invariants=True), rng=seed)
+        rng = np.random.default_rng(seed + 1)
+        for t in range(90):
+            p = 0.75 if t < 30 else 0.3
+            e.step(np.where(rng.random(n) < p, 1, -1))  # asserts internally
+        assert e.counters.borrow_fail > 0
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=25)

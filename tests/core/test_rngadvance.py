@@ -16,6 +16,7 @@ fallbacks too, which the forced-fallback tests pin.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 
 import numpy as np
@@ -213,6 +214,61 @@ class TestChoiceReplayer:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert ChoiceReplayer(np.random.default_rng(6)).tier == "python"
+
+
+class TestBuildCache:
+    """Builds are named by ABI tag and source digest; a fresh build
+    removes the builds of other sources for its ABI, nothing else."""
+
+    def _fresh(self, monkeypatch, tmp_path):
+        if not rngadvance.kernel_available():
+            pytest.skip("no compiled kernels on this machine")
+        monkeypatch.setattr(rngadvance, "_lib", None)
+        monkeypatch.setattr(rngadvance, "_walk_build", None)
+        monkeypatch.setattr(rngadvance.tempfile, "gettempdir", lambda: str(tmp_path))
+
+    def _builds(self, tmp_path):
+        prefix = f"repro_ckernel_{rngadvance._abi_tag()}_"
+        return sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(prefix))
+
+    def test_fresh_build_removes_stale_builds_of_its_abi(self, monkeypatch, tmp_path):
+        self._fresh(monkeypatch, tmp_path)
+        tag = rngadvance._abi_tag()
+        stale = tmp_path / f"repro_ckernel_{tag}_{'0' * 16}"
+        kept = [
+            tmp_path / f"repro_ckernel_otherabi_{'0' * 16}",  # another interpreter
+            tmp_path / f"repro_ckernel_{'0' * 16}",  # no ABI tag
+            tmp_path / "unrelated",
+        ]
+        for d in (stale, *kept):
+            d.mkdir()
+            (d / "kernel.so").write_bytes(b"")
+        assert rngadvance._build_library() is not None
+        (build,) = self._builds(tmp_path)
+        assert {p.name for p in (tmp_path / build).iterdir()} == {"kernel.so", "walk.so"}
+        assert not stale.exists()
+        assert all(d.exists() for d in kept)
+
+    def test_a_loaded_build_survives_its_removal(self, monkeypatch, tmp_path):
+        self._fresh(monkeypatch, tmp_path)
+        old = rngadvance._build_library()
+        (first,) = self._builds(tmp_path)
+        # an edited source builds under a new digest and removes the old
+        monkeypatch.setattr(rngadvance, "_C_SOURCE", rngadvance._C_SOURCE + "\n/* edit */\n")
+        monkeypatch.setattr(rngadvance, "_lib", None)
+        assert rngadvance._build_library() is not None
+        (second,) = self._builds(tmp_path)
+        assert second != first
+        l, diag, row_sums = _fresh_state()  # noqa: E741
+        acts = np.ones(len(l), dtype=np.int64)
+        npos = ctypes.c_longlong(0)
+        nneg = ctypes.c_longlong(0)
+        ll = ctypes.POINTER(ctypes.c_longlong)
+        rc = old.quiet_apply(
+            *(a.ctypes.data_as(ll) for a in (acts, l, diag, row_sums)),
+            len(l), ctypes.byref(npos), ctypes.byref(nneg),
+        )
+        assert (rc, npos.value) == (0, len(l))
 
 
 class TestLoudFallback:

@@ -49,6 +49,29 @@ class TestByteIdentity:
         assert plain.total_ops == wrapped.total_ops
         assert plain.rng.bit_generator.state == wrapped.rng.bit_generator.state
 
+    def test_columnar_kernel_switch_reaches_the_dynnet_selector(self):
+        from repro.core.columnar import ColumnarEngine
+
+        runs = {}
+        for kernel in ("auto", "off"):
+            dyn = DynamicNetwork(CompleteGraph(N))
+            e = ColumnarEngine(
+                EngineConfig(n=N, params=PARAMS), rng=7, dynnet=dyn, kernel=kernel
+            )
+            wl = Section7Workload(N, horizon=200, layout_rng=11)
+            wrng = np.random.default_rng(13)
+            for t in range(200):
+                e.step(wl.actions(t, e.l, wrng))
+            runs[kernel] = (e, dyn)
+        off, off_dyn = runs["off"]
+        auto, _ = runs["auto"]
+        assert off.total_ops > 0
+        assert off_dyn._global.tier == "python"
+        assert np.array_equal(off.l, auto.l)
+        assert off.counters.as_dict() == auto.counters.as_dict()
+        assert off.total_ops == auto.total_ops
+        assert off.rng.bit_generator.state == auto.rng.bit_generator.state
+
     def test_async_engine_trivial_dynnet_is_invisible(self):
         plain = _run_async()
         wrapped = _run_async(DynamicNetwork(CompleteGraph(N)))

@@ -148,6 +148,16 @@ class TestConservationMonitor:
         feed(m, [eng.l.copy()], engine=eng)
         assert "capacity" in m._tripped
 
+    def test_debt_entry_of_two_trips_capacity_law_whatever_C(self):
+        eng = make_engine()
+        assert PARAMS.C > 2
+        eng.b.add(0, 1, 2)  # two debts of one class: never legitimate
+        eng.counters.total_borrow += 2  # the debt ledger still closes
+        m = ConservationMonitor()
+        suite = feed(m, [eng.l.copy()], engine=eng)
+        assert "capacity" in m._tripped
+        assert [(b.value, b.bound) for b in suite.breaches] == [(2.0, 1.0)]
+
 
 class TestOpBudgetMonitor:
     def test_real_engine_within_budget(self):
