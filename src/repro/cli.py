@@ -73,9 +73,11 @@ renders band occupancy, sojourn quantiles, admission/shed rates and
 the degradation state in place (``q`` quits, ``p`` pauses; ``--once``
 prints a single frame without curses).  ``repro trace --export
 chrome`` (and ``repro bench --trace-out``) write Chrome trace-event
-JSON for Perfetto / ``chrome://tracing``; a bench export is built from
-the bench document itself: one ``bench:grid`` root span plus one span
-per measured run, on the run's own lane, as long as its measured time.
+JSON for Perfetto / ``chrome://tracing``; a run export draws one span
+per balancing operation, derived from the trace; a bench export is
+built from the bench document itself: one ``bench:grid`` root span plus
+one span per measured run, on the run's own lane, as long as its
+measured time.
 
 ``trace``, ``profile``, ``spans`` and ``report`` observe the same
 deterministic run, built in one place: the §7 workload on the
@@ -115,8 +117,9 @@ occupancy, worst normalised ratio and per-event recovery times over a
 ``results/dynamics.json`` (``--smoke`` is the tuned deterministic CI
 grid; ``repro report --dynamics`` renders a saved document).
 
-``repro report`` observes that run fully — conformance monitors,
-balancing-operation spans, profiler — and renders a self-contained
+``repro report`` observes that run fully — tracer, conformance
+monitors, profiler; the balancing-operation spans are derived from the
+trace — and renders a self-contained
 markdown report (``--report-out x.html`` writes HTML for CI artifacts);
 ``--faulted`` gives the monitors a story to tell.  ``repro report
 --compare A B`` diffs two ``BENCH_engine.json`` documents
@@ -494,8 +497,9 @@ def _observed_run(args: argparse.Namespace, **observers) -> _ObservedRun:
     engine, :meth:`~repro.experiments.resilience.ResilienceConfig.engine`);
     otherwise ``--engine`` picks the §7 workload on the synchronous
     engine (``--steps`` ticks) or the asynchronous one (``--horizon``,
-    default 50).  ``observers`` (``tracer=``, ``profiler=``, ``spans=``,
-    ``monitors=``) attach to the engine unchanged.
+    default 50).  ``observers`` (``tracer=``, ``profiler=``,
+    ``monitors=``) attach to the engine unchanged; spans are derived
+    from the tracer's events afterwards, so no engine records them.
     """
     from repro.workload import Section7Workload
 
@@ -716,7 +720,8 @@ def _run_bench(args: argparse.Namespace) -> str:
         from repro.observability.export import write_chrome_trace
 
         count = write_chrome_trace(
-            args.trace_out, bench_timeline(doc), run_id=f"bench-{doc['git_rev']}"
+            args.trace_out, [], timeline=bench_timeline(doc),
+            run_id=f"bench-{doc['git_rev']}",
         )
         tail.append(
             f"wrote {count} Chrome trace events to {args.trace_out} "
@@ -741,14 +746,7 @@ def _write_report(md: str, title: str, dest: Path | None) -> str:
 
 
 def _run_report(args: argparse.Namespace) -> str:
-    from repro.observability import (
-        MonitorSuite,
-        Profiler,
-        SpanRecorder,
-        Tracer,
-        build_report,
-        spans_from_trace,
-    )
+    from repro.observability import MonitorSuite, Profiler, Tracer, build_report
 
     if args.compare:
         from repro.experiments.microbench import (
@@ -793,15 +791,11 @@ def _run_report(args: argparse.Namespace) -> str:
     tracer = Tracer(capacity=args.capacity)
     profiler = Profiler()
     suite = MonitorSuite.standard(_params(args), tracer=tracer)
-    run = _observed_run(
-        args, tracer=tracer, profiler=profiler, spans=SpanRecorder(tracer),
-        monitors=suite,
-    )
+    run = _observed_run(args, tracer=tracer, profiler=profiler, monitors=suite)
     md = build_report(
         title=run.title,
         meta=run.meta,
         monitors=suite,
-        spans=spans_from_trace(tracer.events),
         events=tracer.events,
         tracer=tracer,
         times=run.times,
@@ -813,12 +807,7 @@ def _run_report(args: argparse.Namespace) -> str:
 
 
 def _run_spans(args: argparse.Namespace) -> str:
-    from repro.observability import (
-        SpanRecorder,
-        Tracer,
-        spans_from_trace,
-        spans_section,
-    )
+    from repro.observability import Tracer, spans_from_trace, spans_section
 
     if args.trace_in:
         from repro.observability.tracer import read_ndjson
@@ -827,7 +816,7 @@ def _run_spans(args: argparse.Namespace) -> str:
         header = f"spans from {args.trace_in}"
     else:
         tracer = Tracer(capacity=args.capacity)
-        run = _observed_run(args, tracer=tracer, spans=SpanRecorder(tracer))
+        run = _observed_run(args, tracer=tracer)
         events = tracer.events
         header = f"spans of {run.title}"
     return "\n".join([header, "", *spans_section(spans_from_trace(events))])

@@ -69,10 +69,13 @@ the group's loads at *completion* time, which may have drifted since
 initiation, precisely the race a real network exhibits.
 
 When a :class:`~repro.observability.tracer.Tracer` is attached, every
-message delivery is emitted as an ``async_deliver`` event; completed /
-dropped / retried operations as ``async_balance`` / ``async_drop`` /
-``async_retry`` / ``async_giveup``; and injected faults as the
-``fault_*`` family (see ``docs/OBSERVABILITY.md``).  A
+message delivery is emitted as an ``async_deliver`` event; accepted /
+completed / dropped / retried / abandoned operations as
+``async_accept`` / ``async_balance`` / ``async_drop`` / ``async_retry``
+/ ``async_giveup`` / ``async_abandon``; and injected faults as the
+``fault_*`` family (see ``docs/OBSERVABILITY.md``).  Balancing-operation
+spans are derived from these events
+(:func:`~repro.observability.spans.spans_from_trace`).  A
 :class:`~repro.observability.profiler.Profiler` times the
 ``async.action`` / ``async.complete`` / ``async.retry`` handler
 sections.  The tracer is single-process state here — one engine, one
@@ -96,7 +99,6 @@ from repro.faults.injector import FaultInjector, as_injector
 from repro.faults.plan import FaultPlan
 from repro.observability.monitors import MonitorSuite
 from repro.observability.profiler import Profiler
-from repro.observability.spans import SpanRecorder
 from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.params import LBParams
 from repro.rng import make_rng
@@ -286,7 +288,6 @@ class AsyncEngine:
         selector: CandidateSelector | None = None,
         tracer: Tracer | None = None,
         profiler: Profiler | None = None,
-        spans: SpanRecorder | None = None,
         monitors: MonitorSuite | None = None,
         retry: RetryPolicy | None = None,
         faults: FaultPlan | FaultInjector | None = None,
@@ -313,8 +314,6 @@ class AsyncEngine:
         self._trace = bool(self.tracer.enabled)
         self.profiler = profiler
         self._profile = profiler is not None
-        self.spans = spans
-        self._span = spans is not None
         self.monitors = monitors
         self.retry = retry or RetryPolicy()
         # a DynamicNetwork (repro.dynnet) doubles as the selector and
@@ -375,11 +374,6 @@ class AsyncEngine:
         # in-flight operations: op id -> (group, initiation time)
         self._inflight: dict[int, tuple[tuple[int, ...], float]] = {}
         self._op_seq = 0
-        # span threading (only populated when spans are on): a span per
-        # trigger *episode* — it survives the retry loop — parked per
-        # initiator until partners accept, then keyed by operation id
-        self._episode_span: dict[int, int] = {}
-        self._op_span: dict[int, int] = {}
         self._attempts = np.zeros(self.n, dtype=np.int64)
         self._retry_pending = np.zeros(self.n, dtype=bool)
 
@@ -551,10 +545,11 @@ class AsyncEngine:
     def _do_retry(self, i: int) -> None:
         self._retry_pending[i] = False
         if self.faults is not None and self.faults.crashed(i, self.time):
-            if self._span:
-                sid = self._episode_span.pop(i, None)
-                if sid is not None:
-                    self.spans.end(sid, t=self.time, status="aborted")
+            if self._trace:
+                self.tracer.emit(
+                    "async_abandon", time=float(self.time), initiator=int(i),
+                    reason="crashed",
+                )
             return
         self._maybe_initiate(i)
 
@@ -565,16 +560,15 @@ class AsyncEngine:
         # the practical variant triggers on the TOTAL local load (the
         # analysed engine triggers on the own-class load d_ii)
         if self.trigger.check(cur, int(self.l_old[i])) is TriggerDecision.NONE:
-            self._attempts[i] = 0  # load drifted back: episode over
-            if self._span:
-                sid = self._episode_span.pop(i, None)
-                if sid is not None:
-                    self.spans.end(sid, t=self.time, status="quiesced")
+            # load drifted back: episode over (outstanding attempts
+            # mean a refused episode may still be open)
+            if self._trace and self._attempts[i]:
+                self.tracer.emit(
+                    "async_abandon", time=float(self.time), initiator=int(i),
+                    reason="quiesced",
+                )
+            self._attempts[i] = 0
             return
-        if self._span and i not in self._episode_span:
-            self._episode_span[i] = self.spans.start(
-                t=self.time, op="async_balance", proc=i
-            )
         partners = self.selector.select(i, self.params.delta, self.rng)
         accepted = []
         for p in partners:
@@ -596,13 +590,11 @@ class AsyncEngine:
             self.busy[p] = True
         op = self._op_seq
         self._op_seq += 1
-        if self._span:
-            sid = self._episode_span.pop(i, -1)
-            if sid >= 0:
-                self.spans.point(
-                    sid, t=self.time, phase="partner_select", proc=i
-                )
-                self._op_span[op] = sid
+        if self._trace:
+            self.tracer.emit(
+                "async_accept", time=float(self.time), initiator=int(i),
+                group=[int(p) for p in group],
+            )
         eff = self.latency
         if self.faults is not None:
             mult = self.faults.latency_multiplier(i, self.time)
@@ -613,11 +605,6 @@ class AsyncEngine:
                     self.tracer.emit(
                         "fault_straggle", time=float(self.time),
                         initiator=int(i), factor=float(mult),
-                    )
-                if self._span and op in self._op_span:
-                    self.spans.point(
-                        self._op_span[op], t=self.time, phase="straggle",
-                        proc=i,
                     )
         self._inflight[op] = (group, self.time)
         self.queue.push(self.time + eff, (_COMPLETE, i, group, op))
@@ -636,10 +623,6 @@ class AsyncEngine:
                 "async_drop", time=float(self.time), initiator=int(i),
                 declined=declined,
             )
-        if self._span and i in self._episode_span:
-            self.spans.point(
-                self._episode_span[i], t=self.time, phase="declined", proc=i
-            )
         attempt = int(self._attempts[i])
         if attempt < self.retry.max_retries:
             self._attempts[i] = attempt + 1
@@ -652,10 +635,6 @@ class AsyncEngine:
                     "async_retry", time=float(self.time), initiator=int(i),
                     attempt=attempt + 1, delay=float(delay),
                 )
-            if self._span and i in self._episode_span:
-                self.spans.point(
-                    self._episode_span[i], t=self.time, phase="retry", proc=i
-                )
         else:
             # budget spent: re-anchor the trigger so the refused
             # processor stops asking while the net is congested
@@ -667,10 +646,6 @@ class AsyncEngine:
                     "async_giveup", time=float(self.time), initiator=int(i),
                     attempts=attempt + 1,
                 )
-            if self._span:
-                sid = self._episode_span.pop(i, None)
-                if sid is not None:
-                    self.spans.end(sid, t=self.time, status="gave_up")
 
     def _complete_balance(
         self, i: int, group: tuple[int, ...], op: int
@@ -684,11 +659,6 @@ class AsyncEngine:
                 self.tracer.emit(
                     "fault_msg_loss", time=float(self.time),
                     initiator=int(i), group=[int(p) for p in group],
-                )
-            if self._span and op in self._op_span:
-                # the span stays open: the timeout path will close it
-                self.spans.point(
-                    self._op_span[op], t=self.time, phase="msg_loss", proc=i
                 )
             return
         del self._inflight[op]
@@ -705,10 +675,11 @@ class AsyncEngine:
         if len(alive) < 2:
             # everyone else crashed mid-flight: nothing to equalise
             self.aborted_ops += 1
-            if self._span:
-                sid = self._op_span.pop(op, None)
-                if sid is not None:
-                    self.spans.end(sid, t=self.time, status="aborted")
+            if self._trace:
+                self.tracer.emit(
+                    "async_abandon", time=float(self.time), initiator=int(i),
+                    reason="stranded",
+                )
             return
         l, l_old = self.l, self.l_old
         before = [int(l[p]) for p in alive]
@@ -730,12 +701,6 @@ class AsyncEngine:
                 group=[int(p) for p in alive], loads_before=before,
                 loads_after=after, migrated=migrated,
             )
-        if self._span:
-            sid = self._op_span.pop(op, None)
-            if sid is not None:
-                self.spans.end(
-                    sid, t=self.time, status="completed", migrated=migrated
-                )
 
     def _reclaim(self, i: int, op: int) -> None:
         """Timeout: release the busy flags of a lost operation."""
@@ -751,10 +716,6 @@ class AsyncEngine:
                 "fault_reclaim", time=float(self.time), initiator=int(i),
                 group=[int(p) for p in group], waited=float(self.time - t0),
             )
-        if self._span:
-            sid = self._op_span.pop(op, None)
-            if sid is not None:
-                self.spans.end(sid, t=self.time, status="reclaimed")
 
     def _fault_boundary(self, proc: int, what: str) -> None:
         if what == "crash":

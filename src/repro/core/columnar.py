@@ -27,11 +27,11 @@ list of **array passes** composed by :class:`PassPipeline`::
   and the class-``j`` dance — in C, over the engine's own columns and
   dict rows, and calls back into Python only for the producer exchange
   (``Engine._exchange_with_producer``).  Where the walk does not apply
-  (an observer is attached, a custom selector or ``dynnet`` draws the
-  partners, ``kernel="off"``, or numpy's Floyd branch does not draw
-  them), :meth:`ColumnarEngine._dense_sweep` walks in Python: fast runs
-  buffered and applied in bulk, the inherited scalar handlers at every
-  slow or mid-tick-dirtied processor.
+  (a tracer or profiler is attached, a custom selector or ``dynnet``
+  draws the partners, ``kernel="off"``, or numpy's Floyd branch does not
+  draw them), :meth:`ColumnarEngine._dense_sweep` walks in Python: fast
+  runs buffered and applied in bulk, the inherited scalar handlers at
+  every slow or mid-tick-dirtied processor.
 
 The fused advance+apply pass hosts the **deep-quiet lane**: when nothing
 in the network owes a debt and every processor's band margin allows at
@@ -45,12 +45,12 @@ Exactness
 ``ColumnarEngine`` subclasses :class:`~repro.core.engine.Engine` and
 replaces only its sweep: the scalar handlers are inherited verbatim, so
 every processor routed to them consumes the identical RNG draws and
-emits identical trace events, spans and monitor-visible state as the
-oracle.  Fast processors draw no RNG and touch only their own diagonal,
-so bulk application commutes with any interleaving; the permutation
-skip is bit-exact by the probe in :mod:`repro.core.rngadvance`; and the
-deep-quiet horizon is derived from the same integer bands the
-classifier uses.  The tick walk replays the handlers' draws through the
+emits identical trace events (so identical derived spans) and
+monitor-visible state as the oracle.  Fast processors draw no RNG and
+touch only their own diagonal, so bulk application commutes with any
+interleaving; the permutation skip is bit-exact by the probe in
+:mod:`repro.core.rngadvance`; and the deep-quiet horizon is derived
+from the same integer bands the classifier uses.  The tick walk replays the handlers' draws through the
 bit generator's own ``next_uint32`` and is gated by a first-use probe
 against :meth:`ColumnarEngine._dense_sweep` (state and full RNG state).
 The result is RNG- and trace-identical to ``Engine`` — pinned on the
@@ -400,7 +400,6 @@ class ColumnarEngine(Engine):
         triggers=None,
         tracer=None,
         profiler=None,
-        spans=None,
         dynnet=None,
         kernel: str = "auto",
     ) -> None:
@@ -411,7 +410,6 @@ class ColumnarEngine(Engine):
             triggers=triggers,
             tracer=tracer,
             profiler=profiler,
-            spans=spans,
             dynnet=dynnet,
         )
         self._vectorized = triggers is None
@@ -424,14 +422,13 @@ class ColumnarEngine(Engine):
             # the default selector's partner draws follow the same switch
             self.selector = GlobalRandomSelector(self.n, kernel=kernel)
         # the compiled walk replaces the Python handlers' sweep only when
-        # nothing observes them (the tracer's events, the spans and the
-        # profiler's per-handler sections come from the handlers), the
-        # engine's own selector draws the partners on numpy's Floyd
-        # branch, and the kernels are on; None = bind at the first
-        # residual tick, False = never
-        observed = self._trace or self._span or self._profile
+        # nothing observes them (the tracer's events and the profiler's
+        # per-handler sections come from the handlers), the engine's own
+        # selector draws the partners on numpy's Floyd branch, and the
+        # kernels are on; None = bind at the first residual tick, False
+        # = never
         walkable = (
-            not observed
+            not self._observed
             and selector is None
             and dynnet is None
             and self._use_kernel

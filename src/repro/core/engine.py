@@ -57,7 +57,6 @@ from repro.core.ledger import ClassLedger
 from repro.core.selection import CandidateSelector, GlobalRandomSelector
 from repro.core.triggers import FactorTrigger, TriggerDecision
 from repro.observability.profiler import Profiler
-from repro.observability.spans import SpanRecorder
 from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.params import LBParams
 from repro.rng import make_rng
@@ -99,19 +98,18 @@ class Engine:
         triggers: list | None = None,
         tracer: Tracer | None = None,
         profiler: Profiler | None = None,
-        spans: "SpanRecorder | None" = None,
         dynnet=None,
     ) -> None:
         self.config = config
         # observability: the hot paths test the cached booleans only, so
         # an untraced/unprofiled run pays a single branch per site (see
-        # docs/OBSERVABILITY.md for the event and section catalogue)
+        # docs/OBSERVABILITY.md for the event and section catalogue);
+        # ``_observed`` is set when either watches the handlers
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._trace = bool(self.tracer.enabled)
         self.profiler = profiler
         self._profile = profiler is not None
-        self.spans = spans
-        self._span = spans is not None
+        self._observed = self._trace or self._profile
         n = config.n
         self.n = n
         self.params = config.params
@@ -482,13 +480,9 @@ class Engine:
                 "trigger", t=self.global_time, proc=i,
                 decision=decision.value, own_load=own, l_old=old,
             )
-        if self._span:
-            span = self.spans.start(t=self.global_time, op="balance", proc=i)
-        else:
-            span = -1
-        self._balance(i, span)
+        self._balance(i)
 
-    def _balance(self, i: int, span: int = -1) -> None:
+    def _balance(self, i: int) -> None:
         """One balancing operation initiated by ``i`` (appendix)."""
         delta = self.params.delta
         if self._profile:
@@ -504,8 +498,6 @@ class Engine:
             self.isolated_ops += 1
             self.l_old[i] = self.d.diag[i]
             self.local_time[i] += 1
-            if span >= 0:
-                self.spans.end(span, t=self.global_time, status="isolated")
             return
         part_ids = [i] + [int(p) for p in partners]
         k = len(part_ids)
@@ -514,10 +506,6 @@ class Engine:
             self.tracer.emit(
                 "partner_select", t=self.global_time, initiator=i,
                 partners=part_ids[1:],
-            )
-        if span >= 0:
-            self.spans.point(
-                span, t=self.global_time, phase="partner_select", proc=i
             )
 
         load = self.l
@@ -538,8 +526,6 @@ class Engine:
                     self.b.snake_redeal(part_ids, start_b)
             else:
                 self.b.snake_redeal(part_ids, start_b)
-        if span >= 0:
-            self.spans.point(span, t=self.global_time, phase="deal", proc=i)
         moved = 0
         for q, p in enumerate(part_ids):
             nl = new_l[q]
@@ -587,14 +573,6 @@ class Engine:
                         "debt_settle", t=self.global_time, proc=p,
                         cls=p, count=count, mechanism="self",
                     )
-                if span >= 0:
-                    self.spans.point(
-                        span, t=self.global_time, phase="debt_settle", proc=p
-                    )
-        if span >= 0:
-            self.spans.end(
-                span, t=self.global_time, status="completed", migrated=moved
-            )
 
     # -- introspection ------------------------------------------------------
 

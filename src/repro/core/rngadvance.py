@@ -74,7 +74,8 @@ first-use probe is cached with the tiers (:func:`walk_probed`).
 
 Builds live in ``repro_ckernel_{abi}_{digest}`` under the temp dir —
 the interpreter's extension ABI tag and a digest of the sources — and
-a fresh build removes the builds of other digests for its ABI.
+a fresh build removes the builds of other digests for its ABI and the
+untagged ``repro_ckernel_{digest}`` builds of older versions.
 
 A failed build, or a probe that rejects a compiled tier, raises one
 ``RuntimeWarning`` naming the tier that runs instead.  Set
@@ -809,9 +810,11 @@ def _compile(cache: Path, name: str, source: str, flags: list[str]) -> Path:
 
 
 def _remove_stale_builds(cache: Path, tag: str) -> None:
-    """Delete the builds of other sources for this ABI (a loaded library
-    survives the unlink on Linux)."""
-    stale = re.compile(rf"repro_ckernel_{re.escape(tag)}_[0-9a-f]{{16}}")
+    """Delete the builds of other sources for this ABI, and the builds
+    named before the ABI tag (``repro_ckernel_<digest>``), which no
+    interpreter loads any more (a loaded library survives the unlink on
+    Linux)."""
+    stale = re.compile(rf"repro_ckernel_(?:{re.escape(tag)}_)?[0-9a-f]{{16}}")
     for other in cache.parent.iterdir():
         if other != cache and stale.fullmatch(other.name):
             shutil.rmtree(other, ignore_errors=True)
@@ -821,7 +824,8 @@ def _build_library() -> ctypes.CDLL | None:
     """Compile the kernel sources once per machine and ABI, load the kernels.
 
     Builds live in ``repro_ckernel_{abi}_{digest}`` under the temp dir;
-    a fresh build removes the other digests of its ABI.  The tick walk
+    a fresh build removes the other digests of its ABI and the untagged
+    builds of older versions.  The tick walk
     is compiled here too (so one priming call builds everything) but
     loaded only by :func:`walk_function`, at its first use.
 

@@ -99,7 +99,7 @@ import numpy as np
 from repro.core.columnar import ColumnarEngine
 from repro.core.engine import Engine, EngineConfig
 from repro.experiments.report import render_table
-from repro.observability import Profiler, SpanRecorder, Tracer
+from repro.observability import Profiler, Span
 from repro.params import LBParams
 
 __all__ = [
@@ -366,7 +366,7 @@ def bench_report(
     return doc
 
 
-def bench_timeline(doc: dict[str, Any]) -> list[dict]:
+def bench_timeline(doc: dict[str, Any]) -> list[Span]:
     """The span timeline of a bench document (``repro bench --trace-out``).
 
     A root ``bench:grid`` span runs from 0 to the grid's wall time,
@@ -376,17 +376,17 @@ def bench_timeline(doc: dict[str, Any]) -> list[dict]:
     timeline is built here from their records rather than traced in the
     workers.
     """
-    runs = doc["runs"]
-    spans = SpanRecorder(Tracer())
-    root = spans.start(t=0.0, op="bench:grid", proc=0)
-    ids = [
-        spans.start(t=0.0, op=f"bench:{r['profile']}@{r['n']}", proc=i)
-        for i, r in enumerate(runs)
+    grid = Span(
+        span=0, op="bench:grid", proc=0, start=0.0,
+        end=float(doc["grid_elapsed_sec"]), status="completed",
+    )
+    return [grid] + [
+        Span(
+            span=i + 1, op=f"bench:{r['profile']}@{r['n']}", proc=i,
+            start=0.0, end=float(r["elapsed_sec"]), status="completed",
+        )
+        for i, r in enumerate(doc["runs"])
     ]
-    for sid, r in zip(ids, runs):
-        spans.end(sid, t=float(r["elapsed_sec"]), status="completed")
-    spans.end(root, t=float(doc["grid_elapsed_sec"]), status="completed")
-    return spans.tracer.events
 
 
 def write_bench_json(path: Path, doc: dict[str, Any]) -> None:

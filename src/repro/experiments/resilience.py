@@ -156,8 +156,7 @@ class ResilienceConfig:
 
         ``faults`` is :meth:`plan` for the faulted arm or ``None`` for
         the fault-free baseline; ``observers`` (``tracer=``,
-        ``profiler=``, ``spans=``, ``monitors=``) attach to the engine
-        unchanged.
+        ``profiler=``, ``monitors=``) attach to the engine unchanged.
         """
         from repro.core.async_engine import AsyncEngine
 

@@ -32,8 +32,8 @@ package turns every simulation into an inspectable trace:
   checking the paper's theorem bands *while the run executes*; breaches
   land in the trace as ``monitor_*`` events.
 * :mod:`repro.observability.spans` — balancing-operation spans: one
-  causal ``span_start``/``span_point``/``span_end`` story per trigger
-  fire, reconstructable from any trace and ranked most troubled first.
+  causal story per trigger fire, derived from the ordinary events of
+  any trace and ranked most troubled first.
 * :mod:`repro.observability.report` — render a traced run as a
   self-contained markdown/HTML report, one renderer per section
   (``repro report``; ``repro spans`` and ``repro profile`` print its
@@ -104,7 +104,6 @@ from repro.observability.report import (
 )
 from repro.observability.spans import (
     Span,
-    SpanRecorder,
     rank_spans,
     render_waterfall,
     spans_from_trace,
@@ -145,7 +144,6 @@ __all__ = [
     "ConservationMonitor",
     "OpBudgetMonitor",
     "Span",
-    "SpanRecorder",
     "spans_from_trace",
     "rank_spans",
     "worst_span",

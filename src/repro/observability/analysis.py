@@ -179,8 +179,14 @@ def reconcile_async_trace(events: Sequence[Mapping], result) -> list[str]:
     ``packets_migrated``; ``async_drop`` / ``async_retry`` /
     ``async_giveup`` counts vs ``dropped_ops`` / ``retries`` /
     ``give_ups``; and, for a faulted run, the ``fault_*`` event counts
-    vs ``result.fault_stats``.  Requires an unbounded tracer (a ring
-    buffer that dropped events cannot reconcile).
+    and the ``stranded`` ``async_abandon`` count vs
+    ``result.fault_stats``.  The facts no counter keeps are checked for
+    shape: every ``async_accept`` is ended by exactly one
+    ``async_balance``, ``fault_reclaim`` or stranded ``async_abandon`` of
+    its initiator (or is still in flight at the horizon), and no
+    initiator abandons for a crash without a retry that came due.
+    Requires an unbounded tracer (a ring buffer that dropped events
+    cannot reconcile).
     """
     problems: list[str] = []
     counts = Counter(ev["type"] for ev in events)
@@ -201,12 +207,39 @@ def reconcile_async_trace(events: Sequence[Mapping], result) -> list[str]:
             f"async_balance migrated sum {migrated} != "
             f"result.packets_migrated {result.packets_migrated}"
         )
+    abandons = Counter(
+        ev["reason"] for ev in events if ev["type"] == "async_abandon"
+    )
     fs = result.fault_stats
     if fs is not None:
         check("fault_crash", counts.get("fault_crash", 0), fs["crashes"])
         check("fault_msg_loss", counts.get("fault_msg_loss", 0), fs["lost_messages"])
         check("fault_reclaim", counts.get("fault_reclaim", 0), fs["reclaimed_ops"])
         check("fault_straggle", counts.get("fault_straggle", 0), fs["straggled_ops"])
+        check("stranded async_abandon", abandons["stranded"], fs["aborted_ops"])
     elif any(t.startswith("fault_") for t in counts):
         problems.append("fault_* events recorded but result.fault_stats is None")
+    if abandons["crashed"] > counts.get("async_retry", 0):
+        problems.append(
+            f"{abandons['crashed']} crashed async_abandon events > "
+            f"{counts.get('async_retry', 0)} async_retry events"
+        )
+    in_flight: set[int] = set()
+    unpaired = 0
+    for ev in events:
+        etype = ev["type"]
+        if etype == "async_accept":
+            unpaired += ev["initiator"] in in_flight
+            in_flight.add(ev["initiator"])
+        elif etype in ("async_balance", "fault_reclaim") or (
+            etype == "async_abandon" and ev["reason"] == "stranded"
+        ):
+            unpaired += ev["initiator"] not in in_flight
+            in_flight.discard(ev["initiator"])
+    if unpaired:
+        problems.append(
+            f"{unpaired} async_accept events and operation outcomes "
+            "(async_balance, fault_reclaim, stranded async_abandon) "
+            "do not pair up per initiator"
+        )
     return problems

@@ -1,18 +1,20 @@
 """Chrome trace-event / Perfetto export of recorded traces.
 
-Renders a schema-valid event stream — a tracer buffer, or the bench
+Renders a schema-valid event stream — a tracer buffer — together with
+its balancing-operation spans (derived by
+:func:`~repro.observability.spans.spans_from_trace`, or given: the bench
 timeline :func:`~repro.experiments.microbench.bench_timeline` builds
-from a bench document — as the `Chrome trace-event JSON format
+from a bench document) as the `Chrome trace-event JSON format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_,
 loadable in Perfetto (ui.perfetto.dev) or ``chrome://tracing`` as a
 flamegraph timeline.
 
 Mapping (model time ``t``/``time`` becomes microseconds):
 
-* ``span_start`` / ``span_end`` — duration begin/end (``B``/``E``) on
-  the span's processor lane; every ``B`` carries the caller's
-  ``run_id`` in its ``args``;
-* ``span_point`` — thread-scoped instant on the owning span's lane;
+* each span — duration begin/end (``B``/``E``) on the span's processor
+  lane, one pair per balancing operation (no ``E`` while it is still
+  open); every ``B`` carries the caller's ``run_id`` in its ``args``;
+* each span phase — thread-scoped instant on the span's lane;
 * ``fault_crash``/``fault_recover`` and ``node_leave``/``node_join`` —
   paired into complete (``X``) windows on the affected processor's
   lane, so crash windows and churn leave windows read as solid blocks
@@ -36,6 +38,7 @@ import json
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
+from repro.observability.spans import Span, spans_from_trace
 from repro.observability.tracer import event_time
 
 __all__ = ["chrome_trace_events", "write_chrome_trace"]
@@ -63,55 +66,60 @@ def _lane(ev: Mapping) -> int:
     return 0
 
 
+def _span_events(spans: Sequence[Span], run_id: str) -> list[dict]:
+    """``B``, one instant per phase and (once closed) ``E`` per span."""
+    out: list[dict] = []
+    for s in spans:
+        out.append({
+            "ph": "B", "pid": _PID_RUN, "tid": s.proc,
+            "ts": s.start * _SCALE, "name": s.op, "cat": "span",
+            "args": {"span": s.span, "run_id": run_id},
+        })
+        for p in s.points:
+            out.append({
+                "ph": "i", "s": "t", "pid": _PID_RUN, "tid": s.proc,
+                "ts": p["t"] * _SCALE, "name": p["phase"], "cat": "span",
+            })
+        if s.end is not None:
+            out.append({
+                "ph": "E", "pid": _PID_RUN, "tid": s.proc,
+                "ts": s.end * _SCALE,
+                "args": {"status": s.status, "migrated": s.migrated},
+            })
+    return out
+
+
 def chrome_trace_events(
     events: Sequence[Mapping],
     *,
     profiler=None,
     run_id: str = "",
+    timeline: Sequence[Span] | None = None,
 ) -> list[dict]:
-    """Render ``events`` as a list of Chrome trace-event dicts.
+    """Render ``events`` and their spans as Chrome trace-event dicts.
 
     ``run_id`` names the run in the process lane and in every span's
-    ``args`` (empty by default).
+    ``args`` (empty by default).  ``timeline`` replaces the spans
+    derived from ``events`` (the bench timeline has no trace).  The
+    spans come first; viewers order events by ``ts``.
     """
+    if timeline is None:
+        timeline = spans_from_trace(events)
     out: list[dict] = [
         {
             "ph": "M", "pid": _PID_RUN, "tid": 0, "name": "process_name",
             "args": {"name": f"repro run {run_id}".strip()},
         },
+        *_span_events(timeline, run_id),
     ]
     last_t = max((event_time(ev) for ev in events), default=0.0)
-    span_lane: dict[int, int] = {}
     open_windows: dict[tuple[str, int], float] = {}
     for ev in events:
         etype = ev.get("type", "")
         if etype in _SKIP:
             continue
         ts = event_time(ev) * _SCALE
-        if etype == "span_start":
-            lane = int(ev.get("proc", 0))
-            span_lane[int(ev["span"])] = lane
-            out.append({
-                "ph": "B", "pid": _PID_RUN, "tid": lane, "ts": ts,
-                "name": str(ev.get("op", "span")), "cat": "span",
-                "args": {"span": int(ev["span"]), "run_id": run_id},
-            })
-        elif etype == "span_end":
-            lane = span_lane.get(int(ev["span"]), 0)
-            out.append({
-                "ph": "E", "pid": _PID_RUN, "tid": lane, "ts": ts,
-                "args": {
-                    "status": str(ev.get("status", "")),
-                    "migrated": int(ev.get("migrated", 0)),
-                },
-            })
-        elif etype == "span_point":
-            lane = span_lane.get(int(ev["span"]), 0)
-            out.append({
-                "ph": "i", "s": "t", "pid": _PID_RUN, "tid": lane, "ts": ts,
-                "name": str(ev.get("phase", "point")), "cat": "span",
-            })
-        elif etype in _WINDOWS:
+        if etype in _WINDOWS:
             _, key, _ = _WINDOWS[etype]
             open_windows[(etype, int(ev.get(key, 0)))] = event_time(ev)
         elif etype in {closer for closer, _, _ in _WINDOWS.values()}:
@@ -175,10 +183,11 @@ def write_chrome_trace(
     *,
     profiler=None,
     run_id: str = "",
+    timeline: Sequence[Span] | None = None,
 ) -> int:
     """Write a Chrome trace JSON file; return the trace-event count."""
     trace_events = chrome_trace_events(
-        events, profiler=profiler, run_id=run_id
+        events, profiler=profiler, run_id=run_id, timeline=timeline
     )
     doc = {
         "traceEvents": trace_events,

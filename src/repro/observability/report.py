@@ -244,7 +244,6 @@ def build_report(
     title: str,
     meta: Mapping[str, object],
     monitors,
-    spans: Sequence,
     events: Sequence[Mapping],
     tracer,
     times: Sequence[float],
@@ -254,13 +253,16 @@ def build_report(
 ) -> str:
     """Render one traced run as a self-contained markdown document.
 
-    Parameters mirror what a monitored+spanned run leaves behind:
-    the :class:`~repro.observability.monitors.MonitorSuite`, the spans
-    reconstructed by :func:`~repro.observability.spans.spans_from_trace`,
-    the tracer (for the event stream and its eviction counter), the
-    snapshot timeline, and optionally a profiler and the fault plan's
-    crash bounds (:meth:`~repro.faults.injector.FaultInjector.crash_bounds`).
+    Parameters mirror what a monitored, traced run leaves behind:
+    the :class:`~repro.observability.monitors.MonitorSuite`, the events
+    (the spans section derives its spans from them with
+    :func:`~repro.observability.spans.spans_from_trace`), the tracer
+    (for its eviction counter), the snapshot timeline, and optionally a
+    profiler and the fault plan's crash bounds
+    (:meth:`~repro.faults.injector.FaultInjector.crash_bounds`).
     """
+    from repro.observability.spans import spans_from_trace
+
     ok = monitors.ok()
     lines = [
         f"# Run report: {title}",
@@ -274,7 +276,7 @@ def build_report(
     ]
     lines += _monitor_section(monitors, crash_bounds)
     lines.append("")
-    lines += spans_section(spans)
+    lines += spans_section(spans_from_trace(events))
     lines.append("")
     lines += _timeline_section(times, loads)
     lines.append("")

@@ -155,6 +155,12 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
             loads_before=list, loads_after=list, migrated=int,
         ),
         _schema(
+            "async_accept",
+            "repro.core.async_engine",
+            "Partners accepted: a balancing operation is in flight.",
+            time=float, initiator=int, group=list,
+        ),
+        _schema(
             "async_drop",
             "repro.core.async_engine",
             "A balancing operation dropped because every partner declined.",
@@ -171,6 +177,13 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
             "repro.core.async_engine",
             "An initiation abandoned after exhausting the retry budget.",
             time=float, initiator=int, attempts=int,
+        ),
+        _schema(
+            "async_abandon",
+            "repro.core.async_engine",
+            "An initiation ended without a redistribution (drifted back, "
+            "crashed before its retry, or stranded by crashed partners).",
+            time=float, initiator=int, reason=str,
         ),
         # -- fault injection (repro.core.async_engine + repro.faults) ---
         _schema(
@@ -239,28 +252,10 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
         ),
         # -- balancing-operation spans (repro.observability.spans) ------
         _schema(
-            "span_start",
-            "repro.observability.spans",
-            "A trigger fire opened a balancing-operation span.",
-            span=int, t=float, op=str, proc=int,
-        ),
-        _schema(
-            "span_point",
-            "repro.observability.spans",
-            "An intermediate phase of an open balancing-operation span.",
-            span=int, t=float, phase=str, proc=int,
-        ),
-        _schema(
-            "span_end",
-            "repro.observability.spans",
-            "A balancing-operation span closed with its outcome.",
-            span=int, t=float, status=str, migrated=int,
-        ),
-        _schema(
             "trace_truncated",
             "repro.observability.spans",
-            "A reconstructed span stream had orphaned points or ends "
-            "(ring overflow).",
+            "A span derivation found phases or outcomes without their "
+            "opening event (ring overflow).",
             time=float, dropped=int,
         ),
         # -- dynamic network churn (repro.dynnet.network) ----------------

@@ -2,19 +2,18 @@
 
 A *span* follows a single balancing operation from the trigger that
 opened it to its final outcome, across every intermediate step the
-engines take.  Three schema-registered events carry it inside the
-ordinary trace stream:
-
-* ``span_start`` — a trigger fired; the span id is allocated here and
-  threads through everything that follows;
-* ``span_point`` — an intermediate phase: ``partner_select``, ``deal``,
-  ``debt_settle`` (synchronous engine), ``declined`` / ``retry`` /
-  ``straggle`` / ``msg_loss`` (asynchronous engine);
-* ``span_end`` — the outcome: ``completed`` (with the migrated packet
-  count), or one of the asynchronous failure modes — ``gave_up`` (retry
-  budget spent), ``reclaimed`` (completion lost, busy flags reclaimed
-  by timeout), ``aborted`` (partners crashed mid-flight), ``quiesced``
-  (the load drifted back before any partner accepted).
+engines take.  Spans are a view of the trace: no engine emits anything
+for them.  :func:`spans_from_trace` derives them from the ordinary
+events (``trigger`` → ``partner_select`` → ``balance`` → self-debt
+``debt_settle`` in the synchronous engine, the ``async_*`` and
+``fault_*`` families in the asynchronous one); the event → phase table
+is in ``docs/OBSERVABILITY.md``.  The outcome is ``completed`` (with
+the migrated packet count), ``isolated`` (no partner to balance with),
+or one of the asynchronous failure modes — ``gave_up`` (retry budget
+spent), ``reclaimed`` (completion lost, busy flags reclaimed by
+timeout), ``aborted`` (the initiator crashed before its retry, or its
+partners crashed mid-flight), ``quiesced`` (the load drifted back
+before any partner accepted).
 
 In the synchronous engine a span covers exactly one inline balancing
 operation (start at the trigger, end the same tick).  In the
@@ -22,11 +21,10 @@ asynchronous engine a span covers a whole *episode*: the retry loop of
 a congested initiation, the latency window of an accepted operation,
 and the fault paths — which is where span durations become interesting.
 
-:func:`spans_from_trace` reconstructs :class:`Span` objects from any
-recorded trace (live buffer or NDJSON), :func:`rank_spans` orders them
-most troubled first and :func:`render_waterfall` draws one; the run
-report's spans section (``repro spans`` prints it) is built from these.  Like the tracer, spans cost nothing when off: the engines
-cache one boolean and skip every span site with a single branch.
+:func:`rank_spans` orders spans most troubled first and
+:func:`render_waterfall` draws one; the run report's spans section
+(``repro spans`` prints it) and the Perfetto export are built from
+these.
 """
 
 from __future__ import annotations
@@ -34,57 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.observability.tracer import Tracer
+from repro.observability.tracer import Tracer, event_time
 
 __all__ = [
-    "SpanRecorder",
     "Span",
     "spans_from_trace",
     "rank_spans",
     "worst_span",
     "render_waterfall",
 ]
-
-
-class SpanRecorder:
-    """Allocates span ids and emits ``span_*`` events into a tracer."""
-
-    __slots__ = ("tracer", "started", "ended", "_next")
-
-    def __init__(self, tracer: Tracer) -> None:
-        self.tracer = tracer
-        self.started = 0
-        self.ended = 0
-        self._next = 0
-
-    def start(self, *, t: float, op: str, proc: int) -> int:
-        sid = self._next
-        self._next += 1
-        self.started += 1
-        self.tracer.emit(
-            "span_start", span=sid, t=float(t), op=op, proc=int(proc)
-        )
-        return sid
-
-    def point(self, span: int, *, t: float, phase: str, proc: int) -> None:
-        self.tracer.emit(
-            "span_point", span=int(span), t=float(t), phase=phase,
-            proc=int(proc),
-        )
-
-    def end(
-        self, span: int, *, t: float, status: str, migrated: int = 0
-    ) -> None:
-        self.ended += 1
-        self.tracer.emit(
-            "span_end", span=int(span), t=float(t), status=status,
-            migrated=int(migrated),
-        )
-
-    @property
-    def open(self) -> int:
-        """Spans started but never ended (leaked at the horizon)."""
-        return self.started - self.ended
 
 
 @dataclass(slots=True)
@@ -112,46 +68,120 @@ class Span:
 def spans_from_trace(
     events: Sequence[Mapping], *, tracer: Tracer | None = None
 ) -> list[Span]:
-    """Reconstruct spans (ordered by span id) from a recorded trace.
+    """Derive the balancing-operation spans of a recorded trace.
 
-    Tolerates truncated traces — points/ends whose start was evicted
-    from a ring buffer are dropped, spans without an end stay open
-    (``status is None``) — but not *silently*: when orphans are found
-    a ``trace_truncated`` warning event is emitted into ``tracer``, the
-    same loud-by-default shape as a ``monitor_breach``.
+    Spans are numbered in the order they start.  The event → phase
+    mapping is the table in ``docs/OBSERVABILITY.md`` ("Balancing-
+    operation spans"): a synchronous operation runs inline, so the
+    order of its events is its story; an asynchronous span is keyed
+    by its initiator, which has at most one open episode at a time
+    (it is busy while its operation is in flight).
+
+    Tolerates truncated traces — phases and outcomes whose opening
+    event was evicted from a ring buffer are dropped, spans without an
+    outcome stay open (``status is None``) — but not *silently*: when
+    orphans are found a ``trace_truncated`` warning event is emitted
+    into ``tracer``, the same loud-by-default shape as a
+    ``monitor_breach``.
     """
-    spans: dict[int, Span] = {}
+    spans: list[Span] = []
+    op: Span | None = None       # the synchronous operation being read
+    settling: tuple = ()         # its participants, until another event
+    episodes: dict[int, Span] = {}  # asynchronous: open span per initiator
     orphans = 0
     first_orphan_t = 0.0
+
+    def open_span(kind: str, proc: int, t: float) -> Span:
+        s = Span(span=len(spans), op=kind, proc=int(proc), start=t)
+        spans.append(s)
+        return s
+
     for ev in events:
         etype = ev.get("type")
-        if etype == "span_start":
-            spans[ev["span"]] = Span(
-                span=ev["span"], op=ev["op"], proc=ev["proc"], start=ev["t"]
-            )
-        elif etype == "span_point":
-            s = spans.get(ev["span"])
+        t = event_time(ev)
+        if etype == "debt_settle" and ev["mechanism"] == "self":
+            # a participant's self-debt settles right after the deal; a
+            # debtor's own-class repayment outside an operation does not
+            if ev["proc"] in settling:
+                op.points.append(_point(t, "debt_settle", ev["proc"]))
+            continue
+        if etype != "transfer":
+            settling = ()
+        if etype == "trigger":
+            # provisionally isolated: an operation without partners
+            # emits nothing after its trigger
+            op = open_span("balance", ev["proc"], t)
+            op.end, op.status = t, "isolated"
+            continue
+        if etype == "partner_select":
+            s = op if op is not None and op.proc == ev["initiator"] else None
+            if s is not None and s.status == "isolated":
+                s.end = s.status = None
+                s.points.append(_point(t, "partner_select", s.proc))
+                continue
+        elif etype == "balance":
+            s = op if op is not None and op.proc == ev["initiator"] else None
+            if s is not None and s.phases == ["partner_select"]:
+                s.points.append(_point(t, "deal", s.proc))
+                s.end, s.status, s.migrated = t, "completed", ev["migrated"]
+                settling = tuple(ev["participants"])
+                continue
+        elif etype in _ASYNC_OPENERS:
+            i = ev["initiator"]
+            s = episodes.get(i)
+            if s is None:
+                s = episodes[i] = open_span("async_balance", i, t)
+            s.points.append(_point(t, _ASYNC_OPENERS[etype], i))
+            continue
+        elif etype in _ASYNC_POINTS:
+            s = episodes.get(ev["initiator"])
             if s is not None:
-                s.points.append(
-                    {"t": ev["t"], "phase": ev["phase"], "proc": ev["proc"]}
-                )
-            else:
-                if not orphans:
-                    first_orphan_t = float(ev["t"])
-                orphans += 1
-        elif etype == "span_end":
-            s = spans.get(ev["span"])
+                s.points.append(_point(t, _ASYNC_POINTS[etype], s.proc))
+                continue
+        elif etype in _ASYNC_ENDS:
+            s = episodes.pop(ev["initiator"], None)
+            status = _ASYNC_ENDS[etype]
+            if ev.get("reason") == "quiesced":
+                if s is None:
+                    # the attempt count resets after a crash already
+                    # ended the episode: nothing left to close
+                    continue
+                status = "quiesced"
             if s is not None:
-                s.end = ev["t"]
-                s.status = ev["status"]
-                s.migrated = ev["migrated"]
-            else:
-                if not orphans:
-                    first_orphan_t = float(ev["t"])
-                orphans += 1
+                s.end, s.status = t, status
+                s.migrated = ev.get("migrated", 0)
+                continue
+        else:
+            continue
+        if not orphans:
+            first_orphan_t = t
+        orphans += 1
     if orphans and tracer is not None and getattr(tracer, "enabled", False):
         tracer.emit("trace_truncated", time=first_orphan_t, dropped=orphans)
-    return [spans[k] for k in sorted(spans)]
+    return spans
+
+
+def _point(t: float, phase: str, proc: int) -> dict:
+    return {"t": t, "phase": phase, "proc": int(proc)}
+
+
+#: asynchronous events that open the initiator's span when none is
+#: open, and the phase each marks
+_ASYNC_OPENERS = {"async_drop": "declined", "async_accept": "partner_select"}
+#: asynchronous phases of an open span
+_ASYNC_POINTS = {
+    "async_retry": "retry",
+    "fault_straggle": "straggle",
+    "fault_msg_loss": "msg_loss",
+}
+#: asynchronous outcomes (an ``async_abandon`` whose ``reason`` is
+#: ``quiesced`` ends its span ``quiesced``)
+_ASYNC_ENDS = {
+    "async_balance": "completed",
+    "async_giveup": "gave_up",
+    "fault_reclaim": "reclaimed",
+    "async_abandon": "aborted",
+}
 
 
 def rank_spans(spans: Sequence[Span]) -> list[Span]:

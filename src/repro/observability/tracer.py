@@ -202,6 +202,6 @@ def read_ndjson(path: str | Path | IO[str]) -> list[dict]:
 
 def event_time(ev: Mapping) -> float:
     """An event's timestamp: async events carry ``time``, synchronous
-    and span events carry ``t`` (``span``-less events without either —
-    e.g. ``backend_fallback`` — sort at 0.0)."""
+    events carry ``t`` (events without either — e.g.
+    ``backend_fallback`` — sort at 0.0)."""
     return float(ev.get("time", ev.get("t", 0.0)))

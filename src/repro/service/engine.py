@@ -279,7 +279,6 @@ def service_run(
     monitors=None,
     tracer=None,
     profiler=None,
-    spans=None,
     telemetry=None,
 ) -> ServiceRun:
     """Run one service episode end to end; return the document + parts.
@@ -342,7 +341,6 @@ def service_run(
         monitors=monitors,
         tracer=tracer,
         profiler=profiler,
-        spans=spans,
         telemetry=telemetry,
         faults=plan,
     )

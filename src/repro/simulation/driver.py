@@ -15,14 +15,15 @@ Observability: pass a :class:`~repro.observability.tracer.Tracer` to
 record a structured event stream (the driver adds one ``tick`` snapshot
 event per global tick on top of the engine's events), a
 :class:`~repro.observability.metrics.MetricsRegistry` to maintain
-per-tick gauges/histograms plus end-of-run counters, and a
-:class:`~repro.observability.profiler.Profiler` for hot-path timings,
-a :class:`~repro.observability.monitors.MonitorSuite` to check the
-paper's theorem bands online against each per-tick snapshot, and a
-:class:`~repro.observability.spans.SpanRecorder` (threaded into the
-engine) to record one causal span per balancing operation.  All
-default to off and cost nothing when off.  The emitted event types and
-metric names are documented in ``docs/OBSERVABILITY.md``.
+per-tick gauges/histograms plus end-of-run counters, a
+:class:`~repro.observability.profiler.Profiler` for hot-path timings
+and a :class:`~repro.observability.monitors.MonitorSuite` to check the
+paper's theorem bands online against each per-tick snapshot.  All
+default to off and cost nothing when off.  Balancing-operation spans
+need no observer of their own:
+:func:`~repro.observability.spans.spans_from_trace` derives them from
+the traced events.  The emitted event types and metric names are
+documented in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.core.selection import CandidateSelector
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.monitors import MonitorSuite
 from repro.observability.profiler import Profiler
-from repro.observability.spans import SpanRecorder
 from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.params import LBParams
 from repro.rng import RngFactory
@@ -143,7 +143,6 @@ def run_simulation(
     metrics: MetricsRegistry | None = None,
     profiler: Profiler | None = None,
     monitors: MonitorSuite | None = None,
-    spans: SpanRecorder | None = None,
     telemetry=None,
     engine_cls: type[Engine] | None = None,
 ) -> RunResult:
@@ -178,7 +177,6 @@ def run_simulation(
         selector=selector,
         tracer=tracer,
         profiler=profiler,
-        spans=spans,
     )
     sim = Simulation(
         engine,

@@ -90,6 +90,44 @@ class TestGoldenTraceReplay:
         assert reconcile_async_trace(tracer.events, res) == []
 
 
+class TestAbandonReconciliation:
+    """The async_accept / async_abandon facts are recounted, so a lost
+    event is reported, not silently absorbed."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from repro.experiments.resilience import ResilienceConfig
+
+        cfg = ResilienceConfig(
+            n=16, latency=3.0, crash_frac=0.5, message_loss=0.3, horizon=60.0
+        )
+        tracer = Tracer()
+        res = cfg.engine(cfg.plan(), tracer=tracer).run(cfg.horizon)
+        return tracer.events, res
+
+    def test_every_abandon_reason_occurs_and_reconciles(self, run):
+        events, res = run
+        reasons = {e["reason"] for e in events if e["type"] == "async_abandon"}
+        assert reasons == {"quiesced", "crashed", "stranded"}
+        assert res.fault_stats["aborted_ops"] > 0
+        assert reconcile_async_trace(events, res) == []
+
+    def test_dropped_stranded_abandon_is_reported(self, run):
+        events, res = run
+        k = next(
+            k for k, e in enumerate(events)
+            if e["type"] == "async_abandon" and e["reason"] == "stranded"
+        )
+        problems = reconcile_async_trace(events[:k] + events[k + 1:], res)
+        assert any("stranded async_abandon" in p for p in problems)
+
+    def test_dropped_accept_is_reported(self, run):
+        events, res = run
+        k = next(k for k, e in enumerate(events) if e["type"] == "async_accept")
+        problems = reconcile_async_trace(events[:k] + events[k + 1:], res)
+        assert any("async_accept" in p for p in problems)
+
+
 class TestCrashSemantics:
     def test_crashed_load_frozen(self):
         """A crashed processor's load is dark: frozen until recovery."""

@@ -32,8 +32,8 @@ from repro.experiments.microbench import _make_actions, _prepare_engine
 from repro.observability import (
     MetricsRegistry,
     MonitorSuite,
-    SpanRecorder,
     Tracer,
+    spans_from_trace,
 )
 from repro.params import LBParams
 
@@ -255,7 +255,6 @@ def _observed_simulation(engine_cls):
         tracer=tracer,
         metrics=metrics,
         monitors=suite,
-        spans=SpanRecorder(tracer),
         engine_cls=engine_cls,
     )
     return res, tracer, suite, metrics
@@ -269,7 +268,8 @@ def test_golden_trace_with_monitors_on():
     assert col_res.total_ops == ref_res.total_ops
     assert col_res.packets_migrated == ref_res.packets_migrated
     assert col_res.counters.as_dict() == ref_res.counters.as_dict()
-    assert col_tr.events == ref_tr.events  # includes span + monitor events
+    assert col_tr.events == ref_tr.events  # includes monitor events
+    assert spans_from_trace(col_tr.events) == spans_from_trace(ref_tr.events)
     assert col_suite.verdicts() == ref_suite.verdicts()
     assert col_m.as_dict() == ref_m.as_dict()
 

@@ -234,19 +234,21 @@ class TestBuildCache:
     def test_fresh_build_removes_stale_builds_of_its_abi(self, monkeypatch, tmp_path):
         self._fresh(monkeypatch, tmp_path)
         tag = rngadvance._abi_tag()
-        stale = tmp_path / f"repro_ckernel_{tag}_{'0' * 16}"
+        removed = [
+            tmp_path / f"repro_ckernel_{tag}_{'0' * 16}",
+            tmp_path / f"repro_ckernel_{'0' * 16}",  # no ABI tag
+        ]
         kept = [
             tmp_path / f"repro_ckernel_otherabi_{'0' * 16}",  # another interpreter
-            tmp_path / f"repro_ckernel_{'0' * 16}",  # no ABI tag
             tmp_path / "unrelated",
         ]
-        for d in (stale, *kept):
+        for d in (*removed, *kept):
             d.mkdir()
             (d / "kernel.so").write_bytes(b"")
         assert rngadvance._build_library() is not None
         (build,) = self._builds(tmp_path)
         assert {p.name for p in (tmp_path / build).iterdir()} == {"kernel.so", "walk.so"}
-        assert not stale.exists()
+        assert not any(d.exists() for d in removed)
         assert all(d.exists() for d in kept)
 
     def test_a_loaded_build_survives_its_removal(self, monkeypatch, tmp_path):

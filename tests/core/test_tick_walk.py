@@ -37,7 +37,7 @@ from repro.core.rngadvance import _states_equal
 from repro.core.selection import GlobalRandomSelector
 from repro.dynnet import DynamicNetwork
 from repro.network import CompleteGraph
-from repro.observability import Profiler, SpanRecorder, Tracer
+from repro.observability import Profiler, Tracer
 from repro.params import LBParams
 
 pytestmark = pytest.mark.skipif(
@@ -166,7 +166,6 @@ def test_grid_reaches_every_debt_path():
 def _fallback_kwargs(n: int) -> dict:
     return {
         "tracer": {"tracer": Tracer()},
-        "spans": {"spans": SpanRecorder(Tracer())},
         "profiler": {"profiler": Profiler()},
         "selector": {"selector": GlobalRandomSelector(n)},
         "dynnet": {"dynnet": DynamicNetwork(CompleteGraph(n))},
@@ -175,7 +174,7 @@ def _fallback_kwargs(n: int) -> dict:
 
 
 @pytest.mark.parametrize(
-    "condition", ["tracer", "spans", "profiler", "selector", "dynnet", "kernel off"]
+    "condition", ["tracer", "profiler", "selector", "dynnet", "kernel off"]
 )
 def test_fallback_conditions_take_the_python_walk(condition):
     n = 32

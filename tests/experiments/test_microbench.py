@@ -15,7 +15,6 @@ from repro.experiments.microbench import (
     load_bench_history,
     run_microbench,
 )
-from repro.observability import validate_trace
 
 
 def bench_doc(**overrides):
@@ -43,38 +42,30 @@ def bench_doc(**overrides):
 class TestBenchTimeline:
     def test_one_span_per_run_under_the_grid_span(self):
         doc = bench_doc()
-        events = bench_timeline(doc)
-        validate_trace(events)
-        starts = [e for e in events if e["type"] == "span_start"]
-        ends = {e["span"]: e["t"] for e in events if e["type"] == "span_end"}
-        assert len(starts) == len(ends) == 1 + len(doc["runs"])
-        assert (starts[0]["op"], starts[0]["t"]) == ("bench:grid", 0.0)
-        assert ends[starts[0]["span"]] == pytest.approx(0.6)
-        for i, (start, run) in enumerate(zip(starts[1:], doc["runs"])):
-            assert start["op"] == f"bench:{run['profile']}@{run['n']}"
-            assert (start["proc"], start["t"]) == (i, 0.0)
-            assert ends[start["span"]] == run["elapsed_sec"]
+        root, *runs = bench_timeline(doc)
+        assert len(runs) == len(doc["runs"])
+        assert (root.span, root.op, root.start) == (0, "bench:grid", 0.0)
+        assert root.end == pytest.approx(0.6)
+        for i, (s, run) in enumerate(zip(runs, doc["runs"])):
+            assert s.op == f"bench:{run['profile']}@{run['n']}"
+            assert (s.span, s.proc, s.start) == (i + 1, i, 0.0)
+            assert (s.end, s.status) == (run["elapsed_sec"], "completed")
 
     def test_grid_span_ends_at_the_grid_wall_time_when_runs_overlap(self):
         # two runs of 0.2 s and 0.4 s overlapped on a pool: the grid took
         # 0.45 s of wall time, not the 0.6 s its runs sum to
         doc = bench_doc(grid_elapsed_sec=0.45)
-        events = bench_timeline(doc)
-        validate_trace(events)
-        root = next(e["span"] for e in events if e.get("op") == "bench:grid")
-        ends = {e["span"]: e["t"] for e in events if e["type"] == "span_end"}
-        assert ends[root] == 0.45
-        assert ends[root] < sum(r["elapsed_sec"] for r in doc["runs"])
-        assert max(ends.values()) == ends[root]
+        root, *runs = bench_timeline(doc)
+        assert root.end == 0.45
+        assert root.end < sum(r["elapsed_sec"] for r in doc["runs"])
+        assert max(s.end for s in runs) < root.end
 
     def test_report_records_the_grid_wall_time(self):
         doc = bench_report((16,), profiles=("quiet", "stationary"), ticks=5)
         longest = max(r["elapsed_sec"] for r in doc["runs"])
         assert doc["grid_elapsed_sec"] >= longest
-        events = bench_timeline(doc)
-        root = next(e["span"] for e in events if e.get("op") == "bench:grid")
-        ends = {e["span"]: e["t"] for e in events if e["type"] == "span_end"}
-        assert ends[root] == doc["grid_elapsed_sec"]
+        root = bench_timeline(doc)[0]
+        assert (root.op, root.end) == ("bench:grid", doc["grid_elapsed_sec"])
 
     def test_same_timeline_on_either_backend_apart_from_end_times(self):
         def shape(backend, jobs):
@@ -83,8 +74,8 @@ class TestBenchTimeline:
                 backend=backend, jobs=jobs,
             )
             return [
-                {k: v for k, v in e.items() if e["type"] != "span_end" or k != "t"}
-                for e in bench_timeline(doc)
+                (s.span, s.op, s.proc, s.start, s.status)
+                for s in bench_timeline(doc)
             ]
 
         assert shape("native", 1) == shape("multiprocessing", 2)

@@ -13,7 +13,6 @@ import pytest
 from repro.observability import (
     MetricsRegistry,
     Profiler,
-    SpanRecorder,
     TelemetrySampler,
     Tracer,
     spans_from_trace,
@@ -79,10 +78,8 @@ class TestExposition:
         assert parsed["repro_tracer_dropped_total"][()] == 0.0
         # ...and a sampler watching an evicting ring reports the drops
         tracer = Tracer(capacity=2)
-        spans = SpanRecorder(tracer)
         for i in range(5):
-            sid = spans.start(t=float(i), op=f"op{i}", proc=0)
-            spans.end(sid, t=float(i), status="completed")
+            tracer.emit("fault_crash", time=float(i), proc=0)
         sampler = TelemetrySampler(interval=0.0, tracer=tracer)
         sampler.sample(0.0)
         parsed = parse_exposition(render_exposition(sampler))
@@ -151,13 +148,14 @@ class TestTelemetryServer:
 
 
 def _traced_events():
-    """A small span stream with a fault window and a loose event."""
+    """One asynchronous operation across a fault window."""
     tracer = Tracer()
-    spans = SpanRecorder(tracer)
-    sid = spans.start(t=0.0, op="balance", proc=1)
-    spans.point(sid, t=0.5, phase="transfer", proc=1)
+    tracer.emit("async_accept", time=0.0, initiator=1, group=[1, 3])
     tracer.emit("fault_crash", time=1.0, proc=2)
-    spans.end(sid, t=1.5, status="completed", migrated=3)
+    tracer.emit(
+        "async_balance", time=1.5, initiator=1, group=[1, 3],
+        loads_before=[4, 0], loads_after=[2, 2], migrated=2,
+    )
     tracer.emit("fault_recover", time=2.0, proc=2)
     return tracer.events
 
@@ -166,13 +164,35 @@ class TestChromeExport:
     def test_event_shapes(self):
         out = chrome_trace_events(_traced_events())
         assert out[0]["ph"] == "M"  # process-name metadata first
-        phases = [e["ph"] for e in out[1:]]
-        assert phases == ["B", "i", "E", "X"]
-        begin = out[1]
-        assert begin["name"] == "balance" and begin["tid"] == 1
+        phases = [(e["ph"], e.get("cat")) for e in out[1:]]
+        assert phases == [
+            ("B", "span"), ("i", "span"), ("E", None),
+            ("i", "event"), ("i", "event"), ("X", "fault"),
+        ]
+        begin, point, end = out[1:4]
+        assert begin["name"] == "async_balance" and begin["tid"] == 1
+        assert (point["name"], point["ts"]) == ("partner_select", 0.0)
+        assert end["ts"] == 1500.0
+        assert end["args"] == {"status": "completed", "migrated": 2}
         window = out[-1]
         assert window["name"] == "crash" and window["tid"] == 2
         assert window["ts"] == 1000.0 and window["dur"] == 1000.0
+
+    def test_one_span_per_balancing_operation(self):
+        from repro.simulation.driver import run_simulation
+        from repro.workload import Section7Workload
+
+        tracer = Tracer()
+        res = run_simulation(
+            16, LBParams(f=1.3, delta=2, C=4),
+            Section7Workload(16, 120, layout_rng=0), 120, seed=0,
+            tracer=tracer,
+        )
+        out = chrome_trace_events(tracer.events, run_id="r")
+        begins = [e for e in out if e["ph"] == "B"]
+        ends = [e for e in out if e["ph"] == "E"]
+        assert len(begins) == len(ends) == res.total_ops > 0
+        assert {e["args"]["run_id"] for e in begins} == {"r"}
 
     def test_unclosed_fault_window_closes_at_horizon(self):
         tracer = Tracer()
@@ -212,10 +232,13 @@ class TestChromeExport:
 
     def test_spans_from_trace_warns_on_truncation(self):
         tracer = Tracer(capacity=3)
-        spans = SpanRecorder(tracer)
         for i in range(5):
-            sid = spans.start(t=float(i), op=f"op{i}", proc=0)
-            spans.end(sid, t=float(i) + 0.5, status="completed")
+            tracer.emit("async_accept", time=float(i), initiator=i, group=[i, 9])
+            tracer.emit(
+                "async_balance", time=float(i) + 0.5, initiator=i,
+                group=[i, 9], loads_before=[2, 0], loads_after=[1, 1],
+                migrated=1,
+            )
         warn = Tracer()
         recovered = spans_from_trace(tracer.events, tracer=warn)
         warnings = [e for e in warn.events if e["type"] == "trace_truncated"]

@@ -323,8 +323,9 @@ class TestAcceptance:
 
     def test_monitors_and_spans_do_not_perturb_the_run(self):
         """Observers consume no RNG: loads and non-observer events are
-        bit-identical with and without the whole observability stack."""
-        from repro.observability import SpanRecorder
+        bit-identical with and without the whole observability stack,
+        so the spans derived from either trace are the same."""
+        from repro.observability import spans_from_trace
         from repro.simulation.driver import run_simulation
         from repro.workload import Section7Workload
 
@@ -335,7 +336,6 @@ class TestAcceptance:
                 kwargs["monitors"] = MonitorSuite.standard(
                     PARAMS, tracer=tracer
                 )
-                kwargs["spans"] = SpanRecorder(tracer)
             res = run_simulation(
                 16, PARAMS, Section7Workload(16, 120, layout_rng=5), 120,
                 seed=5, tracer=tracer, **kwargs,
@@ -354,8 +354,8 @@ class TestAcceptance:
                 if ev["type"] not in drop_types
             ]
 
-        observer_types = (
-            "monitor_breach", "monitor_recover",
-            "span_start", "span_point", "span_end",
-        )
+        observer_types = ("monitor_breach", "monitor_recover")
         assert strip(plain_tr.events) == strip(obs_tr.events, observer_types)
+        assert spans_from_trace(plain_tr.events) == spans_from_trace(
+            obs_tr.events
+        )

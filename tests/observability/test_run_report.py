@@ -6,11 +6,9 @@ import pytest
 from repro import LBParams
 from repro.observability import (
     MonitorSuite,
-    SpanRecorder,
     Tracer,
     build_report,
     sparkline,
-    spans_from_trace,
     to_html,
 )
 
@@ -40,10 +38,9 @@ def observed_run(n=8, steps=80, seed=4):
 
     tracer = Tracer()
     suite = MonitorSuite.standard(PARAMS, tracer=tracer)
-    spans = SpanRecorder(tracer)
     res = run_simulation(
         n, PARAMS, Section7Workload(n, steps, layout_rng=seed), steps,
-        seed=seed, tracer=tracer, monitors=suite, spans=spans,
+        seed=seed, tracer=tracer, monitors=suite,
     )
     return res, tracer, suite
 
@@ -56,7 +53,6 @@ class TestBuildReport:
             title="unit-test run",
             meta={"n": 8, "steps": 80, "seed": 4},
             monitors=suite,
-            spans=spans_from_trace(tracer.events),
             events=tracer.events,
             tracer=tracer,
             times=np.arange(len(res.loads), dtype=float),
@@ -93,7 +89,7 @@ class TestBuildReport:
     def test_crash_bounds_annotation(self):
         res, tracer, suite = observed_run(steps=40)
         md = build_report(
-            title="t", meta={}, monitors=suite, spans=[],
+            title="t", meta={}, monitors=suite,
             events=tracer.events, tracer=tracer,
             times=np.arange(len(res.loads), dtype=float), loads=res.loads,
             crash_bounds=(30.0, 45.0),
@@ -107,7 +103,7 @@ class TestBuildReport:
         suite = MonitorSuite.standard(PARAMS)
         suite.observe(0.0, np.array([1, 1, 1, 1], dtype=np.int64))
         md = build_report(
-            title="t", meta={}, monitors=suite, spans=[],
+            title="t", meta={}, monitors=suite,
             events=tracer.events, tracer=tracer,
             times=[0.0, 1.0], loads=np.ones((2, 4)),
         )

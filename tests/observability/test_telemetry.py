@@ -13,11 +13,7 @@ import pytest
 
 from repro.core.columnar import ColumnarEngine
 from repro.core.engine import Engine, EngineConfig
-from repro.observability import (
-    SpanRecorder,
-    TelemetrySampler,
-    Tracer,
-)
+from repro.observability import TelemetrySampler, Tracer
 from repro.observability.export.prometheus import (
     parse_exposition,
     render_exposition,
@@ -85,9 +81,8 @@ class TestTelemetrySampler:
 
     def test_tracer_drops_surfaced(self):
         tracer = Tracer(capacity=1)
-        spans = SpanRecorder(tracer)
-        sid = spans.start(t=0.0, op="x", proc=0)
-        spans.end(sid, t=1.0, status="completed")
+        tracer.emit("fault_crash", time=0.0, proc=0)
+        tracer.emit("fault_recover", time=1.0, proc=0)
         sampler = TelemetrySampler(interval=0.0, tracer=tracer)
         sampler.sample(0.0)
         assert sampler.snapshot()["latest"]["tracer_dropped"] > 0

@@ -1,6 +1,7 @@
 """Tests for the command line interface."""
 
 import os
+import re
 
 import pytest
 
@@ -373,7 +374,7 @@ class TestReportAndSpansCommands:
         assert "Worst span (longest, then most event-ful):" in out
 
     def test_spans_from_trace_file(self, tmp_path, capsys):
-        from repro.observability import SpanRecorder, Tracer
+        from repro.observability import Tracer
         from repro.params import LBParams
         from repro.simulation.driver import run_simulation
         from repro.workload import Section7Workload
@@ -382,7 +383,7 @@ class TestReportAndSpansCommands:
         run_simulation(
             8, LBParams(f=1.3, delta=2, C=4),
             Section7Workload(8, 60, layout_rng=0), 60, seed=0,
-            tracer=tracer, spans=SpanRecorder(tracer),
+            tracer=tracer,
         )
         path = tmp_path / "t.ndjson"
         tracer.to_ndjson(path)
@@ -398,11 +399,14 @@ class TestReportAndSpansCommands:
         )
 
     def test_spans_from_spanless_trace_is_graceful(self, tmp_path, capsys):
+        from repro.observability import Tracer
+
+        # no balancing operation ran: only the driver's tick snapshots
+        tracer = Tracer()
+        for t in range(3):
+            tracer.emit("tick", t=t, loads=[1, 1], ops=0, migrated=0)
         path = tmp_path / "t.ndjson"
-        assert main([
-            "trace", "--n", "8", "--steps", "40", "--trace-out", str(path),
-        ]) == 0
-        capsys.readouterr()
+        tracer.to_ndjson(path)
         assert main(["spans", "--trace-in", str(path)]) == 0
         assert "(no spans recorded)" in capsys.readouterr().out
 
@@ -731,13 +735,17 @@ class TestTelemetryCli:
             "trace", "--n", "8", "--steps", "40", "--seed", "1",
             "--export", "chrome", "--trace-out", str(path),
         ]) == 0
-        assert "open in Perfetto" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "open in Perfetto" in out
         doc = json.loads(path.read_text())
         assert doc["displayTimeUnit"] == "ms"
         assert doc["traceEvents"][0]["ph"] == "M"
-        # a plain traced run has no spans, but its balancing events
-        # render as instants on their processors' lanes
-        assert any(e.get("ph") == "i" for e in doc["traceEvents"])
+        # spans are derived from the plain trace: one B/E pair per
+        # balancing operation, its events as instants on the lanes
+        ops = int(re.search(r"\(ops=(\d+),", out).group(1))
+        phases = [e.get("ph") for e in doc["traceEvents"]]
+        assert phases.count("B") == phases.count("E") == ops > 0
+        assert "i" in phases
 
     def test_bench_appends_history_and_compare_reads_it(
         self, tmp_path, capsys
