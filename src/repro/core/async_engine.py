@@ -371,6 +371,7 @@ class AsyncEngine:
         self.reclaimed_ops = 0
         self.straggled_ops = 0
         self.aborted_ops = 0
+        self.abandoned_retries = 0
         # in-flight operations: op id -> (group, initiation time)
         self._inflight: dict[int, tuple[tuple[int, ...], float]] = {}
         self._op_seq = 0
@@ -467,6 +468,7 @@ class AsyncEngine:
             "reclaimed_ops": self.reclaimed_ops,
             "straggled_ops": self.straggled_ops,
             "aborted_ops": self.aborted_ops,
+            "abandoned_retries": self.abandoned_retries,
             **self.faults.counters(),
         }
 
@@ -545,6 +547,9 @@ class AsyncEngine:
     def _do_retry(self, i: int) -> None:
         self._retry_pending[i] = False
         if self.faults is not None and self.faults.crashed(i, self.time):
+            # the episode ends here: the next refusal starts a fresh budget
+            self._attempts[i] = 0
+            self.abandoned_retries += 1
             if self._trace:
                 self.tracer.emit(
                     "async_abandon", time=float(self.time), initiator=int(i),

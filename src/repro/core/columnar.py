@@ -28,8 +28,9 @@ list of **array passes** composed by :class:`PassPipeline`::
   dict rows, and calls back into Python only for the producer exchange
   (``Engine._exchange_with_producer``).  Where the walk does not apply
   (a tracer or profiler is attached, a custom selector or ``dynnet``
-  draws the partners, ``kernel="off"``, or numpy's Floyd branch does not
-  draw them), :meth:`ColumnarEngine._dense_sweep` walks in Python: fast
+  draws the partners, the kernels are off (``REPRO_NO_CKERNEL``), or
+  numpy's Floyd branch does not draw them),
+  :meth:`ColumnarEngine._dense_sweep` walks in Python: fast
   runs buffered and applied in bulk, the inherited scalar handlers at
   every slow or mid-tick-dirtied processor.
 
@@ -79,7 +80,6 @@ from repro.core.rngadvance import (
     walk_function,
     walk_probed,
 )
-from repro.core.selection import GlobalRandomSelector
 from repro.params import LBParams
 
 __all__ = [
@@ -184,7 +184,6 @@ class FusedQuietPass(TickPass):
                 eng.l,
                 eng.d.diag,
                 eng.d.row_sums,
-                use_kernel=eng._use_kernel,
             )
             eng._skipper.skip(eng.n)
             eng._deep_left -= 1
@@ -371,17 +370,12 @@ def _probe_walk(fn, bitgen_cls) -> bool:
 class ColumnarEngine(Engine):
     """Struct-of-arrays engine, bit-identical to the scalar sweep.
 
-    Drop-in replacement for :class:`Engine` (same constructor plus one
-    knob); interactive at n = 10⁵–10⁶ on quiet-dominated workloads.
-
-    Parameters beyond :class:`Engine`'s:
-
-    kernel:
-        ``"auto"`` (default) uses the C kernels of
-        :mod:`repro.core.rngadvance` when they pass their exactness
-        probe, the compiled tick walk included; ``"off"`` forces the
-        pure numpy/python fallbacks, the partner draws of the default
-        selector and of a ``dynnet`` included.
+    Drop-in replacement for :class:`Engine` (same constructor);
+    interactive at n = 10⁵–10⁶ on quiet-dominated workloads.  It uses
+    the C kernels of :mod:`repro.core.rngadvance` that pass their
+    exactness probe, the compiled tick walk included;
+    ``REPRO_NO_CKERNEL=1``, the one kernel switch, turns them all off
+    for the process (pure numpy/python fallbacks, same results).
 
     Custom per-processor ``triggers`` (which may carry per-check state,
     e.g. :class:`~repro.core.triggers.AdaptiveTrigger`, so they must see
@@ -401,7 +395,6 @@ class ColumnarEngine(Engine):
         tracer=None,
         profiler=None,
         dynnet=None,
-        kernel: str = "auto",
     ) -> None:
         super().__init__(
             config,
@@ -414,24 +407,17 @@ class ColumnarEngine(Engine):
         )
         self._vectorized = triggers is None
         self._deep_left = 0
-        self._use_kernel = kernel != "off"
-        self._skipper = PermutationSkipper(self.rng, kernel=kernel)
-        if dynnet is not None:
-            dynnet.attach(kernel=kernel)
-        elif selector is None:
-            # the default selector's partner draws follow the same switch
-            self.selector = GlobalRandomSelector(self.n, kernel=kernel)
+        self._skipper = PermutationSkipper(self.rng)
         # the compiled walk replaces the Python handlers' sweep only when
         # nothing observes them (the tracer's events and the profiler's
-        # per-handler sections come from the handlers), the engine's own
-        # selector draws the partners on numpy's Floyd branch, and the
-        # kernels are on; None = bind at the first residual tick, False
-        # = never
+        # per-handler sections come from the handlers) and the engine's
+        # own selector draws the partners on numpy's Floyd branch; None
+        # = bind at the first residual tick (which finds out whether the
+        # kernels are on), False = never
         walkable = (
             not self._observed
             and selector is None
             and dynnet is None
-            and self._use_kernel
             and floyd_branch(self.n - 1, self.params.delta)
         )
         self._walk: _TickWalk | bool | None = None if walkable else False

@@ -78,9 +78,13 @@ a fresh build removes the builds of other digests for its ABI and the
 untagged ``repro_ckernel_{digest}`` builds of older versions.
 
 A failed build, or a probe that rejects a compiled tier, raises one
-``RuntimeWarning`` naming the tier that runs instead.  Set
-``REPRO_NO_CKERNEL=1`` to disable every kernel quietly (pure-python
-tiers only); the engines stay bit-identical either way, only slower.
+``RuntimeWarning`` naming the tier that runs instead.
+
+``REPRO_NO_CKERNEL=1`` is the one switch: read once, by
+:func:`_build_library`, it disables every kernel quietly (pure-python
+tiers only) for the whole process — every replay, ``quiet_apply`` and
+the tick walk, whichever engine, selector or network uses them.  The
+engines stay bit-identical either way, only slower.
 """
 
 from __future__ import annotations
@@ -941,13 +945,20 @@ _CHOICE_CASES = (
 )
 
 
+def _bound(cls, rng: np.random.Generator, tier: str):
+    """A ``cls`` replay on ``rng`` bound to ``tier`` without resolving
+    the tier: the probes' candidate."""
+    replay = cls.__new__(cls)
+    replay.rng = rng
+    replay._bind(tier)
+    return replay
+
+
 def _probe_skip(bitgen_cls, tier: str) -> bool:
     for off, (m, pre) in enumerate(_SKIP_CASES):
         ref, cand = _twins(bitgen_cls, 90210 + off, pre)
         ref.permutation(m)
-        skipper = PermutationSkipper(cand, kernel="off")
-        skipper._bind(tier)
-        skipper.skip(m)
+        _bound(PermutationSkipper, cand, tier).skip(m)
         if not _states_equal(ref.bit_generator.state, cand.bit_generator.state):
             return False
     return True
@@ -957,9 +968,7 @@ def _probe_choice(bitgen_cls, tier: str) -> bool:
     for off, (m, size, skip, pre) in enumerate(_CHOICE_CASES):
         ref, cand = _twins(bitgen_cls, 4242 + off, pre)
         want = _choice_python(ref, m, size, skip)
-        replayer = ChoiceReplayer(cand, kernel="off")
-        replayer._bind(tier)
-        got = replayer.choice(m, size, skip)
+        got = _bound(ChoiceReplayer, cand, tier).choice(m, size, skip)
         if not (
             np.array_equal(want, got)
             and _states_equal(ref.bit_generator.state, cand.bit_generator.state)
@@ -968,18 +977,10 @@ def _probe_choice(bitgen_cls, tier: str) -> bool:
     return True
 
 
-def check_kernel_mode(kernel: str) -> str:
-    """Validate a ``kernel=`` switch: ``"auto"`` (compiled tiers that
-    pass their probe) or ``"off"`` (the python tier only)."""
-    if kernel not in ("auto", "off"):
-        raise ValueError(f"kernel must be 'auto' or 'off', got {kernel!r}")
-    return kernel
-
-
-def _resolve_tier(replay: str, bitgen_cls, kernel: str) -> str:
+def _resolve_tier(replay: str, bitgen_cls) -> str:
     """The tier ``replay`` runs on for ``bitgen_cls``: the first compiled
     tier that passes its probe (probed once per process), else python."""
-    if check_kernel_mode(kernel) == "off" or _build_library() is None:
+    if _build_library() is None:
         return "python"
     key = (replay, bitgen_cls)
     tier = _TIER_CACHE.get(key)
@@ -1051,14 +1052,11 @@ class PermutationSkipper:
     is chosen once per bit-generator class after an exactness probe; the
     ``python`` tier simply draws and discards the permutation, so the
     skipper is always safe to use.
-
-    Pass ``kernel="off"`` to force the python tier (used by the
-    fallback-equivalence tests and as an escape hatch).
     """
 
-    def __init__(self, rng: np.random.Generator, *, kernel: str = "auto") -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
-        self._bind(_resolve_tier("skip", type(rng.bit_generator), kernel))
+        self._bind(_resolve_tier("skip", type(rng.bit_generator)))
 
     def _bind(self, tier: str) -> None:
         self.tier = tier
@@ -1100,9 +1098,9 @@ class ChoiceReplayer:
     returns a fresh array.
     """
 
-    def __init__(self, rng: np.random.Generator, *, kernel: str = "auto") -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
-        self._bind(_resolve_tier("choice", type(rng.bit_generator), kernel))
+        self._bind(_resolve_tier("choice", type(rng.bit_generator)))
 
     def _bind(self, tier: str) -> None:
         self.tier = tier
@@ -1128,7 +1126,7 @@ def _quiet_apply_numpy(acts, l, diag, row_sums):  # noqa: E741 - paper symbol
     return int(np.count_nonzero(acts == 1)), int(np.count_nonzero(acts == -1))
 
 
-def quiet_apply(actions, l, diag, row_sums, *, use_kernel=True):  # noqa: E741
+def quiet_apply(actions, l, diag, row_sums):  # noqa: E741
     """Validate + apply one all-fast ±1 tick in a single fused pass.
 
     Adds ``actions`` elementwise to the load vector, the own-class
@@ -1140,7 +1138,7 @@ def quiet_apply(actions, l, diag, row_sums, *, use_kernel=True):  # noqa: E741
     sweep's validate-before-anything order).
     """
     acts = np.ascontiguousarray(actions, dtype=np.int64)
-    lib = _build_library() if use_kernel else None
+    lib = _build_library()
     if lib is None:
         return _quiet_apply_numpy(acts, l, diag, row_sums)
     npos = ctypes.c_longlong(0)

@@ -20,7 +20,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.core.rngadvance import ChoiceReplayer, check_kernel_mode
+from repro.core.rngadvance import ChoiceReplayer
 
 __all__ = [
     "CandidateSelector",
@@ -48,15 +48,14 @@ class GlobalRandomSelector:
     ``>= initiator`` shifted up by one: uniform over the ``n - 1``
     others without rejection sampling.  It is replayed bit for bit by
     :class:`~repro.core.rngadvance.ChoiceReplayer`, bound to the
-    generator last passed to :meth:`select`; ``kernel="off"`` forces
-    its python tier, which calls ``rng.choice`` itself.
+    generator last passed to :meth:`select`; with the kernels off
+    (``REPRO_NO_CKERNEL``) its python tier calls ``rng.choice`` itself.
     """
 
-    def __init__(self, n: int, *, kernel: str = "auto") -> None:
+    def __init__(self, n: int) -> None:
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
         self.n = n
-        self.kernel = check_kernel_mode(kernel)
         self._draw: ChoiceReplayer | None = None
 
     @property
@@ -74,7 +73,7 @@ class GlobalRandomSelector:
             raise ValueError(f"need 1 <= delta < n, got delta={delta}, n={self.n}")
         draw = self._draw
         if draw is None or draw.rng is not rng:
-            draw = self._draw = ChoiceReplayer(rng, kernel=self.kernel)
+            draw = self._draw = ChoiceReplayer(rng)
         return draw.choice(self.n - 1, delta, initiator)
 
 

@@ -102,24 +102,18 @@ class DynamicNetwork:
         self.leaves_applied = 0
         self.joins_applied = 0
 
-    def attach(
-        self, *, tracer: Tracer | None = None, monitors=None, kernel: str | None = None
-    ) -> None:
-        """Wire the owning engine's observability objects and kernel switch in.
+    def attach(self, *, tracer: Tracer | None = None, monitors=None) -> None:
+        """Wire the owning engine's observability objects in.
 
         Called by the engines at construction; events applied by
         :meth:`advance` are then traced and monitor grace windows
-        opened, and the stock global selector's partner draws follow
-        the engine's ``kernel`` switch (``"auto"`` or ``"off"``).
-        Passing ``None`` leaves the current attachment alone.
+        opened.  Passing ``None`` leaves the current attachment alone.
         """
         if tracer is not None:
             self.tracer = tracer
             self._trace = bool(tracer.enabled)
         if monitors is not None:
             self.monitors = monitors
-        if kernel is not None and self._global is not None:
-            self._global = GlobalRandomSelector(self.n, kernel=kernel)
 
     # -- time ------------------------------------------------------------
 

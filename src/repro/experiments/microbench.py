@@ -66,11 +66,18 @@ JSON schema (``repro.bench_engine.v1``)
       ]
     }
 
+``ticks_per_sec`` times an unprofiled engine, the one users run (the
+columnar engine's event-dense ticks then take the compiled tick walk).
+``sections`` come from a second, profiled pass over the same actions on
+a fresh engine: a profiled engine walks its event-dense ticks through
+the Python handlers, so its timings describe that walk, and the two
+passes must agree on ``total_ops`` and every event counter.
+
 Above ``profile_policy.quiet_only_above`` processors only the quiet
-profile is measured: the event-dense profiles go through the scalar
-per-event handlers whose cost is O(events·python), so a single
-warmed-up stationary tick at n = 10⁵ takes seconds and measures
-nothing the n = 4096 row doesn't already.
+profile is measured: an event-dense tick's work grows with n, and the
+profiled pass walks it in Python, so a single warmed-up stationary
+tick at n = 10⁵ takes seconds and measures nothing the n = 4096 row
+doesn't already.
 
 ``peak_rss_bytes`` is ``ru_maxrss`` — the high-water mark of the
 process that ran the point.  On the default ``native`` backend every
@@ -210,7 +217,8 @@ def run_microbench(
     (:class:`~repro.core.engine.Engine`).  Returns a plain-data record
     (see module docstring schema) plus the final ``l`` vector under
     ``"_l"`` for cross-engine equality checks (stripped before
-    serialisation).
+    serialisation).  The timed pass is unprofiled; ``profile_sections``
+    adds the profiled replay that fills ``"sections"`` (module doc).
     """
     params = params or LBParams(f=1.3, delta=2, C=4)
     if engine not in ENGINES:
@@ -225,20 +233,22 @@ def run_microbench(
         )
 
     acts = _make_actions(profile, n, warmup + ticks, workload_seed)
-    profiler = Profiler() if profile_sections else None
     cls = ColumnarEngine if engine == "columnar" else Engine
-    eng = cls(
-        EngineConfig(n=n, params=params), rng=engine_seed, profiler=profiler
-    )
-    _prepare_engine(eng, profile, n)
 
-    for t in range(warmup):
-        eng.step(acts[t])
-    t0 = time.perf_counter()
-    for t in range(warmup, warmup + ticks):
-        eng.step(acts[t])
-    elapsed = time.perf_counter() - t0
+    def timed_pass(profiler):
+        eng = cls(
+            EngineConfig(n=n, params=params), rng=engine_seed, profiler=profiler
+        )
+        _prepare_engine(eng, profile, n)
+        for t in range(warmup):
+            eng.step(acts[t])
+        t0 = time.perf_counter()
+        for t in range(warmup, warmup + ticks):
+            eng.step(acts[t])
+        return eng, time.perf_counter() - t0
 
+    eng, elapsed = timed_pass(None)
+    counters = eng.counters.as_dict()
     record: dict[str, Any] = {
         "n": n,
         "profile": profile,
@@ -248,13 +258,24 @@ def run_microbench(
         "ticks_per_sec": round(ticks / elapsed, 2),
         "elapsed_sec": round(elapsed, 4),
         "total_ops": int(eng.total_ops),
-        "events": {
-            k: v for k, v in eng.counters.as_dict().items() if v
-        },
+        "events": {k: v for k, v in counters.items() if v},
         "peak_rss_bytes": peak_rss_bytes(),
         "_l": np.asarray(eng.l).tolist(),
     }
-    if profiler is not None:
+    if profile_sections:
+        # a profiled engine walks its residual ticks in Python, so the
+        # sections come from a second pass, never from the timed one
+        del eng  # one engine at a time: n = 10⁶ points are large
+        profiler = Profiler()
+        profiled, _ = timed_pass(profiler)
+        if (profiled.total_ops, profiled.counters.as_dict()) != (
+            record["total_ops"],
+            counters,
+        ):
+            raise RuntimeError(
+                f"the profiled pass of ({n}, {profile!r}, {engine!r}) "
+                "diverged from the timed pass"
+            )
         record["sections"] = {
             name: {
                 "count": calls,

@@ -179,12 +179,12 @@ def reconcile_async_trace(events: Sequence[Mapping], result) -> list[str]:
     ``packets_migrated``; ``async_drop`` / ``async_retry`` /
     ``async_giveup`` counts vs ``dropped_ops`` / ``retries`` /
     ``give_ups``; and, for a faulted run, the ``fault_*`` event counts
-    and the ``stranded`` ``async_abandon`` count vs
-    ``result.fault_stats``.  The facts no counter keeps are checked for
-    shape: every ``async_accept`` is ended by exactly one
-    ``async_balance``, ``fault_reclaim`` or stranded ``async_abandon`` of
-    its initiator (or is still in flight at the horizon), and no
-    initiator abandons for a crash without a retry that came due.
+    and the ``stranded`` / ``crashed`` ``async_abandon`` counts vs
+    ``result.fault_stats`` (``aborted_ops`` / ``abandoned_retries``).
+    The fact no counter keeps is checked for shape: every
+    ``async_accept`` is ended by exactly one ``async_balance``,
+    ``fault_reclaim`` or stranded ``async_abandon`` of its initiator (or
+    is still in flight at the horizon).
     Requires an unbounded tracer (a ring buffer that dropped events
     cannot reconcile).
     """
@@ -217,12 +217,11 @@ def reconcile_async_trace(events: Sequence[Mapping], result) -> list[str]:
         check("fault_reclaim", counts.get("fault_reclaim", 0), fs["reclaimed_ops"])
         check("fault_straggle", counts.get("fault_straggle", 0), fs["straggled_ops"])
         check("stranded async_abandon", abandons["stranded"], fs["aborted_ops"])
-    elif any(t.startswith("fault_") for t in counts):
-        problems.append("fault_* events recorded but result.fault_stats is None")
-    if abandons["crashed"] > counts.get("async_retry", 0):
+        check("crashed async_abandon", abandons["crashed"], fs["abandoned_retries"])
+    elif any(t.startswith("fault_") for t in counts) or abandons["crashed"]:
         problems.append(
-            f"{abandons['crashed']} crashed async_abandon events > "
-            f"{counts.get('async_retry', 0)} async_retry events"
+            "fault_* or crashed async_abandon events recorded but "
+            "result.fault_stats is None"
         )
     in_flight: set[int] = set()
     unpaired = 0

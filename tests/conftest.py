@@ -22,3 +22,15 @@ settings.load_profile("default")
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def python_tier(monkeypatch):
+    """Turn the compiled kernels off for one test, as
+    ``REPRO_NO_CKERNEL=1`` does for a whole process: the kernel library
+    is looked up afresh, so every replay, ``quiet_apply`` and the tick
+    walk take their python tier."""
+    from repro.core import rngadvance
+
+    monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+    monkeypatch.setattr(rngadvance, "_lib", None)

@@ -121,6 +121,29 @@ class TestAbandonReconciliation:
         problems = reconcile_async_trace(events[:k] + events[k + 1:], res)
         assert any("stranded async_abandon" in p for p in problems)
 
+    def test_dropped_crashed_abandon_is_reported(self, run):
+        events, res = run
+        k = next(
+            k for k, e in enumerate(events)
+            if e["type"] == "async_abandon" and e["reason"] == "crashed"
+        )
+        problems = reconcile_async_trace(events[:k] + events[k + 1:], res)
+        assert any("crashed async_abandon" in p for p in problems)
+
+    def test_first_retry_after_a_crashed_abandon_is_attempt_one(self, run):
+        # the crash ends the episode: the next refusal has a fresh budget
+        events, res = run
+        seen = 0
+        for k, e in enumerate(events):
+            if e["type"] == "async_abandon" and e["reason"] == "crashed":
+                nxt = next(
+                    x for x in events[k + 1:]
+                    if x["type"] == "async_retry" and x["initiator"] == e["initiator"]
+                )
+                assert nxt["attempt"] == 1
+                seen += 1
+        assert seen == res.fault_stats["abandoned_retries"] > 0
+
     def test_dropped_accept_is_reported(self, run):
         events, res = run
         k = next(k for k, e in enumerate(events) if e["type"] == "async_accept")

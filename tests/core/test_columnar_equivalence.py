@@ -8,7 +8,8 @@ Four layers of evidence:
 
 * a seeded equivalence grid at ``n <= 32``, run as shipped, unfused
   (deep-quiet lane off, so every all-fast tick is classified and
-  bulk-applied on its own) and without the C kernels (``kernel="off"``);
+  bulk-applied on its own) and without the C kernels (the
+  ``python_tier`` fixture, i.e. ``REPRO_NO_CKERNEL=1``);
 * a hypothesis property searching the parameter space adversarially
   (including idle actions and degenerate n=2);
 * a per-tick lockstep hypothesis property on the bench workloads
@@ -103,15 +104,19 @@ def _grid_actions(n, bias, ticks, seed):
 
 
 @pytest.mark.parametrize(
-    "variant",
-    [{}, {"engine_cls": _UnfusedEngine}, {"kernel": "off"}],
+    "engine_cls, kernels",
+    [(ColumnarEngine, True), (_UnfusedEngine, True), (ColumnarEngine, False)],
     ids=["fused", "unfused", "no-kernel"],
 )
 @pytest.mark.parametrize("n,f,delta,C,bias,ticks,seed", GRID)
-def test_equivalence_seeded_sweep(n, f, delta, C, bias, ticks, seed, variant):
+def test_equivalence_seeded_sweep(
+    n, f, delta, C, bias, ticks, seed, engine_cls, kernels, request
+):
+    if not kernels:
+        request.getfixturevalue("python_tier")
     actions = _grid_actions(n, bias, ticks, seed)
     _assert_equivalent(
-        n, LBParams(f=f, delta=delta, C=C), actions, seed, **variant
+        n, LBParams(f=f, delta=delta, C=C), actions, seed, engine_cls=engine_cls
     )
 
 

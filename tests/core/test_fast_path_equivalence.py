@@ -26,15 +26,13 @@ from repro.params import LBParams
 
 
 class _DenseLaneEngine(ColumnarEngine):
-    """Per-tick lanes only, with the dense walk for every scalar stop."""
+    """Per-tick lanes only; traced, so every tick with a scalar stop
+    takes the dense walk."""
 
     dense_ticks = 0
 
     def _deep_horizon(self) -> int:
         return 0
-
-    def _residual_sweep(self, frame) -> None:
-        self._dense_sweep(frame)
 
     def _dense_sweep(self, frame) -> None:
         self.dense_ticks += 1

@@ -74,14 +74,14 @@ class TestPermutationSkipper:
             assert ref.integers(0, 10**9) == cand.integers(0, 10**9)
         assert _states_equal(_state(ref), _state(cand))
 
-    def test_kernel_off_forces_python_tier(self):
-        skipper = PermutationSkipper(np.random.default_rng(0), kernel="off")
+    def test_kernel_off_forces_python_tier(self, python_tier):
+        skipper = PermutationSkipper(np.random.default_rng(0))
         assert skipper.tier == "python"
 
-    def test_python_tier_is_exact(self):
+    def test_python_tier_is_exact(self, python_tier):
         ref = np.random.default_rng(11)
         cand = np.random.default_rng(11)
-        skipper = PermutationSkipper(cand, kernel="off")
+        skipper = PermutationSkipper(cand)
         for n in (3, 50, 777):
             ref.permutation(n)
             skipper.skip(n)
@@ -95,10 +95,6 @@ class TestPermutationSkipper:
         ref.permutation(64)
         skipper.skip(64)
         assert _states_equal(_state(ref), _state(skipper.rng))
-
-    def test_rejects_unknown_kernel_mode(self):
-        with pytest.raises(ValueError, match="kernel"):
-            PermutationSkipper(np.random.default_rng(0), kernel="maybe")
 
     def test_tier_is_probed_not_assumed(self):
         # whatever tier was selected, it passed the full-state probe;
@@ -171,8 +167,8 @@ class TestChoiceReplayer:
         second = replayer.choice(100, 3, 0)
         assert not np.shares_memory(first, second)
 
-    def test_kernel_off_forces_python_tier(self):
-        assert ChoiceReplayer(np.random.default_rng(0), kernel="off").tier == "python"
+    def test_kernel_off_forces_python_tier(self, python_tier):
+        assert ChoiceReplayer(np.random.default_rng(0)).tier == "python"
 
     def test_compiled_tiers_pass_their_probes(self, monkeypatch):
         # a rejected tier only degrades to python (still exact), so pin
@@ -314,13 +310,13 @@ def _fresh_state(n=16, seed=3):
 
 class TestQuietApply:
     @pytest.mark.parametrize("use_kernel", [True, False])
-    def test_applies_and_counts(self, use_kernel):
+    def test_applies_and_counts(self, use_kernel, request):
+        if not use_kernel:
+            request.getfixturevalue("python_tier")
         l, diag, row_sums = _fresh_state()  # noqa: E741
         acts = np.array([1, -1, 0, 1] * 4, dtype=np.int64)
         before = l.copy()
-        npos, nneg = quiet_apply(
-            acts, l, diag, row_sums, use_kernel=use_kernel
-        )
+        npos, nneg = quiet_apply(acts, l, diag, row_sums)
         assert (npos, nneg) == (8, 4)
         assert np.array_equal(l, before + acts)
         assert np.array_equal(diag, before + acts)
@@ -330,16 +326,18 @@ class TestQuietApply:
         acts = np.random.default_rng(0).integers(-1, 2, size=257)
         a = _fresh_state(257)
         b = _fresh_state(257)
-        ra = quiet_apply(acts, *a, use_kernel=True)
-        rb = quiet_apply(acts, *b, use_kernel=False)
+        ra = quiet_apply(acts, *a)
+        rb = rngadvance._quiet_apply_numpy(acts, *b)
         assert ra == rb
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("use_kernel", [True, False])
     def test_invalid_action_reports_first_index_and_mutates_nothing(
-        self, use_kernel
+        self, use_kernel, request
     ):
+        if not use_kernel:
+            request.getfixturevalue("python_tier")
         l, diag, row_sums = _fresh_state()  # noqa: E741
         acts = np.zeros(16, dtype=np.int64)
         acts[5] = 3
@@ -348,7 +346,7 @@ class TestQuietApply:
         with pytest.raises(
             ValueError, match="invalid action 3 for processor 5"
         ):
-            quiet_apply(acts, l, diag, row_sums, use_kernel=use_kernel)
+            quiet_apply(acts, l, diag, row_sums)
         assert np.array_equal(l, snap[0])
         assert np.array_equal(diag, snap[1])
         assert np.array_equal(row_sums, snap[2])

@@ -71,10 +71,12 @@ class TestGlobalRandomReplay:
 
     @pytest.mark.parametrize("kernel", ["auto", "off"])
     @pytest.mark.parametrize("n, delta", [(2, 1), (3, 2), (33, 3), (256, 2), (10_001, 5)])
-    def test_matches_rng_choice(self, kernel, n, delta):
+    def test_matches_rng_choice(self, kernel, n, delta, request):
+        if kernel == "off":
+            request.getfixturevalue("python_tier")
         ref = np.random.default_rng(n)
         cand = np.random.default_rng(n)
-        sel = GlobalRandomSelector(n, kernel=kernel)
+        sel = GlobalRandomSelector(n)
         for k in range(40):
             i = (7 * k) % n
             assert np.array_equal(self._reference(ref, n, i, delta), sel.select(i, delta, cand))
@@ -87,7 +89,6 @@ class TestGlobalRandomReplay:
         assert sel.tier in ("next32", "python")
         sel.select(0, 2, np.random.Generator(np.random.MT19937(0)))
         assert sel.tier in ("next32", "python")
-        assert GlobalRandomSelector(16, kernel="off").tier is None
 
     def test_rebinds_when_handed_another_generator(self):
         a_ref, b_ref = np.random.default_rng(1), np.random.default_rng(2)
@@ -97,29 +98,19 @@ class TestGlobalRandomReplay:
             rng, ref = (a, a_ref) if k % 2 else (b, b_ref)
             assert np.array_equal(self._reference(ref, 64, k, 3), sel.select(k, 3, rng))
 
-    def test_kernel_off_forces_the_python_tier(self):
-        sel = GlobalRandomSelector(16, kernel="off")
-        sel.select(3, 2, np.random.default_rng(0))
-        assert sel.tier == "python"
-        with pytest.raises(ValueError, match="kernel"):
-            GlobalRandomSelector(16, kernel="fast")
-
-    def test_columnar_engine_passes_its_kernel_switch_on(self):
+    def test_kernel_off_forces_the_python_tier(self, python_tier):
+        # the columnar engine's own selector is the one Engine builds:
+        # the process-wide switch reaches it with nothing passed on
         from repro.core.columnar import ColumnarEngine
         from repro.core.engine import EngineConfig
         from repro.params import LBParams
 
-        cfg = EngineConfig(n=32, params=LBParams(f=1.3, delta=2, C=4))
-        off = ColumnarEngine(cfg, kernel="off")
-        assert off.selector.kernel == "off"
-        assert ColumnarEngine(cfg).selector.kernel == "auto"
+        eng = ColumnarEngine(EngineConfig(n=32, params=LBParams(f=1.3, delta=2, C=4)))
+        eng.selector.select(3, 2, eng.rng)
+        assert eng.selector.tier == "python"
+        assert eng._skipper.tier == "python"
 
-    def test_disabled_kernels_force_the_python_tier(self, monkeypatch):
-        from repro.core import rngadvance
-
-        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-        monkeypatch.setattr(rngadvance, "_lib", None)
-        monkeypatch.setattr(rngadvance, "_TIER_CACHE", {})
+    def test_disabled_kernels_force_the_python_tier(self, python_tier):
         sel = GlobalRandomSelector(16)
         sel.select(3, 2, np.random.default_rng(0))
         assert sel.tier == "python"

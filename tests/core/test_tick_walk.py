@@ -169,14 +169,16 @@ def _fallback_kwargs(n: int) -> dict:
         "profiler": {"profiler": Profiler()},
         "selector": {"selector": GlobalRandomSelector(n)},
         "dynnet": {"dynnet": DynamicNetwork(CompleteGraph(n))},
-        "kernel off": {"kernel": "off"},
+        "kernel off": {},
     }
 
 
 @pytest.mark.parametrize(
     "condition", ["tracer", "profiler", "selector", "dynnet", "kernel off"]
 )
-def test_fallback_conditions_take_the_python_walk(condition):
+def test_fallback_conditions_take_the_python_walk(condition, request):
+    if condition == "kernel off":
+        request.getfixturevalue("python_tier")
     n = 32
     config = EngineConfig(n=n, params=LBParams(f=1.3, delta=2, C=2))
     eng = _DenseCounting(config, rng=3, **_fallback_kwargs(n)[condition])

@@ -49,15 +49,15 @@ class TestByteIdentity:
         assert plain.total_ops == wrapped.total_ops
         assert plain.rng.bit_generator.state == wrapped.rng.bit_generator.state
 
-    def test_columnar_kernel_switch_reaches_the_dynnet_selector(self):
+    def test_columnar_kernel_switch_reaches_the_dynnet_selector(self, request):
         from repro.core.columnar import ColumnarEngine
 
         runs = {}
         for kernel in ("auto", "off"):
+            if kernel == "off":
+                request.getfixturevalue("python_tier")
             dyn = DynamicNetwork(CompleteGraph(N))
-            e = ColumnarEngine(
-                EngineConfig(n=N, params=PARAMS), rng=7, dynnet=dyn, kernel=kernel
-            )
+            e = ColumnarEngine(EngineConfig(n=N, params=PARAMS), rng=7, dynnet=dyn)
             wl = Section7Workload(N, horizon=200, layout_rng=11)
             wrng = np.random.default_rng(13)
             for t in range(200):

@@ -88,6 +88,44 @@ class TestRunMicrobenchInputs:
             run_microbench(16, "quiet", **kwargs)
 
 
+class TestProfiledPass:
+    """``ticks_per_sec`` times an unprofiled engine; a second, profiled
+    pass fills ``sections`` and must replay the timed one."""
+
+    def _spy(self, monkeypatch, **extra):
+        from repro.core.columnar import ColumnarEngine
+        from repro.experiments import microbench
+
+        built = []
+
+        class Spy(ColumnarEngine):
+            def __init__(self, *args, profiler=None, **kwargs):
+                super().__init__(*args, profiler=profiler, **kwargs)
+                built.append(self)
+                if profiler is not None:
+                    for name, value in extra.items():
+                        setattr(self, name, value)
+
+        monkeypatch.setattr(microbench, "ColumnarEngine", Spy)
+        return built
+
+    def test_timed_pass_is_unprofiled_and_sections_come_from_a_replay(
+        self, monkeypatch
+    ):
+        built = self._spy(monkeypatch)
+        rec = run_microbench(32, "stationary", warmup=20, ticks=10, profile_sections=True)
+        timed, profiled = built
+        assert timed.profiler is None and profiled.profiler is not None
+        assert timed._walk is not None  # the timed pass reached a residual tick
+        assert rec["total_ops"] == profiled.total_ops > 0
+        assert "columnar.residual" in rec["sections"]
+
+    def test_a_diverging_profiled_pass_is_an_error(self, monkeypatch):
+        self._spy(monkeypatch, total_ops=-1)
+        with pytest.raises(RuntimeError, match="diverged from the timed pass"):
+            run_microbench(32, "stationary", warmup=20, ticks=10, profile_sections=True)
+
+
 class TestCompareBench:
     def test_identical_docs_no_drift(self):
         text, ok = compare_bench(bench_doc(), bench_doc())

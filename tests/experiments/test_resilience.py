@@ -17,7 +17,7 @@ from repro.simulation.serialize import check_document, load_document, write_docu
 #: below without its ``backend`` key (the executing backend is run
 #: metadata; every value is backend-independent).  A change here means
 #: a number in the document moved.
-GOLDEN_SHA256 = "6089784f66469bf0e6dc52e236a2123dba32fab163b25e1c3a359d72093f7dd2"
+GOLDEN_SHA256 = "827ddd77f14a215efc2d1978bc989a63e9169e01ea17c9e0040f917a8df15e1e"
 
 
 

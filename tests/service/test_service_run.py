@@ -34,7 +34,7 @@ from repro.simulation.serialize import check_document
 #: speed-ups (routing on the load vector, the tuple heap, int-level
 #: balance completion, compiled partner draws) must leave it unchanged;
 #: perfbench's serve digest covers no chaos path.
-GOLDEN_CHAOS_SHA256 = "2848ee7bca56d65185a252db75f9eca4103f832e186a283608d721a94541b62b"
+GOLDEN_CHAOS_SHA256 = "30ae36845c7a6854f8d73d6a554eee0236b1b4c7b1cafdc1063b66e191525edf"
 
 
 @pytest.fixture(scope="module")
