@@ -424,7 +424,9 @@ def _run_lemma56(args: argparse.Namespace) -> str:
 def _run_scaling(args: argparse.Namespace) -> str:
     from repro.experiments.scaling import scaling_experiment
 
-    return scaling_experiment(runs=args.runs or 3, seed=args.seed).render()
+    return scaling_experiment(
+        runs=3 if args.runs is None else args.runs, seed=args.seed
+    ).render()
 
 
 def _run_baselines(args: argparse.Namespace) -> str:
@@ -654,6 +656,23 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
+def _check_numbers(args: argparse.Namespace) -> None:
+    """Fail fast (exit 2) on a numeric option out of range, before any
+    command runs; an option left at ``None`` (not given) passes."""
+    for flag, value, least in (
+        ("--runs", args.runs, 1),
+        ("--trials", args.trials, 1),
+        ("--steps", args.steps, 1),
+        ("-n", args.n, 2),
+        ("--capacity", args.capacity, 1),
+        ("--ticks", args.ticks, 1),
+    ):
+        if value is not None and value < least:
+            _usage_error(f"{flag} needs a value >= {least}, got {value}")
+    if args.horizon is not None and not args.horizon > 0:
+        _usage_error(f"--horizon needs a value > 0, got {args.horizon}")
+
+
 def _check_choice(kind: str, value: str, valid) -> None:
     """Fail fast (exit 2) on an unknown registry name.
 
@@ -687,8 +706,6 @@ def _run_bench(args: argparse.Namespace) -> str:
             _usage_error(f"--profile needs at least one of {', '.join(PROFILES)}")
     if args.n is not None:
         ns = (args.n,)
-        if args.n < 2:
-            _usage_error(f"-n needs a value >= 2, got {args.n}")
     else:
         try:
             ns = tuple(int(x) for x in args.sizes.split(",") if x)
@@ -696,8 +713,6 @@ def _run_bench(args: argparse.Namespace) -> str:
             _usage_error(f"--sizes expects comma-separated ints, got {args.sizes!r}")
         if not ns or any(n < 2 for n in ns):
             _usage_error(f"--sizes needs values >= 2, got {args.sizes!r}")
-    if args.ticks is not None and args.ticks < 1:
-        _usage_error(f"--ticks needs a value >= 1, got {args.ticks}")
     doc = bench_report(
         ns,
         profiles=profiles,
@@ -1071,6 +1086,7 @@ def _batch_selection(backend: str | None, jobs: int | None):
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    _check_numbers(args)
     with _batch_selection(args.backend, args.jobs):
         return _dispatch(args)
 

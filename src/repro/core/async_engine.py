@@ -40,8 +40,8 @@ network on a declarative, seed-replayable schedule
   against the drifted network;
 * **lost messages** — each ``complete`` message is lost with the plan's
   probability; the group's ``busy`` flags stay set until the timeout
-  path (``reclaim_timeout`` after the expected completion) reclaims
-  them, so contention cannot deadlock;
+  path (``max(4 * latency, 1)`` after the expected completion)
+  reclaims them, so contention cannot deadlock;
 * **stragglers** — per-processor windows multiply the initiator's
   operation latency;
 * **partitions** — partners across a partition cut decline like busy
@@ -269,12 +269,11 @@ class AsyncEngine:
         :class:`RetryPolicy` for fully declined initiations.
     faults:
         Optional :class:`FaultPlan` / :class:`FaultInjector` breaking
-        the network on a deterministic schedule (None = perfect).
-    reclaim_timeout:
-        Grace period after an operation's expected completion before
-        its ``busy`` flags are forcibly reclaimed (only armed when a
-        fault plan is active — a perfect network never loses the
-        completion).  Default ``max(4 * latency, 1.0)``.
+        the network on a deterministic schedule (None = perfect).  An
+        active plan arms the reclaim timeout: ``max(4 * latency, 1)``
+        after an operation's expected completion its ``busy`` flags are
+        forcibly reclaimed (a perfect network never loses the
+        completion).
     """
 
     def __init__(
@@ -291,17 +290,12 @@ class AsyncEngine:
         monitors: MonitorSuite | None = None,
         retry: RetryPolicy | None = None,
         faults: FaultPlan | FaultInjector | None = None,
-        reclaim_timeout: float | None = None,
         dynnet=None,
     ) -> None:
         if latency < 0:
             raise ValueError(f"latency must be >= 0, got {latency}")
         if snapshot_dt <= 0:
             raise ValueError(f"snapshot_dt must be > 0, got {snapshot_dt}")
-        if reclaim_timeout is not None and reclaim_timeout <= 0:
-            raise ValueError(
-                f"reclaim_timeout must be > 0, got {reclaim_timeout}"
-            )
         self.params = params
         self.rates = rates
         self.n = rates.n
@@ -348,11 +342,7 @@ class AsyncEngine:
         self.faults = as_injector(faults)
         if self.faults is not None:
             self.faults.plan.validate_for_network(self.n)
-        self.reclaim_timeout = (
-            reclaim_timeout
-            if reclaim_timeout is not None
-            else max(4.0 * latency, 1.0)
-        )
+        self.reclaim_timeout = max(4.0 * latency, 1.0)
 
         self.l = np.zeros(self.n, dtype=np.int64)
         self.l_old = np.zeros(self.n, dtype=np.int64)

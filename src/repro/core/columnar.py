@@ -377,12 +377,8 @@ class ColumnarEngine(Engine):
     ``REPRO_NO_CKERNEL=1``, the one kernel switch, turns them all off
     for the process (pure numpy/python fallbacks, same results).
 
-    Custom per-processor ``triggers`` (which may carry per-check state,
-    e.g. :class:`~repro.core.triggers.AdaptiveTrigger`, so they must see
-    every check) disable the pipeline: the engine then runs the
-    inherited scalar sweep.  External mid-run mutation of engine state
-    (tests poking ``d``/``l`` between steps) must be followed by
-    :meth:`invalidate_horizon`.
+    External mid-run mutation of engine state (tests poking ``d``/``l``
+    between steps) must be followed by :meth:`invalidate_horizon`.
     """
 
     def __init__(
@@ -391,7 +387,6 @@ class ColumnarEngine(Engine):
         *,
         rng=0,
         selector=None,
-        triggers=None,
         tracer=None,
         profiler=None,
         dynnet=None,
@@ -400,12 +395,10 @@ class ColumnarEngine(Engine):
             config,
             rng=rng,
             selector=selector,
-            triggers=triggers,
             tracer=tracer,
             profiler=profiler,
             dynnet=dynnet,
         )
-        self._vectorized = triggers is None
         self._deep_left = 0
         self._skipper = PermutationSkipper(self.rng)
         # the compiled walk replaces the Python handlers' sweep only when
@@ -428,9 +421,6 @@ class ColumnarEngine(Engine):
     # -- tick ------------------------------------------------------------
 
     def _sweep(self, actions: np.ndarray) -> None:
-        if not self._vectorized:
-            super()._sweep(actions)
-            return
         self._dirty.clear()
         self.pipeline.run(self, _TickFrame(actions))
 

@@ -95,7 +95,6 @@ class Engine:
         *,
         rng: int | np.random.Generator | None = 0,
         selector: CandidateSelector | None = None,
-        triggers: list | None = None,
         tracer: Tracer | None = None,
         profiler: Profiler | None = None,
         dynnet=None,
@@ -130,12 +129,6 @@ class Engine:
             self.selector = selector or GlobalRandomSelector(n)
         self._dynnet = dynnet
         self.trigger = FactorTrigger(config.params.f, strict=config.strict_trigger)
-        # per-processor trigger objects (e.g. AdaptiveTrigger instances
-        # carry local controller state); default: the shared stateless
-        # factor trigger
-        if triggers is not None and len(triggers) != n:
-            raise ValueError(f"need {n} triggers, got {len(triggers)}")
-        self.triggers = list(triggers) if triggers is not None else [self.trigger] * n
 
         self.d = ClassLedger(n)
         self.b = ClassLedger(n)
@@ -470,9 +463,9 @@ class Engine:
         own, old = int(self.d.diag[i]), int(self.l_old[i])
         if self._profile:
             with self.profiler.section("triggers.check"):
-                decision = self.triggers[i].check(own, old)
+                decision = self.trigger.check(own, old)
         else:
-            decision = self.triggers[i].check(own, old)
+            decision = self.trigger.check(own, old)
         if decision is TriggerDecision.NONE:
             return
         if self._trace:

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["TriggerDecision", "FactorTrigger", "AdaptiveTrigger"]
+__all__ = ["TriggerDecision", "FactorTrigger"]
 
 
 class TriggerDecision(Enum):
@@ -124,84 +124,3 @@ class FactorTrigger:
         hi = np.where(zero, np.int64(1), hi)
         return lo, hi
 
-
-class AdaptiveTrigger:
-    """Self-tuning factor trigger (extension; not in the paper).
-
-    The paper leaves ``f`` as a user knob trading balance quality
-    against operation count (Theorems 2/4 vs Lemma 5).  This extension
-    closes the loop locally: each processor adjusts its own ``f``
-    toward a target balancing *rate* (operations per action), raising
-    ``f`` when it balances too often and lowering it toward 1 when too
-    rarely.  Everything stays fully local — no global knowledge, in the
-    spirit of the algorithm.
-
-    The A7 ablation shows the controller converges to an effective
-    ``f`` matching the hand-tuned one for the same operation budget.
-
-    Parameters
-    ----------
-    target_rate:
-        Desired balancing operations per trigger *check* (one check per
-        action), e.g. 0.1 = one op per ten actions.
-    f0, f_min, f_max:
-        Initial and clamping values of the factor.
-    gain:
-        Multiplicative adaptation step per check (small = smooth).
-    """
-
-    def __init__(
-        self,
-        target_rate: float = 0.1,
-        *,
-        f0: float = 1.3,
-        f_min: float = 1.01,
-        f_max: float = 4.0,
-        gain: float = 0.02,
-    ) -> None:
-        if not 0 < target_rate < 1:
-            raise ValueError(f"target_rate must be in (0,1), got {target_rate}")
-        if not 1.0 < f_min <= f0 <= f_max:
-            raise ValueError(
-                f"need 1 < f_min <= f0 <= f_max, got {f_min}, {f0}, {f_max}"
-            )
-        if not 0 < gain < 1:
-            raise ValueError(f"gain must be in (0,1), got {gain}")
-        self.target_rate = target_rate
-        self.f_min = f_min
-        self.f_max = f_max
-        self.gain = gain
-        self.f = f0
-        self.checks = 0
-        self.fires = 0
-
-    @property
-    def observed_rate(self) -> float:
-        return self.fires / self.checks if self.checks else 0.0
-
-    def check(self, own_load: int, l_old: int) -> TriggerDecision:
-        """Same contract as :meth:`FactorTrigger.check`, with online
-        adaptation of ``f`` after every call.
-
-        Multiplicative increase on fire (widen the band, balance less),
-        multiplicative decrease otherwise (tighten, balance more); the
-        step sizes are weighted so the expected log-f drift vanishes
-        exactly when the fire rate equals ``target_rate``:
-
-            ``rate * gain (1 - T) - (1 - rate) * gain * T = gain (rate - T)``.
-
-        The feedback is stable: over-firing widens the band which
-        lowers the rate, and vice versa.
-        """
-        decision = FactorTrigger(self.f).check(own_load, l_old)
-        self.checks += 1
-        if decision is not TriggerDecision.NONE:
-            self.fires += 1
-            self.f = min(
-                self.f * (1 + self.gain * (1 - self.target_rate)), self.f_max
-            )
-        else:
-            self.f = max(
-                self.f * (1 - self.gain * self.target_rate), self.f_min
-            )
-        return decision

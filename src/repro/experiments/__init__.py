@@ -24,7 +24,7 @@ and CSV export via :mod:`repro.experiments.report`.
 """
 
 from repro.experiments.config import QualityConfig
-from repro.experiments.runner import quality_experiment, repeat_lm_runs
+from repro.experiments.runner import quality_experiment
 from repro.experiments.figures import figure6, figure7, figure8, figure9, figure10
 from repro.experiments.resilience import (
     RESILIENCE_SHAPE,
@@ -42,7 +42,6 @@ from repro.experiments.tables import (
 __all__ = [
     "QualityConfig",
     "quality_experiment",
-    "repeat_lm_runs",
     "RESILIENCE_SHAPE",
     "ResilienceConfig",
     "resilience_experiment",

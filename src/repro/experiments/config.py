@@ -45,6 +45,10 @@ class QualityConfig:
     seed: int = 0
     snapshot_ticks: tuple[int, ...] = (50, 200, 400)
 
+    def __post_init__(self) -> None:
+        if self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
+
     @property
     def params(self) -> LBParams:
         return LBParams(f=self.f, delta=self.delta, C=self.C)

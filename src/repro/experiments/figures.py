@@ -209,11 +209,10 @@ class QualityFigure:
 def _quality_figure(
     delta: int, kind: str, fs: Sequence[float], runs: int | None, seed: int
 ) -> QualityFigure:
+    runs = default_runs() if runs is None else runs
     results = {}
     for f in fs:
-        cfg = QualityConfig(
-            f=f, delta=delta, seed=seed, runs=runs if runs else default_runs()
-        )
+        cfg = QualityConfig(f=f, delta=delta, seed=seed, runs=runs)
         results[f] = quality_experiment(cfg)
     return QualityFigure(delta=delta, results=results, kind=kind)
 

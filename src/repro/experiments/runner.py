@@ -10,25 +10,19 @@ import numpy as np
 from repro.core.borrowing import BorrowCounters
 from repro.experiments.config import QualityConfig
 from repro.metrics.collector import EnvelopeSeries, MultiRunCollector
-from repro.observability.metrics import MetricsRegistry
 from repro.rng import RngFactory
 from repro.simulation.driver import run_simulation
 from repro.simulation.parallel import parallel_map
 from repro.workload.phases import Section7Workload
 
-__all__ = ["QualityResult", "quality_experiment", "repeat_lm_runs"]
+__all__ = ["QualityResult", "quality_experiment"]
 
 
 def _one_quality_run(
-    args: tuple[QualityConfig, int, bool]
-) -> tuple[np.ndarray, BorrowCounters, int, int, dict | None]:
-    """One §7 run (module-level so it pickles for the process pool).
-
-    When metrics collection is requested the worker builds a *local*
-    registry and returns its plain-dict payload — the parent merges
-    payloads across processes (see :mod:`repro.simulation.parallel`).
-    """
-    config, r, collect_metrics = args
+    args: tuple[QualityConfig, int]
+) -> tuple[np.ndarray, BorrowCounters, int, int]:
+    """One §7 run (module-level so it pickles for the process pool)."""
+    config, r = args
     run_factory = RngFactory(config.seed).child_factory("run", r)
     workload = Section7Workload(
         config.n,
@@ -38,7 +32,6 @@ def _one_quality_run(
         len_range=config.len_range,
         layout_rng=run_factory.named("layout"),
     )
-    metrics = MetricsRegistry() if collect_metrics else None
     res = run_simulation(
         config.n,
         config.params,
@@ -46,10 +39,8 @@ def _one_quality_run(
         config.steps,
         seed=run_factory,
         meta={"run": r},
-        metrics=metrics,
     )
-    payload = metrics.as_dict() if metrics is not None else None
-    return res.loads, res.counters, res.total_ops, res.packets_migrated, payload
+    return res.loads, res.counters, res.total_ops, res.packets_migrated
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,9 +61,6 @@ class QualityResult:
     final_rel_spreads: np.ndarray
     """Per-run end-state ``(max - min) / mean`` — the sample the
     bootstrap confidence intervals run on."""
-    metrics: MetricsRegistry | None = None
-    """Cross-process merge of the per-run metric registries (only when
-    the experiment ran with ``collect_metrics=True``)."""
 
 
 def quality_experiment(
@@ -80,7 +68,6 @@ def quality_experiment(
     *,
     jobs: int | None = None,
     backend: str | None = None,
-    collect_metrics: bool = False,
 ) -> QualityResult:
     """Run one section-7 configuration ``config.runs`` times.
 
@@ -91,28 +78,20 @@ def quality_experiment(
     backend and any ``jobs`` (set ``REPRO_BACKEND``/``REPRO_JOBS`` or
     pass ``backend=``/``jobs=`` to fan runs out; see
     ``docs/BACKENDS.md``).
-
-    With ``collect_metrics=True`` every run also maintains a local
-    :class:`~repro.observability.metrics.MetricsRegistry`; the worker
-    payloads are merged into ``QualityResult.metrics`` (additive for
-    counters/histograms, so the merge is identical for any ``jobs``).
     """
     collector = MultiRunCollector(snapshot_ticks=config.snapshot_ticks)
     counters: list[BorrowCounters] = []
-    merged = MetricsRegistry() if collect_metrics else None
     ops = 0.0
     migrated = 0.0
     final_spreads: list[float] = []
-    tasks = [(config, r, collect_metrics) for r in range(config.runs)]
-    for loads, run_counters, run_ops, run_migrated, payload in parallel_map(
+    tasks = [(config, r) for r in range(config.runs)]
+    for loads, run_counters, run_ops, run_migrated in parallel_map(
         _one_quality_run, tasks, jobs=jobs, backend=backend
     ):
         collector.add(loads)
         counters.append(run_counters)
         ops += run_ops
         migrated += run_migrated
-        if merged is not None and payload is not None:
-            merged.merge_dict(payload)
         final = loads[-1].astype(float)
         final_spreads.append(
             float((final.max() - final.min()) / max(final.mean(), 1.0))
@@ -126,12 +105,5 @@ def quality_experiment(
         mean_ops=ops / config.runs,
         mean_migrated=migrated / config.runs,
         final_rel_spreads=np.asarray(final_spreads),
-        metrics=merged,
     )
 
-
-def repeat_lm_runs(
-    config: QualityConfig,
-) -> list[BorrowCounters]:
-    """Counters-only variant (Table 1) — same runs, lighter return."""
-    return quality_experiment(config).counters

@@ -105,7 +105,7 @@ def sensitivity_sweep(
     seed: int = 0,
 ) -> SensitivityResult:
     """Measure every grid point; see module docstring."""
-    runs = runs if runs else default_runs()
+    runs = default_runs() if runs is None else runs
     points: list[SweepPoint] = []
     for f in fs:
         for delta in deltas:

@@ -133,7 +133,7 @@ def table1(
     per-run averages; ``per_processor=True`` (default) normalises
     accordingly, ``False`` reports whole-machine totals per run.
     """
-    runs = runs if runs else default_runs()
+    runs = default_runs() if runs is None else runs
     table = BorrowTable(c_values=list(c_values))
     for C in c_values:
         cfg = QualityConfig(f=1.1, delta=1, C=C, runs=runs, seed=seed)
@@ -212,7 +212,7 @@ def lemma56_table(
     independent of ``delta`` and ``n``; very sensitive to ``f``; and
     invariant under scaling ``x, c`` at fixed ``c/x``.
     """
-    runs = runs if runs else default_runs(50)
+    runs = default_runs(50) if runs is None else runs
     rows: list[list[object]] = []
     for x, c, n, delta, f in grid:
         measured = expected_decrease_ops(x, c, n, delta, f, runs, seed=seed)

@@ -18,14 +18,12 @@ package turns every simulation into an inspectable trace:
   a smoke test keeps the two in lock-step.
 * :mod:`repro.observability.metrics` — counters / gauges / histograms
   in a :class:`MetricsRegistry` that the simulation driver updates per
-  tick and that merges across worker processes (the registries travel
-  as plain dicts through the process pool).
+  tick.
 * :mod:`repro.observability.profiler` — context-manager wall-clock
   timers around the hot paths (trigger evaluation, partner selection,
   the snake re-deal, the columnar passes), named after the benchmark's
   layers.  Each section is a ``section.<name>`` histogram in a
-  :class:`MetricsRegistry`, so sections merge across processes through
-  :func:`merge_worker_metrics` and show in the live exposition.
+  :class:`MetricsRegistry`, so sections show in the live exposition.
 * :mod:`repro.observability.analysis` — summarise, reconcile and diff
   recorded traces (``repro trace`` prints them).
 * :mod:`repro.observability.monitors` — streaming conformance monitors
@@ -72,7 +70,6 @@ from repro.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_worker_metrics,
 )
 from repro.observability.profiler import Profiler
 from repro.observability.analysis import (
@@ -125,7 +122,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_worker_metrics",
     "Profiler",
     "summarise_trace",
     "render_summary",

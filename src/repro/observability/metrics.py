@@ -1,23 +1,11 @@
 """Metrics registry: counters, gauges and histograms.
 
 The simulation layer updates a :class:`MetricsRegistry` as it runs (the
-driver per tick, the engines at run end) and the experiment harness
-merges registries across worker processes.  Design rules:
+driver per tick, the engines at run end).  Design rules:
 
-* **Plain-data transport.**  Worker processes cannot ship live
-  registry objects back through the pool cheaply; they ship
-  :meth:`MetricsRegistry.as_dict` payloads (nested dicts of numbers)
-  and the parent folds them in with :meth:`MetricsRegistry.merge_dict`
-  (see :func:`merge_worker_metrics`).  This is the same
-  serialise-and-reduce shape the tracer uses for events and
-  :class:`repro.core.borrowing.BorrowCounters` uses for Table 1.
-* **Merge semantics.**  Counters and histograms are additive (sums /
-  bucket counts add; histogram extremes fold by min / max).  Gauges are
-  *last-write-wins*: merging takes the incoming value if the incoming
-  gauge was ever set.  Order therefore matters for gauges across
-  workers — callers that need an order-independent reduction should use
-  counters or histograms (the driver's per-tick ``load.*`` gauges are
-  per-run diagnostics, not cross-run aggregates).
+* **Plain-data snapshot.**  :meth:`MetricsRegistry.as_dict` renders
+  the registry as nested dicts of numbers; the Prometheus exposition
+  and :meth:`repro.observability.profiler.Profiler.summary` read it.
 * **Stable naming.**  Metric names are dotted paths
   (``engine.balance_ops``, ``load.spread``); the full catalogue of
   names emitted by the stock driver is documented in
@@ -27,14 +15,13 @@ merges registries across worker processes.  Design rules:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_worker_metrics",
     "DEFAULT_BUCKETS",
 ]
 
@@ -113,7 +100,7 @@ class MetricsRegistry:
 
     A name is owned by the first kind that claims it; asking for the
     same name as a different kind raises (silent shadowing would make
-    merged payloads ambiguous).
+    the snapshot ambiguous).
     """
 
     def __init__(self) -> None:
@@ -167,11 +154,10 @@ class MetricsRegistry:
             or name in self._histograms
         )
 
-    # -- snapshot / transport -------------------------------------------
+    # -- snapshot --------------------------------------------------------
 
     def as_dict(self) -> dict:
-        """Plain-data snapshot (picklable / JSON-able), the transport
-        format for cross-process merging."""
+        """Plain-data snapshot (picklable / JSON-able)."""
         return {
             "counters": {k: c.value for k, c in sorted(self._counters.items())},
             "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
@@ -187,43 +173,3 @@ class MetricsRegistry:
                 for k, h in sorted(self._histograms.items())
             },
         }
-
-    def merge_dict(self, payload: Mapping) -> None:
-        """Fold one :meth:`as_dict` payload into this registry."""
-        for name, value in payload.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in payload.get("gauges", {}).items():
-            if value is not None:
-                self.gauge(name).set(value)
-        for name, data in payload.get("histograms", {}).items():
-            h = self.histogram(name, data["bounds"])
-            if len(data["counts"]) != len(h.counts):
-                raise ValueError(
-                    f"histogram {name!r}: incompatible bucket count "
-                    f"({len(data['counts'])} vs {len(h.counts)})"
-                )
-            for i, c in enumerate(data["counts"]):
-                h.counts[i] += c
-            h.sum += data["sum"]
-            h.count += data["count"]
-            if data["count"]:
-                h.min = min(h.min, data["min"])
-                h.max = max(h.max, data["max"])
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another live registry into this one."""
-        self.merge_dict(other.as_dict())
-
-
-def merge_worker_metrics(payloads: Iterable[Mapping]) -> MetricsRegistry:
-    """Reduce worker :meth:`MetricsRegistry.as_dict` payloads.
-
-    The experiment runner's worker function builds a local registry,
-    returns ``registry.as_dict()`` (plain dicts pickle cheaply through
-    :func:`repro.simulation.parallel.parallel_map`), and the parent
-    calls this to obtain the cross-process aggregate.
-    """
-    merged = MetricsRegistry()
-    for payload in payloads:
-        merged.merge_dict(payload)
-    return merged

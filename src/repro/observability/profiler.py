@@ -10,9 +10,8 @@ non-profiled run pays nothing.
 A section is a histogram ``section.<name>`` (seconds, buckets
 :data:`SECTION_BUCKETS`) in the profiler's
 :class:`~repro.observability.metrics.MetricsRegistry`, so sections
-share the registry's one transport: they merge across processes through
-:func:`~repro.observability.metrics.merge_worker_metrics` and render in
-the Prometheus exposition as the ``repro_section_seconds`` family.
+render in the Prometheus exposition as the ``repro_section_seconds``
+family.
 Section names are the benchmark's layer names (``perfbench/layers.py``).
 
 Timings use :func:`time.perf_counter_ns` (monotonic, ns resolution).
@@ -83,10 +82,9 @@ class Profiler:
         """Rows ``(section, calls, total_ms, share_pct, mean_us, min_us,
         max_us)`` sorted by total time descending.
 
-        Reads every ``section.*`` histogram of the registry, including
-        ones merged in from worker payloads.  ``share_pct`` is the
-        section's share of the summed total across all sections — a
-        quick "where does the time go" column.  Nested sections both
+        Reads every ``section.*`` histogram of the registry.
+        ``share_pct`` is the section's share of the summed total across
+        all sections — a quick "where does the time go" column.  Nested sections both
         count their wall time, so shares can exceed 100 in aggregate;
         within one nesting level they partition it.
         """

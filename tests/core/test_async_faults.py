@@ -199,10 +199,6 @@ class TestMessageLossAndReclaim:
         ]
         assert waited and all(w >= 0 for w in waited)
 
-    def test_reclaim_timeout_validation(self):
-        with pytest.raises(ValueError):
-            make(reclaim_timeout=0.0)
-
     def test_straggler_ops_counted(self):
         plan = FaultPlan(
             stragglers=(

@@ -147,34 +147,6 @@ def test_equivalence_property(n, f, delta_raw, C, seed, data):
     )
 
 
-def test_custom_triggers_fall_back_to_the_scalar_sweep():
-    """Custom trigger objects see every check: the columnar engine runs
-    the inherited scalar sweep and still matches the oracle."""
-    from repro.core.triggers import FactorTrigger
-
-    n = 16
-    params = LBParams(f=1.3, delta=2, C=2)
-    actions = _grid_actions(n, 0.5, 40, 9)
-    engines = []
-    for cls in (ColumnarEngine, Engine):
-        tracer = Tracer()
-        eng = cls(
-            EngineConfig(n=n, params=params),
-            rng=9,
-            tracer=tracer,
-            triggers=[FactorTrigger(1.3) for _ in range(n)],
-        )
-        for row in actions:
-            eng.step(row)
-        engines.append((eng, tracer))
-    (col, col_tr), (ref, ref_tr) = engines
-    assert not col._vectorized
-    assert col.l.tolist() == ref.l.tolist()
-    assert col.total_ops == ref.total_ops > 0
-    assert col.rng.bit_generator.state == ref.rng.bit_generator.state
-    assert col_tr.events == ref_tr.events
-
-
 @pytest.mark.parametrize("engine_cls", [Engine, ColumnarEngine])
 @pytest.mark.parametrize(
     "bad,message",

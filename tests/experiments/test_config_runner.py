@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import QualityConfig, default_runs
+from repro.experiments.figures import figure7
 from repro.experiments.runner import quality_experiment
+from repro.experiments.sensitivity import sensitivity_sweep
+from repro.experiments.tables import table1
 
 
 class TestDefaultRuns:
@@ -39,6 +42,18 @@ class TestQualityConfig:
     def test_with_(self):
         cfg = QualityConfig().with_(C=16)
         assert cfg.C == 16
+
+    @pytest.mark.parametrize("runs", [0, -2])
+    def test_runs_below_one_rejected(self, runs):
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            QualityConfig(runs=runs)
+
+    @pytest.mark.parametrize("build", [table1, figure7, sensitivity_sweep])
+    def test_zero_runs_is_not_the_default(self, build, monkeypatch):
+        # an explicit 0 must reach QualityConfig, not stand for "not given"
+        monkeypatch.setenv("REPRO_RUNS", "1")
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            build(runs=0)
 
 
 class TestQualityExperiment:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.observability import MetricsRegistry, Profiler, merge_worker_metrics
+from repro.observability import MetricsRegistry, Profiler
 from repro.observability.profiler import SECTION_BUCKETS
 
 LAYERS = Path(__file__).resolve().parents[2] / "perfbench" / "layers.py"
@@ -31,28 +31,6 @@ class TestSectionHistogram:
         h = prof.registry.histogram("section.s", SECTION_BUCKETS)
         assert h.count == 3
         assert h.mean == pytest.approx(20e-6)
-
-    def test_fold(self):
-        a, b = Profiler(), Profiler()
-        a.observe_ns("s", 5_000)
-        b.observe_ns("s", 1_000)
-        b.observe_ns("s", 9_000)
-        merged = Profiler(
-            merge_worker_metrics([a.registry.as_dict(), b.registry.as_dict()])
-        )
-        calls, total, lo, hi = _sections(merged)["s"]
-        assert (calls, lo, hi) == (3, pytest.approx(1.0), pytest.approx(9.0))
-        assert total == pytest.approx(0.015)
-
-    def test_fold_empty_is_identity(self):
-        a = Profiler()
-        a.observe_ns("s", 7_000)
-        merged = Profiler(
-            merge_worker_metrics([a.registry.as_dict(), Profiler().registry.as_dict()])
-        )
-        calls, _, lo, _ = _sections(merged)["s"]
-        assert (calls, lo) == (1, pytest.approx(7.0))
-        assert merged.registry.as_dict() == a.registry.as_dict()
 
 
 class TestProfiler:
@@ -93,17 +71,6 @@ class TestProfiler:
 
     def test_summary_share_empty_profiler(self):
         assert Profiler().summary() == []
-
-    def test_as_dict_merge_dict_round_trip(self):
-        a = Profiler()
-        a.observe_ns("s", 100)
-        a.observe_ns("s", 300)
-        b = Profiler()
-        b.observe_ns("s", 50)
-        b.registry.merge_dict(a.registry.as_dict())
-        h = b.registry.as_dict()["histograms"]["section.s"]
-        assert (h["count"], h["min"], h["max"]) == (3, 50e-9, 300e-9)
-        assert h["sum"] == pytest.approx(450e-9)
 
     def test_sections_live_in_the_given_registry(self):
         registry = MetricsRegistry()

@@ -116,10 +116,8 @@ class TestCrossBackendEquivalence:
         from repro.experiments.runner import quality_experiment
 
         cfg = QualityConfig(n=8, steps=60, runs=3, seed=4, snapshot_ticks=(30,))
-        a = quality_experiment(cfg, backend="native", collect_metrics=True)
-        b = quality_experiment(
-            cfg, backend="multiprocessing", jobs=2, collect_metrics=True
-        )
+        a = quality_experiment(cfg, backend="native")
+        b = quality_experiment(cfg, backend="multiprocessing", jobs=2)
         _require_pool(built_clients[-1].used_backend)
         for field in ("mean", "min", "max", "mean_spread"):
             av, bv = getattr(a.envelope, field, None), getattr(b.envelope, field, None)
@@ -135,9 +133,6 @@ class TestCrossBackendEquivalence:
         assert a.mean_ops == b.mean_ops
         assert a.mean_migrated == b.mean_migrated
         assert np.array_equal(a.final_rel_spreads, b.final_rel_spreads)
-        pa, pb = a.metrics.as_dict(), b.metrics.as_dict()
-        assert pa["counters"] == pb["counters"]
-        assert pa["histograms"] == pb["histograms"]
 
     def test_golden_traces_identical(self):
         tasks = [0, 1, 2]
@@ -368,41 +363,3 @@ class TestParallelMap:
         ]
         assert list(parallel_map(square, range(3), jobs=8)) == [0, 1, 4]
         assert fake_pool.chunksizes == [5, 1]
-
-
-@pytest.mark.usefixtures("clean_env")
-class TestCrossProcessMetrics:
-    """Worker registries must merge identically for any jobs setting."""
-
-    def test_serial_and_parallel_merges_agree(self):
-        from repro.experiments.config import QualityConfig
-        from repro.experiments.runner import quality_experiment
-
-        cfg = QualityConfig(n=8, steps=60, runs=3, seed=4, snapshot_ticks=())
-        a = quality_experiment(cfg, jobs=1, collect_metrics=True)
-        b = quality_experiment(cfg, jobs=2, collect_metrics=True)
-        assert a.metrics is not None and b.metrics is not None
-        pa, pb = a.metrics.as_dict(), b.metrics.as_dict()
-        # counters and histograms are additive, hence order-independent
-        assert pa["counters"] == pb["counters"]
-        assert pa["histograms"] == pb["histograms"]
-        assert set(pa["gauges"]) == set(pb["gauges"])
-
-    def test_merged_counters_cover_all_runs(self):
-        from repro.experiments.config import QualityConfig
-        from repro.experiments.runner import quality_experiment
-
-        cfg = QualityConfig(n=8, steps=60, runs=3, seed=4, snapshot_ticks=())
-        res = quality_experiment(cfg, jobs=2, collect_metrics=True)
-        assert res.metrics.counter("sim.ticks").value == cfg.runs * cfg.steps
-        # engine.balance_ops aggregates every run's operations
-        assert res.metrics.counter("engine.balance_ops").value == pytest.approx(
-            res.mean_ops * cfg.runs
-        )
-
-    def test_metrics_off_by_default(self):
-        from repro.experiments.config import QualityConfig
-        from repro.experiments.runner import quality_experiment
-
-        cfg = QualityConfig(n=8, steps=40, runs=2, seed=1, snapshot_ticks=())
-        assert quality_experiment(cfg, jobs=1).metrics is None

@@ -339,6 +339,49 @@ class TestUnknownNameExit2:
         assert "comma-separated numbers" in capsys.readouterr().err
 
 
+class TestNumericOptionExit2:
+    """Out-of-range numeric options exit 2 with ``error:`` before any
+    command runs."""
+
+    def check(self, argv, message, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command", ["table1", "fig7", "lemma56", "scaling", "sensitivity"]
+    )
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_runs_below_one(self, command, runs, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_RUNS", "1")
+        self.check(
+            [command, "--runs", runs],
+            f"error: --runs needs a value >= 1, got {runs}",
+            tmp_path,
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["trace", "--steps", "0"], "--steps needs a value >= 1, got 0"),
+            (["trace", "--n", "1"], "-n needs a value >= 2, got 1"),
+            (["trace", "--capacity", "0"], "--capacity needs a value >= 1, got 0"),
+            (["fig6", "--trials", "0"], "--trials needs a value >= 1, got 0"),
+            (
+                ["profile", "--engine", "async", "--horizon", "-1"],
+                "--horizon needs a value > 0, got -1.0",
+            ),
+        ],
+    )
+    def test_out_of_range(self, argv, message, tmp_path, capsys):
+        self.check(argv, f"error: {message}", tmp_path, capsys)
+
+
 class TestReportAndSpansCommands:
     def test_report_clean_sync_run(self, capsys):
         assert main(["report", "--n", "8", "--steps", "60", "--seed", "3"]) == 0
