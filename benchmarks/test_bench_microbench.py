@@ -19,14 +19,21 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import BENCH_ENGINE_JSON, save_json
+from repro.core.columnar import ColumnarEngine
+from repro.core.engine import Engine, EngineConfig
 from repro.experiments.microbench import (
     PROFILES,
+    _make_actions,
+    _prepare_engine,
+    _tick_budget,
     bench_report,
     run_microbench,
 )
+from repro.params import LBParams
 
 SMOKE_N = 256
 SMOKE_PROFILES = ("quiet", "stationary")
@@ -59,7 +66,6 @@ def test_report_covers_all_profiles(results_dir):
         assert rec["ticks_per_sec"] > 0
         assert rec["peak_rss_bytes"] > 0
         assert "sections" in rec
-        assert "_l" not in rec  # internal check vector must not leak
     save_json(results_dir, "bench_engine_n64", doc)
 
 
@@ -70,12 +76,29 @@ def test_quiet_profile_is_event_free():
 
 
 def test_engines_agree_on_bench_workloads():
+    """The scalar oracle, driven through the harness's own actions,
+    initial state and warm-ups, ends where the benchmarked columnar
+    engine does."""
+    n, ticks = 64, 40
+    params = LBParams(f=1.3, delta=2, C=4)
     for profile in PROFILES:
-        col = run_microbench(64, profile, ticks=40, engine="columnar")
-        ref = run_microbench(64, profile, ticks=40, engine="scalar")
-        assert col["_l"] == ref["_l"], profile
-        assert col["events"] == ref["events"], profile
-        assert col["total_ops"] == ref["total_ops"], profile
+        warmup, _ = _tick_budget(n, profile)
+        acts = _make_actions(profile, n, warmup + ticks, 123)
+        col, ref = (
+            cls(EngineConfig(n=n, params=params), rng=7)
+            for cls in (ColumnarEngine, Engine)
+        )
+        for eng in (col, ref):
+            _prepare_engine(eng, profile, n)
+            for t in range(warmup + ticks):
+                eng.step(acts[t])
+        assert np.array_equal(col.l, ref.l), profile
+        assert col.counters.as_dict() == ref.counters.as_dict(), profile
+        assert col.total_ops == ref.total_ops, profile
+        rec = run_microbench(n, profile, ticks=ticks)
+        events = {k: v for k, v in ref.counters.as_dict().items() if v}
+        assert rec["events"] == events, profile
+        assert rec["total_ops"] == ref.total_ops, profile
 
 
 @pytest.mark.tier2
@@ -90,7 +113,7 @@ def test_no_perf_regression_at_n256(profile):
         f"baseline has no n={SMOKE_N} {profile} run — regenerate it"
     )
     best = max(
-        run_microbench(SMOKE_N, profile, engine="columnar")["ticks_per_sec"]
+        run_microbench(SMOKE_N, profile)["ticks_per_sec"]
         for _ in range(BEST_OF)
     )
     floor = committed["ticks_per_sec"] * (1 - ALLOWED_REGRESSION)
@@ -133,9 +156,7 @@ def test_columnar_quiet_1e5_is_interactive():
     committed = _committed_run(doc, HEADLINE_N, "quiet")
     assert committed is not None, "baseline lacks the n=10^5 quiet row"
     best = max(
-        run_microbench(
-            HEADLINE_N, "quiet", engine="columnar", ticks=100
-        )["ticks_per_sec"]
+        run_microbench(HEADLINE_N, "quiet", ticks=100)["ticks_per_sec"]
         for _ in range(BEST_OF)
     )
     floor = max(

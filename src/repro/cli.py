@@ -467,8 +467,10 @@ def _run_async(args: argparse.Namespace) -> str:
     return render_table(["latency", "final CV", "ops", "dropped"], rows)
 
 
-#: ``--n`` when not given, for the commands without a config default of
-#: their own (trace/profile/report/spans/chaos)
+#: the commands that run the algorithm on ``-n`` processors with
+#: ``--f``/``--delta``/``--cap``, and have no config default of their own
+_PARAM_COMMANDS = ("trace", "profile", "report", "spans", "chaos")
+#: ``--n`` when not given, for the ``_PARAM_COMMANDS``
 _DEFAULT_N = 16
 #: ``--seed`` when not given: 0, except bench's engine seed, which the
 #: committed baselines were recorded with
@@ -659,6 +661,8 @@ def _usage_error(message: str) -> NoReturn:
 def _check_numbers(args: argparse.Namespace) -> None:
     """Fail fast (exit 2) on a numeric option out of range, before any
     command runs; an option left at ``None`` (not given) passes."""
+    from repro.params import ParamError
+
     for flag, value, least in (
         ("--runs", args.runs, 1),
         ("--trials", args.trials, 1),
@@ -666,11 +670,24 @@ def _check_numbers(args: argparse.Namespace) -> None:
         ("-n", args.n, 2),
         ("--capacity", args.capacity, 1),
         ("--ticks", args.ticks, 1),
+        ("--queue-cap", args.queue_cap, 1),
     ):
         if value is not None and value < least:
             _usage_error(f"{flag} needs a value >= {least}, got {value}")
     if args.horizon is not None and not args.horizon > 0:
         _usage_error(f"--horizon needs a value > 0, got {args.horizon}")
+    if not 0 <= args.crash_frac <= 1:
+        _usage_error(f"--crash-frac needs a value in [0, 1], got {args.crash_frac}")
+    if not 0 <= args.message_loss < 1:
+        _usage_error(
+            f"--message-loss needs a value in [0, 1), got {args.message_loss}"
+        )
+    try:
+        params = _params(args)
+        if args.command in _PARAM_COMMANDS:
+            params.validate_for_network(_DEFAULT_N if args.n is None else args.n)
+    except ParamError as exc:
+        _usage_error(f"--f/--delta/--cap: {exc}")
 
 
 def _check_choice(kind: str, value: str, valid) -> None:

@@ -19,7 +19,7 @@
   backing the columnar engine's permutation skip.
 """
 
-from repro.core.balance import even_split, snake_distribute, SnakeDealer
+from repro.core.balance import even_split, snake_distribute
 from repro.core.triggers import FactorTrigger, TriggerDecision
 from repro.core.selection import (
     CandidateSelector,
@@ -37,7 +37,6 @@ from repro.core.engine import Engine, EngineConfig
 from repro.core.columnar import ColumnarEngine, PassPipeline, TickPass
 from repro.core.ledger import ClassLedger
 from repro.core.borrowing import BorrowCounters
-from repro.core.processor import ProcessorView
 from repro.core.async_engine import (
     AsyncEngine,
     AsyncResult,
@@ -48,7 +47,6 @@ from repro.core.async_engine import (
 __all__ = [
     "even_split",
     "snake_distribute",
-    "SnakeDealer",
     "FactorTrigger",
     "TriggerDecision",
     "CandidateSelector",
@@ -67,7 +65,6 @@ __all__ = [
     "TickPass",
     "ClassLedger",
     "BorrowCounters",
-    "ProcessorView",
     "AsyncEngine",
     "AsyncResult",
     "ConstantRates",

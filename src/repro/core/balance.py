@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["even_split", "snake_distribute", "SnakeDealer", "greedy_transfers"]
+__all__ = ["even_split", "snake_distribute", "greedy_transfers"]
 
 
 def even_split(
@@ -57,28 +57,6 @@ def even_split(
     for i in range(rem):
         out[(start + i) % k] += 1
     return out
-
-
-class SnakeDealer:
-    """Stateful circular dealer carrying the remainder pointer.
-
-    One engine-level balancing operation deals several matrices (``d``
-    then ``b``) and possibly several operations happen per tick; a
-    dealer instance makes the "continue where you stopped" rule explicit
-    and testable.
-    """
-
-    def __init__(self, k: int, start: int = 0) -> None:
-        if k < 1:
-            raise ValueError(f"need k >= 1, got {k}")
-        self.k = k
-        self.ptr = start % k
-
-    def deal(self, total: int) -> np.ndarray:
-        """Deal one class of ``total`` packets; advance the pointer."""
-        out = even_split(total, self.k, start=self.ptr)
-        self.ptr = (self.ptr + total) % self.k
-        return out
 
 
 def snake_distribute(

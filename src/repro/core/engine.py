@@ -630,9 +630,3 @@ class Engine:
     def loads_snapshot(self) -> np.ndarray:
         """Copy of the current real load vector."""
         return self.l.copy()
-
-    def processor(self, i: int):
-        """Per-processor read-only view (appendix perspective)."""
-        from repro.core.processor import ProcessorView
-
-        return ProcessorView(self, i)

@@ -26,7 +26,7 @@ The engine's hot paths use only the sparse accessors (``get``,
 ``add``, ``row_sum``, ``positive_classes``, ``snake_redeal``,
 ``bulk_diag_add``).  :meth:`to_csr` / :meth:`from_csr` are the
 O(active entries) columnar snapshot the engine checkpoints use;
-:meth:`row_dense`, :meth:`dense` and :meth:`from_dense` materialise
+:meth:`dense` and :meth:`from_dense` materialise
 dense data for tests, small-n cross-checks and debugging.
 
 Invariant: after any sequence of mutations through the ledger API,
@@ -200,15 +200,6 @@ class ClassLedger:
         return sums
 
     # -- snapshots: dense (tests / debugging) and CSR (checkpoints) -------
-
-    def row_dense(self, i: int) -> np.ndarray:
-        """Dense copy of row ``i``."""
-        out = np.zeros(self.n, dtype=np.int64)
-        out[i] = self.diag[i]
-        row = self.rows[i]
-        if row:
-            out[list(row)] = list(row.values())
-        return out
 
     def dense(self) -> np.ndarray:
         """Dense ``(n, n)`` copy of the whole ledger."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from repro.params import LBParams
 
-__all__ = ["QualityConfig", "default_runs"]
+__all__ = ["QualityConfig", "check_runs", "default_runs"]
 
 
 def default_runs(paper_value: int = 100) -> int:
@@ -21,6 +21,14 @@ def default_runs(paper_value: int = 100) -> int:
     if env:
         return max(1, int(env))
     return min(paper_value, 25)
+
+
+def check_runs(runs: int) -> int:
+    """Return ``runs``, or raise ``ValueError`` when it is below 1 (the
+    one repetition-count rule of every experiment driver)."""
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    return runs
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,8 +54,7 @@ class QualityConfig:
     snapshot_ticks: tuple[int, ...] = (50, 200, 400)
 
     def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        check_runs(self.runs)
 
     @property
     def params(self) -> LBParams:

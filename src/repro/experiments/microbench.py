@@ -5,13 +5,13 @@ and three workload profiles, and writes a machine-readable
 ``BENCH_engine.json`` so every PR leaves a perf trajectory behind
 (schema below).
 
-Two engine variants share the harness: ``columnar`` (the
-:class:`~repro.core.columnar.ColumnarEngine` pass pipeline — the
-headline) and ``scalar`` (:class:`~repro.core.engine.Engine`, the
-reference sweep).  Both are bit-identical on every workload, so
-cross-engine rows double as an equality check on final loads and
-event counters.  Cross-revision comparisons read the perf trajectory
-in ``results/bench_history.ndjson``.  This module is the one home of
+The harness times the
+:class:`~repro.core.columnar.ColumnarEngine` pass pipeline (records
+carry ``"engine": "columnar"``); the scalar oracle
+:class:`~repro.core.engine.Engine` is bit-identical on every workload
+(``benchmarks/test_bench_microbench.py`` checks it on the bench
+actions).  Cross-revision comparisons read the perf trajectory in
+``results/bench_history.ndjson``.  This module is the one home of
 both document formats: it writes them (:func:`write_bench_json`,
 :func:`append_bench_history`), reads them back (:func:`load_bench`,
 :func:`load_bench_history`) and diffs two of them
@@ -40,7 +40,7 @@ Profiles
 All profiles drive the engine through the public ``step`` API with
 precomputed action arrays; workload and engine seeds are fixed, so a
 given (profile, n) measurement replays the identical computation in
-every run and in both engines being compared.
+every run.
 
 JSON schema (``repro.bench_engine.v1``)
 ---------------------------------------
@@ -104,14 +104,13 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.core.columnar import ColumnarEngine
-from repro.core.engine import Engine, EngineConfig
+from repro.core.engine import EngineConfig
 from repro.experiments.report import render_table
 from repro.observability import Profiler, Span
 from repro.params import LBParams
 
 __all__ = [
     "PROFILES",
-    "ENGINES",
     "DEFAULT_NS",
     "QUIET_ONLY_ABOVE",
     "BENCH_SCHEMA",
@@ -128,7 +127,6 @@ __all__ = [
 ]
 
 PROFILES = ("quiet", "stationary", "growth")
-ENGINES = ("columnar", "scalar")
 DEFAULT_NS = (64, 256, 1024, 4096, 100_000, 1_000_000)
 #: above this n, only the quiet profile is benchmarked (see module doc)
 QUIET_ONLY_ABOVE = 4096
@@ -207,22 +205,16 @@ def run_microbench(
     workload_seed: int = 123,
     warmup: int | None = None,
     ticks: int | None = None,
-    engine: str = "columnar",
     profile_sections: bool = False,
 ) -> dict[str, Any]:
-    """Time ``ticks`` engine steps for one (n, profile) point.
+    """Time ``ticks`` :class:`~repro.core.columnar.ColumnarEngine` steps
+    for one (n, profile) point.
 
-    ``engine`` picks a variant by name — ``"columnar"``
-    (:class:`~repro.core.columnar.ColumnarEngine`) or ``"scalar"``
-    (:class:`~repro.core.engine.Engine`).  Returns a plain-data record
-    (see module docstring schema) plus the final ``l`` vector under
-    ``"_l"`` for cross-engine equality checks (stripped before
-    serialisation).  The timed pass is unprofiled; ``profile_sections``
-    adds the profiled replay that fills ``"sections"`` (module doc).
+    Returns a plain-data record (see module docstring schema).  The
+    timed pass is unprofiled; ``profile_sections`` adds the profiled
+    replay that fills ``"sections"`` (module doc).
     """
     params = params or LBParams(f=1.3, delta=2, C=4)
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (want one of {ENGINES})")
     default_warmup, default_ticks = _tick_budget(n, profile)
     warmup = default_warmup if warmup is None else warmup
     ticks = default_ticks if ticks is None else ticks
@@ -233,10 +225,9 @@ def run_microbench(
         )
 
     acts = _make_actions(profile, n, warmup + ticks, workload_seed)
-    cls = ColumnarEngine if engine == "columnar" else Engine
 
     def timed_pass(profiler):
-        eng = cls(
+        eng = ColumnarEngine(
             EngineConfig(n=n, params=params), rng=engine_seed, profiler=profiler
         )
         _prepare_engine(eng, profile, n)
@@ -252,7 +243,7 @@ def run_microbench(
     record: dict[str, Any] = {
         "n": n,
         "profile": profile,
-        "engine": engine,
+        "engine": "columnar",
         "warmup": warmup,
         "ticks": ticks,
         "ticks_per_sec": round(ticks / elapsed, 2),
@@ -260,7 +251,6 @@ def run_microbench(
         "total_ops": int(eng.total_ops),
         "events": {k: v for k, v in counters.items() if v},
         "peak_rss_bytes": peak_rss_bytes(),
-        "_l": np.asarray(eng.l).tolist(),
     }
     if profile_sections:
         # a profiled engine walks its residual ticks in Python, so the
@@ -273,7 +263,7 @@ def run_microbench(
             counters,
         ):
             raise RuntimeError(
-                f"the profiled pass of ({n}, {profile!r}, {engine!r}) "
+                f"the profiled pass of ({n}, {profile!r}) "
                 "diverged from the timed pass"
             )
         record["sections"] = {
@@ -310,15 +300,14 @@ def git_rev(repo_root: Path | None = None) -> str:
 
 
 def _bench_point(task: tuple) -> dict[str, Any]:
-    """One (n, profile, engine) measurement (module-level so it pickles)."""
-    n, profile, params, engine_seed, workload_seed, engine, ticks = task
+    """One (n, profile) measurement (module-level so it pickles)."""
+    n, profile, params, engine_seed, workload_seed, ticks = task
     return run_microbench(
         n,
         profile,
         params=params,
         engine_seed=engine_seed,
         workload_seed=workload_seed,
-        engine=engine,
         ticks=ticks,
         profile_sections=True,
     )
@@ -329,7 +318,6 @@ def bench_report(
     *,
     profiles: tuple[str, ...] = PROFILES,
     params: LBParams | None = None,
-    engine: str = "columnar",
     ticks: int | None = None,
     engine_seed: int = 7,
     workload_seed: int = 123,
@@ -368,7 +356,7 @@ def bench_report(
     }
 
     tasks = [
-        (n, profile, params, engine_seed, workload_seed, engine, ticks)
+        (n, profile, params, engine_seed, workload_seed, ticks)
         for n in sorted(ns)
         for profile in profiles
         if profile == "quiet" or n <= QUIET_ONLY_ABOVE
@@ -377,9 +365,9 @@ def bench_report(
         t0 = time.perf_counter()
         # chunksize=1: one (n, profile) point per dispatch, so a
         # parallel backend interleaves sizes instead of striping them
-        for rec in client.map_ordered(_bench_point, tasks, chunksize=1):
-            rec.pop("_l")
-            doc["runs"].append(rec)
+        doc["runs"].extend(
+            client.map_ordered(_bench_point, tasks, chunksize=1)
+        )
         # the grid's wall time: less than the summed run times when a
         # parallel backend overlaps the runs
         doc["grid_elapsed_sec"] = round(time.perf_counter() - t0, 4)

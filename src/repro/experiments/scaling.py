@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.experiments.config import check_runs
 from repro.experiments.report import render_table
 from repro.params import LBParams
 from repro.rng import RngFactory
@@ -76,6 +77,7 @@ def scaling_experiment(
     seed: int = 0,
 ) -> ScalingResult:
     """Run the §7 workload at several network sizes."""
+    check_runs(runs)
     params = LBParams(f=f, delta=delta, C=C)
     spread = np.zeros(len(ns))
     ops = np.zeros(len(ns))

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.experiments.config import QualityConfig, default_runs
+from repro.experiments.config import QualityConfig, check_runs, default_runs
 from repro.experiments.report import render_table
 from repro.experiments.runner import quality_experiment
 from repro.metrics.confidence import ConfidenceInterval, bootstrap_ci
@@ -105,7 +105,7 @@ def sensitivity_sweep(
     seed: int = 0,
 ) -> SensitivityResult:
     """Measure every grid point; see module docstring."""
-    runs = default_runs() if runs is None else runs
+    runs = default_runs() if runs is None else check_runs(runs)
     points: list[SweepPoint] = []
     for f in fs:
         for delta in deltas:

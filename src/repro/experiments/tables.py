@@ -8,7 +8,7 @@ from typing import Sequence
 
 from repro.core.opg import opg_meanfield_ratio
 from repro.core.opgc import expected_decrease_ops
-from repro.experiments.config import QualityConfig, default_runs
+from repro.experiments.config import QualityConfig, check_runs, default_runs
 from repro.experiments.report import render_table
 from repro.experiments.runner import quality_experiment
 from repro.metrics.borrow_stats import BorrowTable
@@ -212,7 +212,7 @@ def lemma56_table(
     independent of ``delta`` and ``n``; very sensitive to ``f``; and
     invariant under scaling ``x, c`` at fixed ``c/x``.
     """
-    runs = default_runs(50) if runs is None else runs
+    runs = default_runs(50) if runs is None else check_runs(runs)
     rows: list[list[object]] = []
     for x, c, n, delta, f in grid:
         measured = expected_decrease_ops(x, c, n, delta, f, runs, seed=seed)

@@ -39,7 +39,7 @@ package turns every simulation into an inspectable trace:
   ``repro report --compare`` lives with the bench writer in
   :mod:`repro.experiments.microbench`.
 * :mod:`repro.observability.telemetry` — live telemetry: a windowed
-  time-series sampler over the metrics/SLO/monitor state.
+  time-series sampler over a service run's metrics/SLO/monitor state.
 * :mod:`repro.observability.export` — telemetry consumers: Prometheus
   text exposition over HTTP (``repro serve --telemetry``) and Chrome
   trace-event / Perfetto export (``repro trace --export chrome``).

@@ -169,12 +169,6 @@ def render_exposition(sampler) -> str:
             mtype="counter", labels={"monitor": monitor},
             help_="Conformance-monitor breaches, by monitor.",
         )
-    for kind, count in sorted((latest.get("churn") or {}).items()):
-        out.add(
-            "repro_churn_events_total", count,
-            mtype="counter", labels={"kind": kind},
-            help_="Dynamic-network churn events observed in the trace.",
-        )
     out.add(
         "repro_tracer_dropped_total", latest.get("tracer_dropped", 0),
         mtype="counter",

@@ -470,20 +470,14 @@ class MonitorSuite:
 
     @classmethod
     def standard(
-        cls,
-        params: LBParams,
-        *,
-        tracer: Tracer | None = None,
-        grace: int = 4,
-        fixpoint_slack: float = 1.25,
-        variation_limit: float = 1.0,
+        cls, params: LBParams, *, tracer: Tracer | None = None
     ) -> "MonitorSuite":
         """The full stock suite (see module docstring for each check)."""
         return cls(
             [
-                Theorem4BandMonitor(params, grace=grace),
-                FixpointMonitor(params, slack=fixpoint_slack),
-                VariationMonitor(limit=variation_limit),
+                Theorem4BandMonitor(params),
+                FixpointMonitor(params),
+                VariationMonitor(),
                 ConservationMonitor(),
                 OpBudgetMonitor(),
             ],

@@ -2,22 +2,18 @@
 
 Everything else in this package is post-hoc — you learn what a run did
 after it ends.  This module is the live half of the observability
-story.  A :class:`TelemetrySampler` is attached to a running engine
-(the service engine samples it at snapshot boundaries, the synchronous
-driver per tick) and keeps a bounded sliding window of service-level
-observations: the Theorem-4 statistic and its rolling band occupancy,
-sojourn quantiles, admission/shed counters, degradation-ladder state,
-monitor breach counts, tracer ring-buffer drops.  Sampling is strictly
-*read-only* over the attached sources — it never touches an RNG, never
-mutates engine state, and costs nothing when no sampler is attached
-(the engines hold ``None`` and skip the call with one branch), so the
-bit-identity contract of the monitors-off golden tests extends to
-telemetry verbatim.  Consumers render the sampler: the Prometheus
-text-exposition endpoint and the ``repro top`` TUI
-(:mod:`repro.observability.export`).
-
-The cross-process trace context that stamps per-worker trace buffers
-lives with the tracer (:mod:`repro.observability.tracer`).
+story.  A :class:`TelemetrySampler` is attached to a running service
+engine (which samples it at snapshot boundaries) and keeps a bounded
+sliding window of service-level observations: the Theorem-4 statistic
+and its rolling band occupancy, sojourn quantiles, admission/shed
+counters, degradation-ladder state, monitor breach counts, tracer
+ring-buffer drops.  Sampling is strictly *read-only* over the attached
+sources — it never touches an RNG, never mutates engine state, and
+costs nothing when no sampler is attached (the engine holds ``None``
+and skips the call with one branch), so the bit-identity contract of
+the service golden document extends to telemetry verbatim.  Consumers
+render the sampler: the Prometheus text-exposition endpoint and the
+``repro top`` TUI (:mod:`repro.observability.export`).
 """
 
 from __future__ import annotations
@@ -36,10 +32,8 @@ __all__ = ["TelemetrySampler"]
 class TelemetrySampler:
     """Bounded sliding window of live service-level observations.
 
-    Attach with :meth:`bind_service` (a
-    :class:`~repro.service.engine.ServiceEngine` samples it at snapshot
-    boundaries) or pass ``telemetry=`` to
-    :func:`~repro.simulation.driver.run_simulation` (sampled per tick).
+    A :class:`~repro.service.engine.ServiceEngine` binds it
+    (:meth:`bind_service`) and samples it at snapshot boundaries.
     Every :meth:`sample` call is read-only over the bound sources; the
     exporters (:mod:`repro.observability.export`) render the window.
 
@@ -51,13 +45,9 @@ class TelemetrySampler:
     window:
         Maximum points kept (sliding); also the horizon of the rolling
         band-occupancy statistic.
-    params:
-        Optional :class:`~repro.params.LBParams`; enables the Theorem-4
-        statistic (``rho``, band, rolling occupancy) for engines that
-        have no SLO tracker attached.
-    tracer / metrics / monitors:
-        Optional sources surfaced in the exposition (ring-buffer drops,
-        the generic metric registry, breach counts).
+    metrics:
+        Optional :class:`~repro.observability.metrics.MetricsRegistry`
+        surfaced in the exposition.
     """
 
     def __init__(
@@ -65,10 +55,7 @@ class TelemetrySampler:
         *,
         interval: float = 0.5,
         window: int = 240,
-        params=None,
-        tracer=None,
         metrics=None,
-        monitors=None,
     ) -> None:
         if interval < 0:
             raise ValueError(f"interval must be >= 0, got {interval}")
@@ -76,26 +63,18 @@ class TelemetrySampler:
             raise ValueError(f"window must be >= 1, got {window}")
         self.interval = float(interval)
         self.window = int(window)
+        self.metrics = metrics
+        # service sources (bound by bind_service)
         self.band: float | None = None
         self.C: int | None = None
-        if params is not None:
-            from repro.theory.bounds import theorem4_bound
-
-            self.band = theorem4_bound(None, params.delta, params.f)
-            self.C = params.C
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-        self.monitors = monitors
-        # service sources (bound by bind_service)
+        self.tracer = NULL_TRACER
+        self.monitors = None
         self.slo = None
         self.ladder = None
         self.admission = None
         self.queues = None
         self.samples = 0
         self.points: deque[dict] = deque(maxlen=self.window)
-        # cumulative churn-event counts and the newest tracer seq they cover
-        self._churn: dict[str, int] = {}
-        self._churn_seq = -1
         self._last: float | None = None
         self._lock = threading.Lock()
 
@@ -109,10 +88,8 @@ class TelemetrySampler:
         self.queues = engine.queues
         self.band = engine.slo.band
         self.C = engine.slo.C
-        if self.tracer is NULL_TRACER:
-            self.tracer = engine.tracer
-        if self.monitors is None:
-            self.monitors = getattr(engine, "monitors", None)
+        self.tracer = engine.tracer
+        self.monitors = engine.monitors
 
     # -- sampling ---------------------------------------------------------
 
@@ -138,10 +115,10 @@ class TelemetrySampler:
             point["sojourn_p50"] = p50
             point["sojourn_p99"] = p99
             point["completed"] = self.queues.completed
-            if self.ladder is not None:
-                point["hot"] = self.queues.hot_fraction(
-                    self.ladder.cfg.high_watermark
-                )
+        if self.slo is not None and self.slo.hot:
+            # the hot fraction the engine handed the SLO tracker and the
+            # ladder at this snapshot
+            point["hot"] = self.slo.hot[-1]
         if self.admission is not None:
             counters = self.admission.counters()
             point["offered"] = counters["offered"]
@@ -155,31 +132,11 @@ class TelemetrySampler:
                 breaches[b.monitor] = breaches.get(b.monitor, 0) + 1
             point["breaches"] = breaches
         point["tracer_dropped"] = int(getattr(self.tracer, "dropped", 0))
-        if getattr(self.tracer, "enabled", False):
-            self._count_churn()
-            if self._churn:
-                point["churn"] = dict(self._churn)
         with self._lock:
             self.points.append(point)
             self.samples += 1
             self._last = t
         return True
-
-    def _count_churn(self) -> None:
-        """Add the churn events emitted since the previous sample to the
-        running totals, scanning the ring newest first down to the last
-        ``seq`` already counted (events evicted in between are lost to
-        ``tracer_dropped``, never recounted)."""
-        newest = self._churn_seq
-        for ev in reversed(self.tracer):
-            seq = ev["seq"]
-            if seq <= self._churn_seq:
-                break
-            newest = max(newest, seq)
-            k = ev["type"]
-            if k in ("topology_change", "node_leave", "node_join"):
-                self._churn[k] = self._churn.get(k, 0) + 1
-        self._churn_seq = newest
 
     # -- reading (exporters hold the same lock) ---------------------------
 

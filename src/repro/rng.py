@@ -26,7 +26,7 @@ experiments ran before.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -72,11 +72,6 @@ class RngFactory:
             else np.random.SeedSequence(seed)
         )
         self._anon_counter = 0
-
-    @property
-    def root_entropy(self) -> Sequence[int] | int | None:
-        """The root entropy (for experiment manifests)."""
-        return self._root.entropy
 
     def stream(self) -> np.random.Generator:
         """Return the next anonymous child stream (order-dependent)."""

@@ -7,7 +7,7 @@ of the asynchronous engine's extension hooks.
 """
 
 from repro.service.admission import SHED_REASONS, AdmissionController, TokenBucket
-from repro.service.degradation import STATES, DegradationLadder, LadderConfig
+from repro.service.degradation import STATES, DegradationLadder
 from repro.service.engine import (
     ServiceConfig,
     ServiceEngine,
@@ -37,7 +37,6 @@ __all__ = [
     "TokenBucket",
     "STATES",
     "DegradationLadder",
-    "LadderConfig",
     "ServiceConfig",
     "ServiceEngine",
     "ServiceRun",

@@ -18,15 +18,15 @@ States and their actions (applied on entry; see ``docs/SERVICE.md``):
 ``healthy``
     Full admission rate, configured trigger factor, no brown-out.
 ``backpressure``
-    Admission refill scaled by ``bp_scale`` — the soft push-back.
+    Admission refill scaled by ``BP_SCALE`` — the soft push-back.
 ``shedding``
-    Admission scaled by ``shed_scale``, the brown-out sheds
+    Admission scaled by ``SHED_SCALE``, the brown-out sheds
     non-critical arrivals, and the balancing trigger is *widened*
     (factor pulled toward 1) so the engine redistributes backlog more
     eagerly.
 ``recovering``
-    Brown-out off, admission still tightened (``recover_scale``),
-    trigger still widened; after ``hold`` consecutive calm snapshots
+    Brown-out off, admission still tightened (``RECOVER_SCALE``),
+    trigger still widened; after ``HOLD`` consecutive calm snapshots
     the service is ``healthy`` again and every knob is restored.
 
 Transitions are emitted as schema-registered ``service_state`` trace
@@ -36,9 +36,7 @@ degradation-state timeline of ``results/service.json``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["LadderConfig", "DegradationLadder", "STATES"]
+__all__ = ["DegradationLadder", "STATES"]
 
 HEALTHY = "healthy"
 BACKPRESSURE = "backpressure"
@@ -47,68 +45,26 @@ RECOVERING = "recovering"
 
 STATES = (HEALTHY, BACKPRESSURE, SHEDDING, RECOVERING)
 
-
-@dataclass(frozen=True, slots=True)
-class LadderConfig:
-    """Thresholds and knob settings of the degradation ladder.
-
-    Watermark fractions are relative to the queue cap; ``enter_*`` /
-    ``exit_*`` are fractions of processors over the high watermark.
-    ``exit`` levels sit below ``enter`` levels on purpose (hysteresis —
-    the ladder must not flap on a noisy boundary).
-    """
-
-    high_watermark: float = 0.5     # queue depth fraction counting as hot
-    enter_bp: float = 0.125         # hot fraction: healthy -> backpressure
-    enter_shed: float = 0.3         # hot fraction: -> shedding
-    exit_shed: float = 0.15         # hot fraction to leave shedding
-    exit_bp: float = 0.05           # hot fraction counting as calm
-    hold: int = 8                   # calm snapshots before healthy again
-    bp_scale: float = 0.7           # admission refill scale in backpressure
-    shed_scale: float = 0.4         # admission refill scale in shedding
-    recover_scale: float = 0.7      # admission refill scale in recovering
-    trigger_widen: float = 0.5      # widened f = 1 + (f-1) * trigger_widen
-
-    def __post_init__(self) -> None:
-        if not 0 < self.high_watermark <= 1:
-            raise ValueError(
-                f"high_watermark must be in (0, 1], got {self.high_watermark}"
-            )
-        if not (0 <= self.exit_bp <= self.exit_shed
-                <= self.enter_shed <= 1):
-            raise ValueError(
-                "need 0 <= exit_bp <= exit_shed <= enter_shed <= 1, got "
-                f"{self.exit_bp} / {self.exit_shed} / {self.enter_shed}"
-            )
-        if not 0 <= self.enter_bp <= self.enter_shed:
-            raise ValueError(
-                f"need enter_bp <= enter_shed, got {self.enter_bp} > "
-                f"{self.enter_shed}"
-            )
-        if self.hold < 1:
-            raise ValueError(f"hold must be >= 1, got {self.hold}")
-        for name in ("bp_scale", "shed_scale", "recover_scale"):
-            v = getattr(self, name)
-            if not 0 < v <= 1:
-                raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if not 0 < self.trigger_widen <= 1:
-            raise ValueError(
-                f"trigger_widen must be in (0, 1], got {self.trigger_widen}"
-            )
+# Thresholds and knob settings.  The watermark is a fraction of the
+# queue cap; ``ENTER_*`` / ``EXIT_*`` are fractions of processors over
+# it.  Exit levels sit below entry levels on purpose (hysteresis: the
+# ladder must not flap on a noisy boundary).
+HIGH_WATERMARK = 0.5    # queue depth fraction counting as hot
+ENTER_BP = 0.125        # hot fraction: healthy -> backpressure
+ENTER_SHED = 0.3        # hot fraction: -> shedding
+EXIT_SHED = 0.15        # hot fraction to leave shedding
+EXIT_BP = 0.05          # hot fraction counting as calm
+HOLD = 8                # calm snapshots before healthy again
+BP_SCALE = 0.7          # admission refill scale in backpressure
+SHED_SCALE = 0.4        # admission refill scale in shedding
+RECOVER_SCALE = 0.7     # admission refill scale in recovering
+TRIGGER_WIDEN = 0.5     # widened f = 1 + (f-1) * TRIGGER_WIDEN
 
 
 class DegradationLadder:
     """Evaluate the ladder at snapshots; apply knob changes on entry."""
 
-    def __init__(
-        self,
-        cfg: LadderConfig,
-        *,
-        admission,
-        engine,
-        tracer=None,
-    ) -> None:
-        self.cfg = cfg
+    def __init__(self, *, admission, engine, tracer=None) -> None:
         self.admission = admission
         self.engine = engine
         self.tracer = tracer
@@ -119,36 +75,35 @@ class DegradationLadder:
 
     @property
     def widened_f(self) -> float:
-        return 1.0 + (self._f0 - 1.0) * self.cfg.trigger_widen
+        return 1.0 + (self._f0 - 1.0) * TRIGGER_WIDEN
 
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, t: float, hot: float, depth_sheds: int) -> None:
         """One snapshot's worth of ladder logic."""
-        cfg = self.cfg
-        pressed = hot >= cfg.enter_shed or depth_sheds > 0
+        pressed = hot >= ENTER_SHED or depth_sheds > 0
         if self.state == HEALTHY:
             if pressed:
                 self._to(SHEDDING, t, self._why(hot, depth_sheds))
-            elif hot >= cfg.enter_bp:
+            elif hot >= ENTER_BP:
                 self._to(BACKPRESSURE, t, f"hot={hot:.2f}")
         elif self.state == BACKPRESSURE:
             if pressed:
                 self._to(SHEDDING, t, self._why(hot, depth_sheds))
-            elif hot <= cfg.exit_bp:
+            elif hot <= EXIT_BP:
                 self._to(RECOVERING, t, f"hot={hot:.2f}")
         elif self.state == SHEDDING:
-            if hot <= cfg.exit_shed and depth_sheds == 0:
+            if hot <= EXIT_SHED and depth_sheds == 0:
                 self._to(RECOVERING, t, f"hot={hot:.2f}")
         else:  # RECOVERING
             if pressed:
                 self._to(SHEDDING, t, self._why(hot, depth_sheds))
-            elif hot >= cfg.enter_bp:
+            elif hot >= ENTER_BP:
                 self._to(BACKPRESSURE, t, f"hot={hot:.2f}")
             else:
-                calm = hot <= cfg.exit_bp and depth_sheds == 0
+                calm = hot <= EXIT_BP and depth_sheds == 0
                 self._calm = self._calm + 1 if calm else 0
-                if self._calm >= cfg.hold:
+                if self._calm >= HOLD:
                     self._to(HEALTHY, t, f"calm for {self._calm} snapshots")
 
     @staticmethod
@@ -174,20 +129,19 @@ class DegradationLadder:
             )
 
     def _apply(self, state: str) -> None:
-        cfg = self.cfg
         if state == HEALTHY:
             self.admission.bucket.set_scale(1.0)
             self.admission.set_brownout(False)
             self.engine.set_trigger_factor(self._f0)
         elif state == BACKPRESSURE:
-            self.admission.bucket.set_scale(cfg.bp_scale)
+            self.admission.bucket.set_scale(BP_SCALE)
             self.admission.set_brownout(False)
         elif state == SHEDDING:
-            self.admission.bucket.set_scale(cfg.shed_scale)
+            self.admission.bucket.set_scale(SHED_SCALE)
             self.admission.set_brownout(True)
             self.engine.set_trigger_factor(self.widened_f)
         else:  # RECOVERING: keep the widened trigger while draining
-            self.admission.bucket.set_scale(cfg.recover_scale)
+            self.admission.bucket.set_scale(RECOVER_SCALE)
             self.admission.set_brownout(False)
 
     # -- reporting --------------------------------------------------------

@@ -33,7 +33,7 @@ fire underneath the service exactly as they do in the resilience sweep.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.core.async_engine import (
 from repro.faults.plan import FaultPlan
 from repro.params import LBParams
 from repro.service.admission import AdmissionController, TokenBucket
-from repro.service.degradation import DegradationLadder, LadderConfig
+from repro.service.degradation import HIGH_WATERMARK, DegradationLadder
 from repro.service.queues import TaskQueues
 from repro.service.slo import SLOTracker, build_service_doc
 from repro.service.traffic import Arrival, ReplayTraffic, make_traffic
@@ -92,7 +92,6 @@ class ServiceConfig:
     # chaos (used when a run asks for it)
     crash_frac: float = 0.25
     message_loss: float = 0.01
-    ladder: LadderConfig = field(default_factory=LadderConfig)
 
     @classmethod
     def smoke(cls, *, seed: int = 0) -> "ServiceConfig":
@@ -148,7 +147,6 @@ class ServiceEngine(AsyncEngine):
         *,
         queues: TaskQueues,
         admission: AdmissionController,
-        ladder_cfg: LadderConfig | None = None,
         slo: SLOTracker | None = None,
         telemetry=None,
         **kwargs,
@@ -164,10 +162,7 @@ class ServiceEngine(AsyncEngine):
         self.admission = admission
         self.slo = slo if slo is not None else SLOTracker(params)
         self.ladder = DegradationLadder(
-            ladder_cfg if ladder_cfg is not None else LadderConfig(),
-            admission=admission,
-            engine=self,
-            tracer=self.tracer,
+            admission=admission, engine=self, tracer=self.tracer
         )
         # service_shed batching: emitted counts so far, by reason
         self._shed_emitted = dict.fromkeys(admission.shed, 0)
@@ -232,7 +227,7 @@ class ServiceEngine(AsyncEngine):
         self.queues.migrate(alive, before, after)
 
     def _on_snapshot(self, t: float, loads: np.ndarray) -> None:
-        hot = self.queues.hot_fraction(self.ladder.cfg.high_watermark)
+        hot = self.queues.hot_fraction(HIGH_WATERMARK)
         depth_sheds = self.admission.shed["depth"] - self._depth_sheds_seen
         self._depth_sheds_seen = self.admission.shed["depth"]
         # the recorded state covers the interval *ending* at this
@@ -333,7 +328,6 @@ def service_run(
         rates,
         queues=queues,
         admission=admission,
-        ladder_cfg=cfg.ladder,
         slo=SLOTracker(params),
         latency=cfg.latency,
         snapshot_dt=cfg.snapshot_dt,

@@ -69,7 +69,6 @@ class Simulation:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         monitors: MonitorSuite | None = None,
-        telemetry=None,
     ) -> None:
         if balancer.n != workload.n:
             raise ValueError(
@@ -82,9 +81,6 @@ class Simulation:
         self._trace = bool(self.tracer.enabled)
         self.metrics = metrics
         self.monitors = monitors
-        # live telemetry sampler (repro.observability.telemetry):
-        # sampled read-only per tick, None costs a single branch
-        self.telemetry = telemetry
         self.t = 0
         self.snapshots: list[np.ndarray] = [balancer.loads_snapshot()]
 
@@ -117,8 +113,6 @@ class Simulation:
             m.histogram("load.spread").observe(hi - lo)
         if self.monitors is not None:
             self.monitors.observe(self.t, snap, engine=self.balancer)
-        if self.telemetry is not None:
-            self.telemetry.sample(self.t, snap)
 
     def run(self, steps: int) -> np.ndarray:
         """Advance ``steps`` ticks; return the ``(steps+1, n)`` history."""
@@ -143,7 +137,6 @@ def run_simulation(
     metrics: MetricsRegistry | None = None,
     profiler: Profiler | None = None,
     monitors: MonitorSuite | None = None,
-    telemetry=None,
     engine_cls: type[Engine] | None = None,
 ) -> RunResult:
     """Convenience one-shot: build engine + simulation, run, package.
@@ -185,7 +178,6 @@ def run_simulation(
         tracer=tracer,
         metrics=metrics,
         monitors=monitors,
-        telemetry=telemetry,
     )
     loads = sim.run(steps)
     if metrics is not None:

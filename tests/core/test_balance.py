@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.balance import SnakeDealer, even_split, snake_distribute
+from repro.core.balance import even_split, snake_distribute
 
 
 class TestEvenSplit:
@@ -99,24 +99,17 @@ class TestSnakeDistribute:
         """The vectorised implementation equals the obvious sequential
         circular deal (oracle test)."""
         M = snake_distribute(np.asarray(totals), k, start=0)
-        dealer = SnakeDealer(k, start=0)
+        ptr = 0
         for j, t in enumerate(totals):
-            assert np.array_equal(M[:, j], dealer.deal(t))
+            assert np.array_equal(M[:, j], even_split(t, k, start=ptr))
+            ptr = (ptr + t) % k
 
-
-class TestSnakeDealer:
     def test_pointer_advances_by_total(self):
-        d = SnakeDealer(4, start=1)
-        d.deal(6)  # 6 mod 4 = 2 -> pointer 3
-        assert d.ptr == 3
+        # class 0 deals 6 packets from position 1: 6 mod 4 = 2 -> class 1
+        # starts at position 3
+        M = snake_distribute([6, 1], 4, start=1)
+        assert M[:, 1].tolist() == [0, 0, 0, 1]
 
     def test_continuity_gives_row_balance(self):
-        d = SnakeDealer(3)
-        rows = np.zeros(3, dtype=int)
-        for t in [4, 5, 1, 2, 8]:
-            rows += d.deal(t)
+        rows = snake_distribute([4, 5, 1, 2, 8], 3).sum(axis=1)
         assert rows.max() - rows.min() <= 1
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            SnakeDealer(0)

@@ -1,7 +1,6 @@
-"""Tests for the balance trace events and the per-processor view."""
+"""Tests for the balance trace events and their transfer sets."""
 
 import numpy as np
-import pytest
 
 from repro import Engine, EngineConfig, LBParams
 from repro.core.balance import greedy_transfers
@@ -57,52 +56,3 @@ class TestEventRecording:
     def test_transfers_empty_when_balanced(self):
         assert greedy_transfers((0, 1), (3, 3), (3, 3)) == []
 
-
-class TestProcessorView:
-    def test_appendix_variables(self):
-        e = traced_engine(n=5)
-        drive(e, 40)
-        for i in range(5):
-            v = e.processor(i)
-            assert v.load == int(e.l[i])
-            assert v.own_load == e.d.get(i, i)
-            assert v.debt == e.b.row_sum(i)
-            assert v.virtual_load == v.load + v.debt
-            assert v.foreign_load == v.load - v.own_load
-            assert v.local_time == int(e.local_time[i])
-
-    def test_copies_not_views(self):
-        e = traced_engine(n=4)
-        drive(e, 10)
-        v = e.processor(0)
-        d = v.d
-        d[0] += 100
-        assert v.d[0] == e.d.get(0, 0) == d[0] - 100  # engine unchanged
-        assert np.array_equal(v.d, e.d.row_dense(0))
-        assert np.array_equal(v.b, e.b.row_dense(0))
-
-    def test_would_trigger_consistent(self):
-        e = traced_engine(n=4)
-        drive(e, 30)
-        for i in range(4):
-            v = e.processor(i)
-            # after a settled drive, no processor should be mid-trigger
-            # (any fired trigger was serviced inline)
-            assert v.would_trigger() in ("none", "growth", "decrease")
-
-    def test_out_of_range(self):
-        e = traced_engine(n=4)
-        with pytest.raises(IndexError):
-            e.processor(4)
-
-    def test_repr(self):
-        e = traced_engine(n=4)
-        assert "ProcessorView(i=2" in repr(e.processor(2))
-
-    def test_can_borrow_respects_capacity(self):
-        e = traced_engine(n=4)
-        e.d.add(1, 0, 5)  # foreign packets available
-        e.l[1] = 5
-        assert e.processor(1).can_borrow
-        e.b.add(1, 2, e.params.C)
-        assert not e.processor(1).can_borrow

@@ -49,7 +49,7 @@ class TestAccessors:
         assert led.get(1, 1) == 7
         assert led.rows[1] == {}
         assert led.total() == 7
-        assert np.array_equal(led.row_dense(1), [0, 7, 0, 0])
+        assert np.array_equal(led.dense()[1], [0, 7, 0, 0])
         assert "ClassLedger" in repr(led)
         led.check_consistency()
 

@@ -6,8 +6,9 @@ import pytest
 from repro.experiments.config import QualityConfig, default_runs
 from repro.experiments.figures import figure7
 from repro.experiments.runner import quality_experiment
+from repro.experiments.scaling import scaling_experiment
 from repro.experiments.sensitivity import sensitivity_sweep
-from repro.experiments.tables import table1
+from repro.experiments.tables import lemma56_table, table1
 
 
 class TestDefaultRuns:
@@ -54,6 +55,22 @@ class TestQualityConfig:
         monkeypatch.setenv("REPRO_RUNS", "1")
         with pytest.raises(ValueError, match="runs must be >= 1"):
             build(runs=0)
+
+    @pytest.mark.parametrize("runs", [0, -2])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lemma56_table,
+            lambda runs: scaling_experiment(ns=(8,), runs=runs, steps=10),
+            # every grid point outside the provable domain: no
+            # QualityConfig is ever built
+            lambda runs: sensitivity_sweep(fs=(3.0,), deltas=(1,), runs=runs),
+        ],
+        ids=["lemma56_table", "scaling_experiment", "sensitivity_sweep"],
+    )
+    def test_drivers_without_a_config_reject_runs_below_one(self, build, runs):
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            build(runs=runs)
 
 
 class TestQualityExperiment:

@@ -76,12 +76,13 @@ class TestExposition:
         sampler.sample(0.0)
         parsed = parse_exposition(render_exposition(sampler))
         assert parsed["repro_tracer_dropped_total"][()] == 0.0
-        # ...and a sampler watching an evicting ring reports the drops
+        # ...and a sampler bound to a service whose ring evicts reports
+        # the drops
         tracer = Tracer(capacity=2)
-        for i in range(5):
-            tracer.emit("fault_crash", time=float(i), proc=0)
-        sampler = TelemetrySampler(interval=0.0, tracer=tracer)
-        sampler.sample(0.0)
+        sampler = TelemetrySampler(interval=0.0)
+        service_run(
+            ServiceConfig.smoke(seed=0), tracer=tracer, telemetry=sampler
+        )
         parsed = parse_exposition(render_exposition(sampler))
         assert parsed["repro_tracer_dropped_total"][()] == tracer.dropped > 0
 

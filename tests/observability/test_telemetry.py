@@ -2,28 +2,32 @@
 
 Covers the windowed :class:`TelemetrySampler` of
 :mod:`repro.observability.telemetry` (interval thinning, window bound,
-service binding, rolling band occupancy, cumulative churn counts) and
-its bit-identity contract: a run with a sampler attached is
-indistinguishable, down to the RNG stream state, from a run without
-one.
+service binding, rolling band occupancy) and its bit-identity contract:
+a service run with a sampler attached is indistinguishable, down to the
+RNG stream state, from a run without one.
 """
 
-import numpy as np
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.columnar import ColumnarEngine
-from repro.core.engine import Engine, EngineConfig
 from repro.observability import TelemetrySampler, Tracer
-from repro.observability.export.prometheus import (
-    parse_exposition,
-    render_exposition,
-)
+from repro.observability.tracer import NULL_TRACER
 from repro.params import LBParams
-from repro.service import ServiceConfig, service_run
-from repro.simulation.driver import Simulation, run_simulation
-from repro.workload import UniformRandom
+from repro.service import ServiceConfig, SLOTracker, service_run
 
 PARAMS = LBParams(f=1.5, delta=1, C=2)
+
+
+def bound_sampler(tracer=NULL_TRACER, **knobs) -> TelemetrySampler:
+    """A sampler bound to the Theorem-4 band and ``C`` of ``PARAMS``
+    (an SLO tracker with no queues, admission or ladder behind it)."""
+    sampler = TelemetrySampler(**knobs)
+    sampler.bind_service(SimpleNamespace(
+        slo=SLOTracker(PARAMS), ladder=None, admission=None, queues=None,
+        tracer=tracer, monitors=None,
+    ))
+    return sampler
 
 
 class TestTelemetrySampler:
@@ -51,7 +55,7 @@ class TestTelemetrySampler:
         assert [p["t"] for p in snap["points"]] == [15.0, 16.0, 17.0, 18.0, 19.0]
 
     def test_loads_with_params_yield_theorem4_statistic(self):
-        sampler = TelemetrySampler(interval=0.0, params=PARAMS)
+        sampler = bound_sampler(interval=0.0)
         assert sampler.band is not None
         sampler.sample(1.0, loads=[1, 5])
         point = sampler.snapshot()["latest"]
@@ -59,7 +63,7 @@ class TestTelemetrySampler:
         assert (point["load_min"], point["load_max"]) == (1.0, 5.0)
 
     def test_rolling_band_occupancy_in_snapshot(self):
-        sampler = TelemetrySampler(interval=0.0, window=8, params=PARAMS)
+        sampler = bound_sampler(interval=0.0, window=8)
         for t in range(8):
             # alternate inside (balanced) / far outside the band
             loads = [4, 4] if t % 2 == 0 else [1, 50]
@@ -68,7 +72,7 @@ class TestTelemetrySampler:
         assert 0.0 < occ < 1.0
 
     def test_series_skips_points_without_key(self):
-        sampler = TelemetrySampler(interval=0.0, params=PARAMS)
+        sampler = bound_sampler(interval=0.0)
         sampler.sample(0.0, loads=[1, 2])
         sampler.sample(1.0)  # no loads: no rho on this point
         sampler.sample(2.0, loads=[2, 2])
@@ -83,23 +87,9 @@ class TestTelemetrySampler:
         tracer = Tracer(capacity=1)
         tracer.emit("fault_crash", time=0.0, proc=0)
         tracer.emit("fault_recover", time=1.0, proc=0)
-        sampler = TelemetrySampler(interval=0.0, tracer=tracer)
+        sampler = bound_sampler(tracer, interval=0.0)
         sampler.sample(0.0)
         assert sampler.snapshot()["latest"]["tracer_dropped"] > 0
-
-    def test_churn_counter_never_decreases_while_the_ring_evicts(self):
-        tracer = Tracer(capacity=4)
-        sampler = TelemetrySampler(interval=0.0, tracer=tracer)
-        scraped = []
-        events = ["node_leave", "node_leave"] + ["tick"] * 6
-        for t, etype in enumerate(events):
-            tracer.emit(etype, t=float(t), proc=0)
-            sampler.sample(float(t))
-            series = parse_exposition(render_exposition(sampler))
-            counter = series.get("repro_churn_events_total", {})
-            scraped.append(sum(counter.values()))
-        assert tracer.dropped > 0  # both leaves were evicted
-        assert scraped == [1, 2, 2, 2, 2, 2, 2, 2]
 
 
 class TestServiceBinding:
@@ -130,50 +120,25 @@ class TestServiceBinding:
 
 
 class TestBitIdentity:
-    """Telemetry attached vs not: bit-identical runs, both engines."""
+    """Telemetry attached vs not: bit-identical service runs."""
 
-    @pytest.mark.parametrize("engine_cls", [Engine, ColumnarEngine])
-    def test_run_simulation_identical(self, engine_cls):
-        def go(telemetry):
-            return run_simulation(
-                16, PARAMS, UniformRandom(16, 0.6, 0.4), steps=60,
-                seed=5, telemetry=telemetry, engine_cls=engine_cls,
-            )
-
-        off = go(None)
-        on = go(TelemetrySampler(interval=0.0, params=PARAMS))
-        assert np.array_equal(on.loads, off.loads)
-        assert on.counters == off.counters
-        assert on.total_ops == off.total_ops
-        assert on.packets_migrated == off.packets_migrated
-
-    @pytest.mark.parametrize("engine_cls", [Engine, ColumnarEngine])
-    def test_rng_stream_state_untouched(self, engine_cls):
+    def test_rng_stream_state_untouched(self):
         """The strongest form: identical generator state after the run."""
         def go(telemetry):
-            engine = engine_cls(
-                EngineConfig(n=8, params=PARAMS), rng=3
+            run = service_run(
+                ServiceConfig.smoke(seed=0), chaos=True, telemetry=telemetry
             )
-            workload_rng = np.random.default_rng(11)
-            sim = Simulation(
-                engine, UniformRandom(8, 0.6, 0.4),
-                workload_rng=workload_rng, telemetry=telemetry,
-            )
-            sim.run(40)
-            return (
-                engine.rng.bit_generator.state,
-                workload_rng.bit_generator.state,
-            )
+            return run.engine.rng.bit_generator.state
 
-        assert go(TelemetrySampler(interval=0.0, params=PARAMS)) == go(None)
+        assert go(TelemetrySampler(interval=0.0)) == go(None)
 
     def test_traced_runs_identical(self):
         """Golden event streams match with and without a sampler."""
         def go(telemetry):
             tracer = Tracer()
-            run_simulation(
-                8, PARAMS, UniformRandom(8, 0.6, 0.4), steps=40,
-                seed=1, tracer=tracer, telemetry=telemetry,
+            service_run(
+                ServiceConfig.smoke(seed=1), chaos=True,
+                tracer=tracer, telemetry=telemetry,
             )
             return tracer.events
 

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.params import LBParams
+from repro.service import degradation
 from repro.service.admission import AdmissionController, TokenBucket
-from repro.service.degradation import STATES, DegradationLadder, LadderConfig
+from repro.service.degradation import HOLD, STATES, DegradationLadder
 from repro.service.queues import TaskQueues
 
 
@@ -19,33 +20,30 @@ class FakeEngine:
         self.trigger_f = f
 
 
-def make(cfg=None, f=1.3):
+def make(f=1.3):
     queues = TaskQueues(4, cap=4)
     admission = AdmissionController(TokenBucket(10.0, 10.0), queues)
     engine = FakeEngine(f=f)
-    ladder = DegradationLadder(
-        cfg or LadderConfig(), admission=admission, engine=engine
-    )
+    ladder = DegradationLadder(admission=admission, engine=engine)
     return ladder, admission, engine
 
 
 class TestConfig:
+    """The ladder's constants stay in their valid ranges."""
+
     def test_defaults_valid(self):
-        LadderConfig()
+        assert 0 < degradation.HIGH_WATERMARK <= 1
+        assert HOLD >= 1
+        for scale in (degradation.BP_SCALE, degradation.SHED_SCALE,
+                      degradation.RECOVER_SCALE, degradation.TRIGGER_WIDEN):
+            assert 0 < scale <= 1
 
     def test_threshold_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            LadderConfig(exit_shed=0.5, enter_shed=0.3)
-        with pytest.raises(ValueError):
-            LadderConfig(enter_bp=0.9, enter_shed=0.3)
-        with pytest.raises(ValueError):
-            LadderConfig(hold=0)
-        with pytest.raises(ValueError):
-            LadderConfig(shed_scale=0.0)
-        with pytest.raises(ValueError):
-            LadderConfig(high_watermark=1.5)
-        with pytest.raises(ValueError):
-            LadderConfig(trigger_widen=0.0)
+        # exit levels below entry levels: the hysteresis that keeps the
+        # ladder from flapping on a noisy boundary
+        assert (0 <= degradation.EXIT_BP <= degradation.EXIT_SHED
+                <= degradation.ENTER_SHED <= 1)
+        assert 0 <= degradation.ENTER_BP <= degradation.ENTER_SHED
 
 
 class TestTransitions:
@@ -76,17 +74,17 @@ class TestTransitions:
         assert ladder.state == "shedding"
 
     def test_full_cycle_restores_knobs(self):
-        cfg = LadderConfig(hold=2)
-        ladder, admission, engine = make(cfg)
+        ladder, admission, engine = make()
         ladder.evaluate(1.0, hot=0.6, depth_sheds=1)      # -> shedding
         ladder.evaluate(2.0, hot=0.1, depth_sheds=0)      # -> recovering
         assert ladder.state == "recovering"
         assert not admission.brownout
         assert admission.bucket.scale == pytest.approx(0.7)
         assert engine.trigger_f == pytest.approx(1.15)    # still widened
-        ladder.evaluate(3.0, hot=0.0, depth_sheds=0)      # calm 1
-        assert ladder.state == "recovering"
-        ladder.evaluate(4.0, hot=0.0, depth_sheds=0)      # calm 2 -> healthy
+        for calm in range(1, HOLD):
+            ladder.evaluate(2.0 + calm, hot=0.0, depth_sheds=0)
+            assert ladder.state == "recovering"
+        ladder.evaluate(2.0 + HOLD, hot=0.0, depth_sheds=0)  # -> healthy
         assert ladder.state == "healthy"
         assert admission.bucket.scale == pytest.approx(1.0)
         assert engine.trigger_f == pytest.approx(1.3)     # restored
@@ -99,15 +97,20 @@ class TestTransitions:
         assert ladder.state == "shedding"
 
     def test_noisy_calm_resets_hold_counter(self):
-        cfg = LadderConfig(hold=2)
-        ladder, _, _ = make(cfg)
+        ladder, _, _ = make()
         ladder.evaluate(1.0, hot=0.6, depth_sheds=0)
         ladder.evaluate(2.0, hot=0.1, depth_sheds=0)      # -> recovering
-        ladder.evaluate(3.0, hot=0.0, depth_sheds=0)      # calm 1
-        ladder.evaluate(4.0, hot=0.1, depth_sheds=0)      # not calm: reset
-        ladder.evaluate(5.0, hot=0.0, depth_sheds=0)      # calm 1 again
+        t = 2.0
+        for _ in range(HOLD - 1):                         # calm 1..HOLD-1
+            t += 1.0
+            ladder.evaluate(t, hot=0.0, depth_sheds=0)
+        ladder.evaluate(t + 1.0, hot=0.1, depth_sheds=0)  # not calm: reset
+        t += 1.0
+        for _ in range(HOLD - 1):                         # calm again
+            t += 1.0
+            ladder.evaluate(t, hot=0.0, depth_sheds=0)
         assert ladder.state == "recovering"
-        ladder.evaluate(6.0, hot=0.0, depth_sheds=0)      # calm 2
+        ladder.evaluate(t + 1.0, hot=0.0, depth_sheds=0)  # calm HOLD
         assert ladder.state == "healthy"
 
     def test_transitions_recorded_with_reasons(self):
@@ -147,8 +150,7 @@ class TestTracing:
         queues = TaskQueues(4, cap=4)
         admission = AdmissionController(TokenBucket(10.0, 10.0), queues)
         ladder = DegradationLadder(
-            LadderConfig(), admission=admission, engine=FakeEngine(),
-            tracer=tracer,
+            admission=admission, engine=FakeEngine(), tracer=tracer
         )
         ladder.evaluate(1.0, hot=0.6, depth_sheds=0)
         ladder.evaluate(2.0, hot=0.0, depth_sheds=0)

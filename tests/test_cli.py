@@ -376,6 +376,28 @@ class TestNumericOptionExit2:
                 ["profile", "--engine", "async", "--horizon", "-1"],
                 "--horizon needs a value > 0, got -1.0",
             ),
+            (["trace", "--f", "0.5"], "--f/--delta/--cap: f must be >= 1, got 0.5"),
+            (["trace", "--delta", "0"], "--f/--delta/--cap: delta must be >= 1, got 0"),
+            (
+                ["trace", "--cap", "-1"],
+                "--f/--delta/--cap: C must be a positive int, got -1",
+            ),
+            (
+                ["trace", "--steps", "5", "--n", "4", "--delta", "5"],
+                "--f/--delta/--cap: delta must be < n (delta=5, n=4)",
+            ),
+            (
+                ["serve", "--queue-cap", "0", "--horizon", "2"],
+                "--queue-cap needs a value >= 1, got 0",
+            ),
+            (
+                ["chaos", "--crash-frac", "2", "--horizon", "2"],
+                "--crash-frac needs a value in [0, 1], got 2.0",
+            ),
+            (
+                ["chaos", "--message-loss", "2"],
+                "--message-loss needs a value in [0, 1), got 2.0",
+            ),
         ],
     )
     def test_out_of_range(self, argv, message, tmp_path, capsys):
