@@ -71,6 +71,14 @@ class TestSnakeDistribute:
         with pytest.raises(ValueError):
             snake_distribute([1], 0)
 
+    def test_invalid_k(self):
+        """``k < 1`` is rejected before any class is dealt, and for
+        negative ``k`` too."""
+        with pytest.raises(ValueError):
+            snake_distribute(np.array([], dtype=int), 0)
+        with pytest.raises(ValueError):
+            snake_distribute([4, 2], -1, start=1)
+
     @given(
         totals=st.lists(st.integers(0, 50), min_size=1, max_size=40),
         k=st.integers(1, 9),

@@ -122,11 +122,13 @@ class TestServiceBinding:
 class TestBitIdentity:
     """Telemetry attached vs not: bit-identical service runs."""
 
-    def test_rng_stream_state_untouched(self):
-        """The strongest form: identical generator state after the run."""
+    @pytest.mark.parametrize("chaos", [True, False], ids=["chaos", "calm"])
+    def test_rng_stream_state_untouched(self, chaos):
+        """The strongest form: identical generator state after the run,
+        with and without fault injection."""
         def go(telemetry):
             run = service_run(
-                ServiceConfig.smoke(seed=0), chaos=True, telemetry=telemetry
+                ServiceConfig.smoke(seed=0), chaos=chaos, telemetry=telemetry
             )
             return run.engine.rng.bit_generator.state
 
