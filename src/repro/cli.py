@@ -676,6 +676,8 @@ def _check_numbers(args: argparse.Namespace) -> None:
             _usage_error(f"{flag} needs a value >= {least}, got {value}")
     if args.horizon is not None and not args.horizon > 0:
         _usage_error(f"--horizon needs a value > 0, got {args.horizon}")
+    if args.rate is not None and not args.rate >= 0:
+        _usage_error(f"--rate needs a value >= 0, got {args.rate}")
     if not 0 <= args.crash_frac <= 1:
         _usage_error(f"--crash-frac needs a value in [0, 1], got {args.crash_frac}")
     if not 0 <= args.message_loss < 1:
@@ -684,10 +686,45 @@ def _check_numbers(args: argparse.Namespace) -> None:
         )
     try:
         params = _params(args)
-        if args.command in _PARAM_COMMANDS:
-            params.validate_for_network(_DEFAULT_N if args.n is None else args.n)
+        for n in _network_sizes(args):
+            params.validate_for_network(n)
     except ParamError as exc:
         _usage_error(f"--f/--delta/--cap: {exc}")
+    if args.n is not None and (
+        args.command == "serve" or args.command == "churn" and args.smoke
+    ):
+        # these runs take delta from their config, not from --delta
+        from repro.experiments.dynamics import DynamicsConfig
+        from repro.service import ServiceConfig
+
+        config = ServiceConfig if args.command == "serve" else DynamicsConfig
+        delta = config.smoke().delta if args.smoke else config().delta
+        if args.n <= delta:
+            _usage_error(f"-n needs a value > delta = {delta}, got {args.n}")
+
+
+def _network_sizes(args: argparse.Namespace) -> tuple[int, ...]:
+    """The sizes ``n`` a command runs ``--delta`` partners on."""
+    if args.command == "bench":
+        return (args.n,) if args.n is not None else _bench_sizes(args.sizes)
+    if args.command == "churn" and not args.smoke:
+        from repro.experiments.dynamics import DynamicsConfig
+
+        return (DynamicsConfig().n if args.n is None else args.n,)
+    if args.command in _PARAM_COMMANDS:
+        return (_DEFAULT_N if args.n is None else args.n,)
+    return ()
+
+
+def _bench_sizes(sizes: str) -> tuple[int, ...]:
+    """``--sizes`` parsed: comma-separated ints, each >= 2."""
+    try:
+        ns = tuple(int(x) for x in sizes.split(",") if x)
+    except ValueError:
+        _usage_error(f"--sizes expects comma-separated ints, got {sizes!r}")
+    if not ns or any(n < 2 for n in ns):
+        _usage_error(f"--sizes needs values >= 2, got {sizes!r}")
+    return ns
 
 
 def _check_choice(kind: str, value: str, valid) -> None:
@@ -721,17 +758,8 @@ def _run_bench(args: argparse.Namespace) -> str:
             _check_choice("profile", name, PROFILES)
         if not profiles:
             _usage_error(f"--profile needs at least one of {', '.join(PROFILES)}")
-    if args.n is not None:
-        ns = (args.n,)
-    else:
-        try:
-            ns = tuple(int(x) for x in args.sizes.split(",") if x)
-        except ValueError:
-            _usage_error(f"--sizes expects comma-separated ints, got {args.sizes!r}")
-        if not ns or any(n < 2 for n in ns):
-            _usage_error(f"--sizes needs values >= 2, got {args.sizes!r}")
     doc = bench_report(
-        ns,
+        _network_sizes(args),
         profiles=profiles,
         params=LBParams(f=args.f, delta=args.delta, C=args.cap),
         ticks=args.ticks,

@@ -10,7 +10,8 @@ list of **array passes** composed by :class:`PassPipeline`::
 
     classify -> advance+apply -> residual
 
-* **classify** — probes the deep-quiet horizon first; otherwise one
+* **classify** — probes the deep-quiet horizon first (one C pass,
+  ``deep_horizon`` in :mod:`repro.core.rngadvance`); otherwise one
   fused band pass (:meth:`FactorTrigger.quiet_interval`) produces the
   fast/starved/slow masks and picks the tick *mode* (``deep`` /
   ``bulk`` / ``residual``);
@@ -51,9 +52,11 @@ monitor-visible state as the oracle.  Fast processors draw no RNG and
 touch only their own diagonal, so bulk application commutes with any
 interleaving; the permutation skip is bit-exact by the probe in
 :mod:`repro.core.rngadvance`; and the deep-quiet horizon is derived
-from the same integer bands the classifier uses.  The tick walk replays the handlers' draws through the
-bit generator's own ``next_uint32`` and is gated by a first-use probe
-against :meth:`ColumnarEngine._dense_sweep` (state and full RNG state).
+from the same integer bands the classifier uses (the kernel's
+``band()`` transcribes them in the same IEEE doubles).  The tick walk
+replays the handlers' draws through the bit generator's own
+``next_uint32`` and is gated by a first-use probe against
+:meth:`ColumnarEngine._dense_sweep` (state and full RNG state).
 The result is RNG- and trace-identical to ``Engine`` — pinned on the
 seeded equivalence grid, per-tick by a hypothesis property, and through
 a full monitors-on golden trace
@@ -75,6 +78,7 @@ from repro.core.engine import Engine, EngineConfig
 from repro.core.rngadvance import (
     PermutationSkipper,
     _states_equal,
+    deep_horizon,
     floyd_branch,
     quiet_apply,
     walk_function,
@@ -466,16 +470,12 @@ class ColumnarEngine(Engine):
         follows from ``own' >= lo + 2 >= 1`` whenever ``lo >= -1``; the
         guarded ``l_old == 0`` band (``lo`` at int64-min scale) instead
         forces ``hi - own - 1 <= 0`` for any non-negative ``own``, so
-        such processors simply veto the deep lane.
+        such processors simply veto the deep lane.  One C pass
+        (:func:`~repro.core.rngadvance.deep_horizon`).
         """
-        if self.b.row_sums.any():
-            return 0
-        own = self.d.diag
-        lo, hi = self.trigger.quiet_interval(self.l_old)
-        margin = np.minimum(own - lo - 1, hi - own - 1)
-        margin = np.minimum(margin, self.l)
-        h = int(margin.min()) if self.n else 0
-        return h if h > 0 else 0
+        return deep_horizon(
+            self.trigger, self.l, self.l_old, self.d.diag, self.b.row_sums
+        )
 
     # -- bulk application -------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Bit-exact RNG replays and the fused quiet-tick apply (C kernels).
+"""Bit-exact RNG replays and the quiet-tick C kernels.
 
 The engines draw one ``rng.permutation(n)`` per tick to randomise the
 processor sweep order.  On an *all-fast* tick (every processor is a
@@ -53,9 +53,16 @@ cutoff:
 * ``python`` — make the real numpy call (always exact, the reference the
   probes compare against).
 
-``quiet_apply`` is the companion kernel: validate + apply a whole
-all-fast ±1 tick (``l``, ``d.diag``, ``d.row_sums``) in one C pass,
-falling back to numpy when no compiler is available.
+Two companion kernels serve the deep-quiet lane, each one C pass that
+falls back to numpy when the kernels are off:
+
+* ``quiet_apply`` — validate + apply a whole all-fast ±1 tick (``l``,
+  ``d.diag``, ``d.row_sums``);
+* ``deep_horizon`` — the lane's proven horizon, from ``l``, ``l_old``,
+  ``d.diag`` and ``b.row_sums``.  Its static ``band()`` transcribes
+  :meth:`~repro.core.triggers.FactorTrigger.quiet_interval` in the same
+  IEEE doubles, and the tick walk's trigger test reads the same
+  ``band()``, so the C source holds the trigger rule once.
 
 The tick walk
 -------------
@@ -82,9 +89,10 @@ A failed build, or a probe that rejects a compiled tier, raises one
 
 ``REPRO_NO_CKERNEL=1`` is the one switch: read once, by
 :func:`_build_library`, it disables every kernel quietly (pure-python
-tiers only) for the whole process — every replay, ``quiet_apply`` and
-the tick walk, whichever engine, selector or network uses them.  The
-engines stay bit-identical either way, only slower.
+tiers only) for the whole process — every replay, ``quiet_apply``,
+``deep_horizon`` and the tick walk, whichever engine, selector or
+network uses them.  The engines stay bit-identical either way, only
+slower.
 """
 
 from __future__ import annotations
@@ -106,6 +114,7 @@ import numpy as np
 __all__ = [
     "ChoiceReplayer",
     "PermutationSkipper",
+    "deep_horizon",
     "floyd_branch",
     "kernel_available",
     "quiet_apply",
@@ -114,6 +123,7 @@ __all__ = [
 ]
 
 _C_SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -266,6 +276,45 @@ long long quiet_apply(const long long *acts, long long *l, long long *diag,
     }
     *npos = pos; *nneg = neg;
     return 0;
+}
+
+/* FactorTrigger.quiet_interval for one processor, in the same doubles:
+ * the trigger fires iff own <= *lo or own >= *hi.  The cap keeps an
+ * overflowing f * old (inf) from wrapping in the cast. */
+static void band(double f, int64_t strict, int64_t old,
+                 int64_t *lo, int64_t *hi) {
+    const double od = (double)old, up = ceil(f * od);
+    *hi = up < 0x1p62 ? (int64_t)up : (int64_t)1 << 62;
+    *lo = (int64_t)floor(od / f);
+    if (strict) return;
+    if (old == 0) {  /* guarded idle state: growth iff own >= 1 */
+        *lo = -((int64_t)1 << 62);
+        *hi = 1;
+        return;
+    }
+    if (*hi < old + 1) *hi = old + 1;  /* guarded growth needs own > old */
+    if (*lo > old - 1) *lo = old - 1;  /* guarded decrease needs own < old */
+}
+
+/* ColumnarEngine._deep_horizon in one pass: 0 if n == 0 or any b row
+ * sum is non-zero, else min(own - lo - 1, hi - own - 1, l) over all
+ * processors, floored at 0.  A result of 0 is final as soon as it is
+ * reached; consecutive equal l_old values share one band. */
+long long deep_horizon(const long long *l, const long long *l_old,
+                       const long long *diag, const long long *brs,
+                       long long n, double f, long long strict) {
+    if (n <= 0) return 0;
+    int64_t h = INT64_MAX, last = l_old[0], lo, hi;
+    band(f, strict, last, &lo, &hi);
+    for (long long k = 0; k < n && h > 0; k++) {
+        if (brs[k]) return 0;
+        if (l_old[k] != last) band(f, strict, last = l_old[k], &lo, &hi);
+        const int64_t own = diag[k];
+        if (own - lo - 1 < h) h = own - lo - 1;
+        if (hi - own - 1 < h) h = hi - own - 1;
+        if (l[k] < h) h = l[k];
+    }
+    return h > 0 ? h : 0;
 }
 """
 
@@ -445,12 +494,11 @@ static int pick(walk *w, const int64_t *xs, Py_ssize_t k, int64_t *out) {
     return 0;
 }
 
-/* FactorTrigger.check != NONE, in the same doubles */
+/* FactorTrigger.check != NONE, on the quiet band */
 static int fires(const walk_cfg *c, int64_t own, int64_t old) {
-    const double o = (double)own, od = (double)old;
-    if (c->strict) return o >= c->f * od || o <= od / c->f;
-    if (old == 0) return own >= 1;
-    return (o >= c->f * od && own > old) || (o <= od / c->f && own < old);
+    int64_t lo, hi;
+    band(c->f, c->strict, old, &lo, &hi);
+    return own <= lo || own >= hi;
 }
 
 /* ClassLedger.snake_redeal of the k participant rows; new row sums into
@@ -863,6 +911,11 @@ def _build_library() -> ctypes.CDLL | None:
         lib.choice_next32.restype = ctypes.c_int
         lib.quiet_apply.argtypes = [_LL, _LL, _LL, _LL, ctypes.c_longlong, _LL, _LL]
         lib.quiet_apply.restype = ctypes.c_longlong
+        cols = [ctypes.c_void_p] * 4
+        lib.deep_horizon.argtypes = [
+            *cols, ctypes.c_longlong, ctypes.c_double, ctypes.c_longlong
+        ]
+        lib.deep_horizon.restype = ctypes.c_longlong
     except Exception as exc:
         _lib = False
         _warn_fallback(f"the C kernels are unavailable ({exc})", "python")
@@ -1156,3 +1209,34 @@ def quiet_apply(actions, l, diag, row_sums):  # noqa: E741
         k = -int(rc) - 1
         raise ValueError(f"invalid action {int(acts[k])} for processor {k}")
     return int(npos.value), int(nneg.value)
+
+
+def _deep_horizon_numpy(trigger, l, l_old, diag, b_row_sums) -> int:  # noqa: E741
+    if b_row_sums.any():
+        return 0
+    lo, hi = trigger.quiet_interval(l_old)
+    margin = np.minimum(diag - lo - 1, hi - diag - 1)
+    margin = np.minimum(margin, l)
+    h = int(margin.min()) if len(l) else 0
+    return h if h > 0 else 0
+
+
+def deep_horizon(trigger, l, l_old, diag, b_row_sums) -> int:  # noqa: E741
+    """``min(diag - lo - 1, hi - diag - 1, l)`` over all processors,
+    floored at 0, on ``trigger``'s quiet band ``(lo, hi)`` of ``l_old``;
+    0 when any ``b_row_sums`` entry is non-zero.
+
+    One C pass; the kernel's ``band()`` transcribes
+    :meth:`~repro.core.triggers.FactorTrigger.quiet_interval` in the
+    same IEEE doubles, so the result is the numpy computation's (the
+    fallback when the kernels are off).  See
+    :meth:`~repro.core.columnar.ColumnarEngine._deep_horizon`.
+    """
+    lib = _build_library()
+    if lib is None:
+        return _deep_horizon_numpy(trigger, l, l_old, diag, b_row_sums)
+    cols = [np.ascontiguousarray(c, dtype=np.int64) for c in (l, l_old, diag, b_row_sums)]
+    n = len(cols[0])
+    if any(len(c) != n for c in cols):
+        raise ValueError(f"column lengths differ: {[len(c) for c in cols]}")
+    return lib.deep_horizon(*(c.ctypes.data for c in cols), n, trigger.f, trigger.strict)

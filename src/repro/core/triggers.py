@@ -25,6 +25,7 @@ offers two modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,7 +52,7 @@ class FactorTrigger:
     Parameters
     ----------
     f:
-        Trigger factor, ``f >= 1``.
+        Trigger factor, finite and ``f >= 1``.
     strict:
         Use the paper's literal comparisons (degenerate at
         ``l_old = 0``); default False (guarded, see module docstring).
@@ -61,8 +62,10 @@ class FactorTrigger:
     strict: bool = False
 
     def __post_init__(self) -> None:
-        if self.f < 1.0:
+        if not self.f >= 1.0:
             raise ValueError(f"f must be >= 1, got {self.f}")
+        if not math.isfinite(self.f):
+            raise ValueError(f"f must be finite, got {self.f}")
 
     def check(self, own_load: int, l_old: int) -> TriggerDecision:
         """Test the trigger for current self-load and recorded ``l_old``."""

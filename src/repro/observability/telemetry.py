@@ -93,8 +93,9 @@ class TelemetrySampler:
 
     # -- sampling ---------------------------------------------------------
 
-    def sample(self, t: float, loads=None) -> bool:
-        """Take one observation at model time ``t`` (read-only).
+    def sample(self, t: float, loads) -> bool:
+        """Take one observation at model time ``t`` of the per-processor
+        ``loads`` (read-only).
 
         Returns whether the sample was accepted (``interval`` thins the
         call stream down to the configured cadence).
@@ -103,13 +104,11 @@ class TelemetrySampler:
         if self._last is not None and t - self._last < self.interval:
             return False
         point: dict = {"t": t}
-        if loads is not None and self.C is not None and len(loads) > 0:
+        if self.C is not None and len(loads) > 0:
             loads = np.asarray(loads)
             point["rho"] = float(extreme_ratio(loads, self.C))
             point["load_min"] = float(loads.min())
             point["load_max"] = float(loads.max())
-        elif self.slo is not None and self.slo.rho:
-            point["rho"] = self.slo.rho[-1]
         if self.queues is not None:
             p50, p99 = self.queues.sojourn_percentiles(50, 99)
             point["sojourn_p50"] = p50

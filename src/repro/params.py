@@ -25,6 +25,7 @@ All theoretical quantities (``FIX``, the Theorem 3/4 bounds, the Lemma
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -42,7 +43,7 @@ class LBParams:
     Parameters
     ----------
     f:
-        Trigger factor.  Must satisfy ``f >= 1``.  The provable bounds
+        Trigger factor.  Must be finite and ``f >= 1``.  The provable bounds
         additionally require ``f < delta + 1`` (checked by default;
         disable with ``require_provable=False`` for out-of-domain
         experiments).
@@ -76,6 +77,8 @@ class LBParams:
             raise ParamError(f"delta must be >= 1, got {self.delta}")
         if not self.f >= 1.0:
             raise ParamError(f"f must be >= 1, got {self.f}")
+        if not math.isfinite(self.f):
+            raise ParamError(f"f must be finite, got {self.f}")
         if not isinstance(self.C, int) or self.C < 1:
             raise ParamError(f"C must be a positive int, got {self.C!r}")
         if self.require_provable and not self.f < self.delta + 1:

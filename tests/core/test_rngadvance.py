@@ -21,14 +21,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import rngadvance
 from repro.core.rngadvance import (
     ChoiceReplayer,
     PermutationSkipper,
     _states_equal,
+    deep_horizon,
     quiet_apply,
 )
+from repro.core.triggers import FactorTrigger
 
 
 def _state(rng):
@@ -350,3 +354,86 @@ class TestQuietApply:
         assert np.array_equal(l, snap[0])
         assert np.array_equal(diag, snap[1])
         assert np.array_equal(row_sums, snap[2])
+
+
+def _columns(olds, n, spread, seed, debt):
+    """``l``, ``l_old``, ``d.diag``, ``b.row_sums`` of ``n`` processors:
+    each ``l_old`` drawn from ``olds``, ``own`` and ``l`` within
+    ``spread`` of it (never negative), optionally one debtor."""
+    wr = np.random.default_rng(seed)
+    l_old = np.asarray(olds, dtype=np.int64)[wr.integers(len(olds), size=n)]
+    own = np.maximum(l_old + wr.integers(-spread, spread + 1, size=n), 0)
+    l = np.maximum(own + wr.integers(-spread, spread + 1, size=n), 0)  # noqa: E741
+    b_rs = np.zeros(n, dtype=np.int64)
+    if debt and n:
+        b_rs[wr.integers(n)] = 1
+    return l, l_old, own, b_rs
+
+
+class TestDeepHorizon:
+    """The one-pass C horizon against the numpy fallback (the band of
+    :meth:`FactorTrigger.quiet_interval` and three minimums)."""
+
+    @given(
+        f=st.one_of(st.floats(1.0, 4.0), st.just(1.0), st.floats(1e17, 1e300)),
+        strict=st.booleans(),
+        olds=st.lists(
+            st.one_of(
+                st.just(0),
+                st.integers(0, 200),
+                st.integers(2**61 - 10, 2**61 + 10),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        n=st.sampled_from([0, 1, 17, 1000]),
+        spread=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+        debt=st.booleans(),
+    )
+    # the fallback's f * old overflows to inf at the largest f (capped)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_kernel_matches_numpy_fallback(
+        self, f, strict, olds, n, spread, seed, debt
+    ):
+        trigger = FactorTrigger(f, strict=strict)
+        cols = _columns(olds, n, spread, seed, debt)
+        h = deep_horizon(trigger, *cols)
+        assert h == rngadvance._deep_horizon_numpy(trigger, *cols)
+        if debt or n == 0:
+            assert h == 0
+
+    def test_balanced_network_has_a_horizon(self):
+        # f = 1.3 at load 40: band (30, 52), so min(9, 11, 40) = 9
+        n = 100_000
+        l = np.full(n, 40, dtype=np.int64)  # noqa: E741
+        cols = (l, l.copy(), l.copy(), np.zeros(n, dtype=np.int64))
+        trigger = FactorTrigger(1.3)
+        assert deep_horizon(trigger, *cols) == 9
+        assert rngadvance._deep_horizon_numpy(trigger, *cols) == 9
+        cols[3][-1] = 1  # a debt anywhere vetoes the deep lane
+        assert deep_horizon(trigger, *cols) == 0
+
+    def test_numpy_tier_when_kernels_are_off(self, python_tier, monkeypatch):
+        calls = []
+        real = rngadvance._deep_horizon_numpy
+        monkeypatch.setattr(
+            rngadvance,
+            "_deep_horizon_numpy",
+            lambda *a: calls.append(1) or real(*a),
+        )
+        cols = _columns([40], 17, 0, 0, False)
+        assert deep_horizon(FactorTrigger(1.3), *cols) == 9
+        assert calls == [1]
+
+    def test_columns_of_different_lengths_rejected(self):
+        l, l_old, own, b_rs = _columns([40], 17, 0, 0, False)  # noqa: E741
+        with pytest.raises(ValueError):
+            deep_horizon(FactorTrigger(1.3), l, l_old[:-1], own, b_rs)
+
+    @pytest.mark.parametrize("f", [float("inf"), float("nan")])
+    def test_trigger_rejects_non_finite_f(self, f):
+        # an infinite f makes the band's f * 0 a NaN (hi = INT64_MIN)
+        # while check() stays quiet; the band's domain is finite f
+        with pytest.raises(ValueError, match="f must be"):
+            FactorTrigger(f, strict=True)

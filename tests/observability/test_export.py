@@ -73,7 +73,7 @@ class TestExposition:
     def test_tracer_drops_always_exposed(self):
         # even a bare sampler exports the drop counter (at zero)...
         sampler = TelemetrySampler(interval=0.0)
-        sampler.sample(0.0)
+        sampler.sample(0.0, [])
         parsed = parse_exposition(render_exposition(sampler))
         assert parsed["repro_tracer_dropped_total"][()] == 0.0
         # ...and a sampler bound to a service whose ring evicts reports
@@ -93,7 +93,7 @@ class TestExposition:
         for v in (1, 2, 10):
             registry.histogram("load.spread").observe(v)
         sampler = TelemetrySampler(interval=0.0, metrics=registry)
-        sampler.sample(0.0)
+        sampler.sample(0.0, [])
         parsed = parse_exposition(render_exposition(sampler))
         assert parsed["repro_sim_ticks_total"][()] == 7.0
         assert parsed["repro_load_mean"][()] == 2.5
@@ -111,7 +111,7 @@ class TestExposition:
             profiler.observe_ns("columnar.residual", ns)
         profiler.observe_ns("columnar.classify", 1_000)
         sampler = TelemetrySampler(interval=0.0, metrics=registry)
-        sampler.sample(0.0)
+        sampler.sample(0.0, [])
         text = render_exposition(sampler)
         assert 'repro_section_seconds_bucket{le="+Inf",section="columnar.residual"} 3' in text
         assert text.count("# TYPE repro_section_seconds_bucket histogram") == 1

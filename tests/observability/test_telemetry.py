@@ -39,16 +39,16 @@ class TestTelemetrySampler:
 
     def test_interval_thins_the_call_stream(self):
         sampler = TelemetrySampler(interval=1.0)
-        assert sampler.sample(0.0) is True
-        assert sampler.sample(0.5) is False
-        assert sampler.sample(0.99) is False
-        assert sampler.sample(1.0) is True
+        assert sampler.sample(0.0, []) is True
+        assert sampler.sample(0.5, []) is False
+        assert sampler.sample(0.99, []) is False
+        assert sampler.sample(1.0, []) is True
         assert sampler.samples == 2
 
     def test_window_bounds_the_points(self):
         sampler = TelemetrySampler(interval=0.0, window=5)
         for t in range(20):
-            sampler.sample(float(t))
+            sampler.sample(float(t), [])
         snap = sampler.snapshot()
         assert snap["samples"] == 20  # lifetime counter keeps counting
         assert snap["window"] == 5
@@ -74,7 +74,7 @@ class TestTelemetrySampler:
     def test_series_skips_points_without_key(self):
         sampler = bound_sampler(interval=0.0)
         sampler.sample(0.0, loads=[1, 2])
-        sampler.sample(1.0)  # no loads: no rho on this point
+        sampler.sample(1.0, loads=[])  # no processors: no rho on this point
         sampler.sample(2.0, loads=[2, 2])
         assert len(sampler.series("rho")) == 2
         assert len(sampler.series("t")) == 3
@@ -88,7 +88,7 @@ class TestTelemetrySampler:
         tracer.emit("fault_crash", time=0.0, proc=0)
         tracer.emit("fault_recover", time=1.0, proc=0)
         sampler = bound_sampler(tracer, interval=0.0)
-        sampler.sample(0.0)
+        sampler.sample(0.0, [1, 2])
         assert sampler.snapshot()["latest"]["tracer_dropped"] > 0
 
 

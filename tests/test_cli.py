@@ -398,6 +398,31 @@ class TestNumericOptionExit2:
                 ["chaos", "--message-loss", "2"],
                 "--message-loss needs a value in [0, 1), got 2.0",
             ),
+            (["trace", "--f", "inf"], "--f/--delta/--cap: f must be finite, got inf"),
+            (
+                ["churn", "--delta", "40", "--horizon", "2", "--n", "8"],
+                "--f/--delta/--cap: delta must be < n (delta=40, n=8)",
+            ),
+            (
+                ["bench", "-n", "2", "--delta", "2", "--ticks", "2"],
+                "--f/--delta/--cap: delta must be < n (delta=2, n=2)",
+            ),
+            (
+                ["bench", "--sizes", "64,2", "--ticks", "2"],
+                "--f/--delta/--cap: delta must be < n (delta=2, n=2)",
+            ),
+            (
+                ["serve", "--rate", "-1", "--horizon", "2"],
+                "--rate needs a value >= 0, got -1.0",
+            ),
+            (
+                ["serve", "--n", "2", "--horizon", "2"],
+                "-n needs a value > delta = 2, got 2",
+            ),
+            (
+                ["churn", "--smoke", "--n", "2", "--horizon", "2"],
+                "-n needs a value > delta = 2, got 2",
+            ),
         ],
     )
     def test_out_of_range(self, argv, message, tmp_path, capsys):
@@ -887,7 +912,7 @@ class TestTelemetryCli:
         from repro.observability.export import TelemetryServer
 
         sampler = TelemetrySampler(interval=0.0)
-        sampler.sample(0.0)
+        sampler.sample(0.0, [])
         with TelemetryServer(sampler) as server:
             assert main(["top", "--url", server.url, "--once"]) == 0
         assert "repro top" in capsys.readouterr().out

@@ -29,6 +29,10 @@ class TestValidation:
         p = LBParams(f=2.0, delta=1, require_provable=False)
         assert not p.in_provable_domain
 
+    def test_infinite_f_rejected_outside_the_provable_domain_too(self):
+        with pytest.raises(ParamError, match="f must be finite, got inf"):
+            LBParams(f=float("inf"), delta=2, C=4, require_provable=False)
+
     def test_delta_zero_rejected(self):
         with pytest.raises(ParamError):
             LBParams(delta=0)
