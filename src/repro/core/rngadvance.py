@@ -911,9 +911,8 @@ def _build_library() -> ctypes.CDLL | None:
         lib.choice_next32.restype = ctypes.c_int
         lib.quiet_apply.argtypes = [_LL, _LL, _LL, _LL, ctypes.c_longlong, _LL, _LL]
         lib.quiet_apply.restype = ctypes.c_longlong
-        cols = [ctypes.c_void_p] * 4
-        lib.deep_horizon.argtypes = [
-            *cols, ctypes.c_longlong, ctypes.c_double, ctypes.c_longlong
+        lib.deep_horizon.argtypes = [ctypes.c_void_p] * 4 + [
+            ctypes.c_longlong, ctypes.c_double, ctypes.c_longlong
         ]
         lib.deep_horizon.restype = ctypes.c_longlong
     except Exception as exc:
