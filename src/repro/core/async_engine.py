@@ -68,6 +68,17 @@ fault plan), races included: the load redistribution is computed from
 the group's loads at *completion* time, which may have drifted since
 initiation, precisely the race a real network exhibits.
 
+Two lanes deliver the events, with identical results.  A fault-free
+run with no tracer or profiler (monitors and telemetry are fine) takes
+the compiled event walk of :mod:`repro.core.event_walk`: the handlers
+of this class (and of the live service's arrivals) transcribed into C,
+draining the queue order in C and returning to Python only at snapshot
+boundaries, where monitors and the ``_on_snapshot`` hook run.  Every
+other run delivers through the Python handlers below, which stay the
+oracle the walk is probed against at its first use.  Snapshot ``k``
+is taken at ``k * snapshot_dt`` (:func:`snapshot_schedule`), after
+exactly the events before it, in both lanes.
+
 When a :class:`~repro.observability.tracer.Tracer` is attached, every
 message delivery is emitted as an ``async_deliver`` event; accepted /
 completed / dropped / retried / abandoned operations as
@@ -86,6 +97,7 @@ registry* path used by the multi-run harness (see
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -93,6 +105,8 @@ from typing import Protocol
 import numpy as np
 
 from repro.core.balance import even_split
+from repro.core.event_walk import EventWalk, same_run
+from repro.core.rngadvance import event_walk_function, floyd_branch, walk_probed
 from repro.core.selection import CandidateSelector, GlobalRandomSelector
 from repro.core.triggers import FactorTrigger, TriggerDecision
 from repro.faults.injector import FaultInjector, as_injector
@@ -112,6 +126,7 @@ __all__ = [
     "AsyncEngine",
     "AsyncResult",
     "STUDY_COUNTERS",
+    "snapshot_schedule",
 ]
 
 
@@ -195,6 +210,24 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * float(rng.random()))
 
 
+def snapshot_schedule(dt: float, horizon: float) -> list[float]:
+    """Times of the periodic snapshots after the one at 0: snapshot
+    ``k`` at ``k * dt`` for every ``k * dt`` up to ``horizon``, the last
+    one clamped to the horizon.
+
+    Each time is one product, so no error accumulates, and a horizon a
+    whole number of intervals long gets its final snapshot even where
+    ``k * dt`` rounds above it (``3 * 0.1 > 0.3``).
+
+    >>> snapshot_schedule(0.1, 0.3)
+    [0.1, 0.2, 0.3]
+    >>> snapshot_schedule(5.0, 12.0)
+    [5.0, 10.0]
+    """
+    count = math.floor(horizon / dt + 1e-9) if horizon > 0 else 0
+    return [min(k * dt, horizon) for k in range(1, count + 1)]
+
+
 #: the operation counters of :meth:`AsyncResult.counters`
 STUDY_COUNTERS = ("total_ops", "dropped_ops", "packets_migrated", "retries", "give_ups")
 
@@ -275,6 +308,11 @@ class AsyncEngine:
         forcibly reclaimed (a perfect network never loses the
         completion).
     """
+
+    #: which handlers the compiled event walk transcribes for this class
+    #: (``"async"`` or ``"service"``); a subclass that does not declare
+    #: its own runs the Python handlers
+    _WALK_MODE = "async"
 
     def __init__(
         self,
@@ -367,6 +405,25 @@ class AsyncEngine:
         self._op_seq = 0
         self._attempts = np.zeros(self.n, dtype=np.int64)
         self._retry_pending = np.zeros(self.n, dtype=bool)
+        # the compiled event walk replaces the Python handlers only when
+        # nothing observes them per event (tracer, profiler), the network
+        # is perfect (no faults, no dynnet), and the engine's class, rates,
+        # retry policy and selector are the ones it transcribes, with
+        # partners on numpy's Floyd branch; None = bind at the first run
+        # (which finds out whether the kernels are on), False = never
+        walkable = (
+            type(self).__dict__.get("_WALK_MODE") is not None
+            and not self._trace
+            and not self._profile
+            and self.faults is None
+            and dynnet is None
+            and type(self.selector) is GlobalRandomSelector
+            and self.selector.n == self.n
+            and type(rates) in (ConstantRates, TableRates)
+            and type(self.retry) is RetryPolicy
+            and floyd_branch(self.n - 1, params.delta)
+        )
+        self._walk: EventWalk | bool | None = None if walkable else False
 
     # -- simulation -----------------------------------------------------
 
@@ -384,16 +441,39 @@ class AsyncEngine:
             self._schedule_action(i)
         snap_times = [0.0]
         snaps = [self.l.copy()]
-        next_snap = self.snapshot_dt
 
+        def snapshot(t: float) -> None:
+            snap_times.append(t)
+            snaps.append(self.l.copy())
+            if self.monitors is not None:
+                self.monitors.observe(t, snaps[-1])
+            self._on_snapshot(t, snaps[-1])
+
+        schedule = snapshot_schedule(self.snapshot_dt, horizon)
+        walk = self._event_walk()
+        if not (walk and walk.drive(self, horizon, schedule, snapshot)):
+            self._deliver(horizon, schedule, snapshot)
+
+        return AsyncResult(
+            times=np.asarray(snap_times),
+            loads=np.asarray(snaps),
+            total_ops=self.total_ops,
+            dropped_ops=self.dropped_ops,
+            declined_joins=self.declined_joins,
+            packets_migrated=self.packets_migrated,
+            retries=self.retries,
+            give_ups=self.give_ups,
+            fault_stats=self._fault_stats(),
+        )
+
+    def _deliver(self, horizon: float, schedule: list[float], snapshot) -> None:
+        """The Python lane: deliver every event up to ``horizon``, taking
+        the snapshots of ``schedule`` between them."""
+        k, last = 0, len(schedule)
         for t, _seq, payload in self.queue.drain_until(horizon):
-            while t >= next_snap - 1e-12 and next_snap <= horizon:
-                snap_times.append(next_snap)
-                snaps.append(self.l.copy())
-                if self.monitors is not None:
-                    self.monitors.observe(next_snap, snaps[-1])
-                self._on_snapshot(next_snap, snaps[-1])
-                next_snap += self.snapshot_dt
+            while k < last and t >= schedule[k] - 1e-12:
+                snapshot(schedule[k])
+                k += 1
             self.time = t
             kind = payload[0]
             if self._trace:
@@ -429,25 +509,53 @@ class AsyncEngine:
                 self.dynnet.advance(self.time)
             else:
                 self._dispatch_extra(kind, payload)
-        while next_snap <= horizon:
-            snap_times.append(next_snap)
-            snaps.append(self.l.copy())
-            if self.monitors is not None:
-                self.monitors.observe(next_snap, snaps[-1])
-            self._on_snapshot(next_snap, snaps[-1])
-            next_snap += self.snapshot_dt
+        for t in schedule[k:]:
+            snapshot(t)
 
-        return AsyncResult(
-            times=np.asarray(snap_times),
-            loads=np.asarray(snaps),
-            total_ops=self.total_ops,
-            dropped_ops=self.dropped_ops,
-            declined_joins=self.declined_joins,
-            packets_migrated=self.packets_migrated,
-            retries=self.retries,
-            give_ups=self.give_ups,
-            fault_stats=self._fault_stats(),
-        )
+    # -- the compiled lane -------------------------------------------------
+
+    def _event_walk(self) -> EventWalk | bool:
+        """The compiled event walk for this run, or False for the Python
+        handlers.
+
+        Loaded, probed (once per process, engine class and bit-generator
+        class) and bound at the first run; rebound when a column or the
+        generator is replaced.
+        """
+        walk = self._walk
+        if walk is None or (walk and not walk.bound_to(self)):
+            fn = event_walk_function()
+            cls = type(self)
+            ok = (
+                fn is not None
+                and EventWalk.fits(self)
+                and walk_probed(
+                    type(self.rng.bit_generator),
+                    lambda bitgen: cls._probe_event_walk(fn, bitgen),
+                    f"event walk of {cls.__name__}",
+                )
+            )
+            walk = self._walk = EventWalk(fn, self) if ok else False
+        return walk
+
+    @classmethod
+    def _probe_event_walk(cls, fn, bitgen_cls) -> bool:
+        """A short seeded run through the walk and through the Python
+        handlers: generates and consumes over a changing rate table,
+        contended operations, retries and give-ups."""
+        n = 10
+        wr = np.random.default_rng(28)
+        rates = TableRates(wr.uniform(0.1, 0.6, (4, n)), wr.uniform(0.1, 0.4, (4, n)))
+        runs = []
+        for walked in (True, False):
+            eng = cls(
+                LBParams(f=1.2, delta=3, C=4), rates, latency=0.3,
+                snapshot_dt=0.5, seed=np.random.Generator(bitgen_cls(28)),
+            )
+            eng._walk = EventWalk(fn, eng) if walked else False
+            runs.append((eng, eng.run(5.0)))
+        (a, ra), (b, rb) = runs
+        return same_run(a, b, ra, rb)
 
     def _fault_stats(self) -> dict | None:
         if self.faults is None:

@@ -76,9 +76,9 @@ import numpy as np
 
 from repro.core.engine import Engine, EngineConfig
 from repro.core.rngadvance import (
+    DeepHorizon,
     PermutationSkipper,
     _states_equal,
-    deep_horizon,
     floyd_branch,
     quiet_apply,
     walk_function,
@@ -405,6 +405,8 @@ class ColumnarEngine(Engine):
         )
         self._deep_left = 0
         self._skipper = PermutationSkipper(self.rng)
+        # the horizon kernel bound to the current columns (see _deep_horizon)
+        self._horizon: DeepHorizon | None = None
         # the compiled walk replaces the Python handlers' sweep only when
         # nothing observes them (the tracer's events and the profiler's
         # per-handler sections come from the handlers) and the engine's
@@ -471,11 +473,14 @@ class ColumnarEngine(Engine):
         guarded ``l_old == 0`` band (``lo`` at int64-min scale) instead
         forces ``hi - own - 1 <= 0`` for any non-negative ``own``, so
         such processors simply veto the deep lane.  One C pass
-        (:func:`~repro.core.rngadvance.deep_horizon`).
+        (:func:`~repro.core.rngadvance.deep_horizon`), bound to the
+        columns once and rebound when one is replaced.
         """
-        return deep_horizon(
-            self.trigger, self.l, self.l_old, self.d.diag, self.b.row_sums
-        )
+        cols = (self.l, self.l_old, self.d.diag, self.b.row_sums)
+        horizon = self._horizon
+        if horizon is None or not horizon.bound_to(*cols):
+            horizon = self._horizon = DeepHorizon(*cols)
+        return horizon(self.trigger)
 
     # -- bulk application -------------------------------------------------
 

@@ -79,6 +79,18 @@ includes ``Python.h`` and is a library of its own.
 :func:`walk_function` loads it at its first use, and the engine's
 first-use probe is cached with the tiers (:func:`walk_probed`).
 
+The event walk
+--------------
+``event_walk`` is the serve loop of
+:class:`~repro.core.async_engine.AsyncEngine` and the live service: its
+fault-free handlers over the engine's columns, an event heap and the
+task-queue rings (:mod:`repro.core.event_walk` binds and probes it).
+It draws through numpy's own ``next_double`` and
+``random_standard_exponential`` besides ``bounded32`` and
+``choice_next32``, so it links ``libnpyrandom.a``
+(:func:`event_build_flags`); :func:`event_walk_function` loads it at
+its first use.
+
 Builds live in ``repro_ckernel_{abi}_{digest}`` under the temp dir —
 the interpreter's extension ABI tag and a digest of the sources — and
 a fresh build removes the builds of other digests for its ABI and the
@@ -90,7 +102,7 @@ A failed build, or a probe that rejects a compiled tier, raises one
 ``REPRO_NO_CKERNEL=1`` is the one switch: read once, by
 :func:`_build_library`, it disables every kernel quietly (pure-python
 tiers only) for the whole process — every replay, ``quiet_apply``,
-``deep_horizon`` and the tick walk, whichever engine, selector or
+``deep_horizon`` and both walks, whichever engine, selector or
 network uses them.  The engines stay bit-identical either way, only
 slower.
 """
@@ -113,8 +125,10 @@ import numpy as np
 
 __all__ = [
     "ChoiceReplayer",
+    "DeepHorizon",
     "PermutationSkipper",
     "deep_horizon",
+    "event_walk_function",
     "floyd_branch",
     "kernel_available",
     "quiet_apply",
@@ -801,6 +815,337 @@ PyObject *tick_walk(const walk_cfg *c, PyObject *d_rows, PyObject *b_rows,
 """
 )
 
+# The async engine's fault-free event loop: AsyncEngine's and
+# ServiceEngine's handlers over the engine's columns, a binary heap of
+# events and the task-queue rings.  It draws through numpy's own C
+# distributions (random_standard_exponential, next_double) and the
+# bounded32 / choice_next32 replays above, so it links libnpyrandom.a
+# and includes numpy's headers (which include Python.h): a library of
+# its own, built per interpreter ABI.
+_EVENT_SOURCE = (
+    '#define PY_SSIZE_T_CLEAN\n#include <Python.h>\n#include "numpy/random/distributions.h"\n'
+    + _C_SOURCE
+    + r"""
+/* one pending event; layout mirrors repro.core.event_walk.EVENT_DTYPE */
+typedef struct { double t; int64_t seq; int32_t kind, proc; int64_t arg; } event;
+
+/* the payload kinds of repro.core.async_engine and repro.service.engine */
+enum { EV_ACTION = 0, EV_COMPLETE = 1, EV_RETRY = 2, EV_ARRIVAL = 6 };
+
+/* layout mirrors repro.core.event_walk._EventConfig */
+typedef struct {
+    int64_t *l, *l_old, *attempts;
+    uint8_t *busy, *pending;
+    const double *g, *c;            /* rows x n rate tables */
+    event *heap;
+    int64_t *op_id, *op_size, *op_group;  /* per initiator; group rows of delta + 1 */
+    double *op_t0;
+    const int64_t *arr_a, *arr_b;   /* arrival table: both candidates, */
+    const uint8_t *arr_crit;        /* and criticality */
+    double *ring;                   /* n x qcap arrival times */
+    int64_t *head, *depth;
+    double *soj;
+    int64_t *acc;                   /* counters, in event_walk._ACC order */
+    double *st;                     /* now, bucket tokens, bucket refill time */
+    bitgen_t *bg;
+    int64_t n, delta, rows, heap_cap, soj_cap, qcap, service, strict,
+            max_retries, brownout;
+    double f, latency, backoff, jitter, rate, burst, scale;
+} ev_cfg;
+
+enum { HEAP_SIZE, NEXT_SEQ, OP_SEQ, TOTAL_OPS, DROPPED_OPS, DECLINED_JOINS,
+       PACKETS_MIGRATED, RETRIES, GIVE_UPS, OFFERED, ADMITTED, SHED_BROWNOUT,
+       SHED_BUCKET, SHED_DEPTH, COMPLETED, MIGRATED_TASKS, N_SOJOURNS };
+enum { NOW, TOKENS, T_LAST };
+
+/* error codes (the Python side names them) */
+enum { ERR_HEAP = -1, ERR_NOMEM = -2, ERR_QUEUE = -3, ERR_EVENT = -4 };
+
+typedef struct {
+    ev_cfg *c;
+    int64_t *acc;
+    double now;
+    int64_t *picks, *before, *after;  /* delta + 1 slots each */
+    double *moving, *merged;          /* (delta + 1) * qcap and qcap slots */
+} ew;
+
+static inline int ev_less(const event *a, const event *b) {
+    return a->t < b->t || (a->t == b->t && a->seq < b->seq);
+}
+
+/* EventQueue.push: (time, seq) order, seq from one counter */
+static int ev_push(ew *w, double t, int32_t kind, int64_t proc, int64_t arg) {
+    event *h = w->c->heap;
+    int64_t k = w->acc[HEAP_SIZE];
+    if (k >= w->c->heap_cap) return ERR_HEAP;
+    const event e = {t, w->acc[NEXT_SEQ]++, kind, (int32_t)proc, arg};
+    while (k > 0) {
+        const int64_t up = (k - 1) >> 1;
+        if (!ev_less(&e, &h[up])) break;
+        h[k] = h[up];
+        k = up;
+    }
+    h[k] = e;
+    w->acc[HEAP_SIZE]++;
+    return 0;
+}
+
+static event ev_pop(ew *w) {
+    event *h = w->c->heap;
+    const event top = h[0];
+    const int64_t size = --w->acc[HEAP_SIZE];
+    if (size > 0) {
+        const event last = h[size];
+        int64_t k = 0;
+        for (;;) {
+            int64_t child = 2 * k + 1;
+            if (child >= size) break;
+            if (child + 1 < size && ev_less(&h[child + 1], &h[child])) child++;
+            if (!ev_less(&h[child], &last)) break;
+            h[k] = h[child];
+            k = child;
+        }
+        h[k] = last;
+    }
+    return top;
+}
+
+static int cmp_f64(const void *a, const void *b) {
+    const double x = *(const double *)a, y = *(const double *)b;
+    return (x > y) - (x < y);
+}
+
+/* TaskQueues.pop_oldest */
+static int pop_oldest(ew *w, int64_t i) {
+    ev_cfg *c = w->c;
+    if (c->depth[i] <= 0) return ERR_QUEUE;
+    const double t = c->ring[i * c->qcap + c->head[i]];
+    c->head[i] = c->head[i] + 1 == c->qcap ? 0 : c->head[i] + 1;
+    c->depth[i]--;
+    c->soj[w->acc[N_SOJOURNS]++] = w->now - t;
+    w->acc[COMPLETED]++;
+    return 0;
+}
+
+/* TaskQueues.push (admission checked the depth) */
+static void push_task(ev_cfg *c, int64_t i, double t) {
+    int64_t slot = c->head[i] + c->depth[i];
+    if (slot >= c->qcap) slot -= c->qcap;
+    c->ring[i * c->qcap + slot] = t;
+    c->depth[i]++;
+}
+
+/* TaskQueues.migrate: donors give their newest tasks, pooled oldest
+ * first; each receiver merges its share in arrival order */
+static int migrate(ew *w, const int64_t *grp, int64_t k) {
+    ev_cfg *c = w->c;
+    const int64_t cap = c->qcap;
+    int64_t m = 0;
+    for (int64_t q = 0; q < k; q++) {
+        const int64_t p = grp[q];
+        for (int64_t give = w->before[q] - w->after[q]; give > 0; give--) {
+            if (c->depth[p] <= 0) return ERR_QUEUE;
+            c->depth[p]--;
+            int64_t slot = c->head[p] + c->depth[p];
+            if (slot >= cap) slot -= cap;
+            w->moving[m++] = c->ring[p * cap + slot];
+        }
+    }
+    if (!m) return 0;
+    qsort(w->moving, (size_t)m, sizeof(double), cmp_f64);
+    w->acc[MIGRATED_TASKS] += m;
+    int64_t pos = 0;
+    for (int64_t q = 0; q < k; q++) {
+        const int64_t take = w->after[q] - w->before[q], p = grp[q];
+        if (take <= 0) continue;
+        const int64_t d = c->depth[p];
+        if (d + take > cap || pos + take > m) return ERR_QUEUE;
+        double *row = c->ring + p * cap;
+        for (int64_t x = 0; x < d; x++) w->merged[x] = row[(c->head[p] + x) % cap];
+        memcpy(w->merged + d, w->moving + pos, (size_t)take * sizeof(double));
+        pos += take;
+        qsort(w->merged, (size_t)(d + take), sizeof(double), cmp_f64);
+        for (int64_t x = 0; x < d + take; x++) row[(c->head[p] + x) % cap] = w->merged[x];
+        c->depth[p] = d + take;
+    }
+    return pos == m ? 0 : ERR_QUEUE;
+}
+
+/* AsyncEngine._handle_refusal with RetryPolicy.delay */
+static int refuse(ew *w, int64_t i) {
+    ev_cfg *c = w->c;
+    w->acc[DROPPED_OPS]++;
+    const int64_t attempt = c->attempts[i];
+    if (attempt < c->max_retries) {
+        c->attempts[i] = attempt + 1;
+        c->pending[i] = 1;
+        w->acc[RETRIES]++;
+        const double base = c->backoff * ldexp(1.0, (int)attempt);
+        const double delay = base * (1.0 + c->jitter * next_double(c->bg));
+        return ev_push(w, w->now + delay, EV_RETRY, i, 0);
+    }
+    w->acc[GIVE_UPS]++;
+    c->attempts[i] = 0;
+    c->l_old[i] = c->l[i];
+    return 0;
+}
+
+/* AsyncEngine._maybe_initiate on a perfect network */
+static int maybe_initiate(ew *w, int64_t i) {
+    ev_cfg *c = w->c;
+    if (c->busy[i] || c->pending[i]) return 0;
+    int64_t lo, hi;
+    band(c->f, c->strict, c->l_old[i], &lo, &hi);
+    if (c->l[i] > lo && c->l[i] < hi) {
+        c->attempts[i] = 0;
+        return 0;
+    }
+    const int64_t k = c->delta;
+    if (choice_next32((next32_fn)c->bg->next_uint32, c->bg->state, (uint64_t)(c->n - 1),
+                      (uint64_t)k, (uint64_t)i, w->picks) < 0)
+        return ERR_NOMEM;
+    /* i is idle, so its group row is free */
+    int64_t *grp = c->op_group + i * (k + 1), m = 0;
+    grp[m++] = i;
+    for (int64_t x = 0; x < k; x++)
+        if (!c->busy[w->picks[x]]) grp[m++] = w->picks[x];
+    w->acc[DECLINED_JOINS] += k + 1 - m;
+    if (m == 1) return refuse(w, i);
+    c->attempts[i] = 0;
+    for (int64_t q = 0; q < m; q++) c->busy[grp[q]] = 1;
+    c->op_id[i] = w->acc[OP_SEQ]++;
+    c->op_size[i] = m;
+    c->op_t0[i] = w->now;
+    return ev_push(w, w->now + c->latency, EV_COMPLETE, i, c->op_id[i]);
+}
+
+/* AsyncEngine._complete_balance: even_split from the loads at completion */
+static int complete(ew *w, int64_t i, int64_t op) {
+    ev_cfg *c = w->c;
+    const int64_t k = c->op_size[i];
+    if (k < 2 || c->op_id[i] != op) return ERR_EVENT;
+    const int64_t *grp = c->op_group + i * (c->delta + 1);
+    int64_t total = 0, migrated = 0;
+    for (int64_t q = 0; q < k; q++) {
+        c->busy[grp[q]] = 0;
+        w->before[q] = c->l[grp[q]];
+        total += w->before[q];
+    }
+    const int64_t start = (int64_t)bounded32((next32_fn)c->bg->next_uint32, c->bg->state,
+                                             (uint64_t)(k - 1));
+    const int64_t base = total / k, rem = total % k;
+    for (int64_t q = 0; q < k; q++) {
+        const int64_t a = base + ((q - start + k) % k < rem);
+        w->after[q] = a;
+        c->l[grp[q]] = a;
+        c->l_old[grp[q]] = a;
+        if (a > w->before[q]) migrated += a - w->before[q];
+    }
+    c->op_size[i] = 0;
+    if (c->service && migrate(w, grp, k) < 0) return ERR_QUEUE;
+    w->acc[PACKETS_MIGRATED] += migrated;
+    w->acc[TOTAL_OPS]++;
+    return 0;
+}
+
+/* AsyncEngine._do_action and _schedule_action (ServiceEngine has g == 0) */
+static int action(ew *w, int64_t i) {
+    ev_cfg *c = w->c;
+    int64_t row = 0;
+    if (c->rows > 1)  /* TableRates: min(max(int(time), 0), rows - 1) */
+        row = w->now < (double)(c->rows - 1) ? (int64_t)w->now : c->rows - 1;
+    const double u = next_double(c->bg);
+    const double g = c->g[row * c->n + i], cons = c->c[row * c->n + i];
+    if (u < g) {
+        c->l[i]++;
+    } else if (u < g + cons && c->l[i] > 0) {
+        c->l[i]--;
+        if (c->service && pop_oldest(w, i) < 0) return ERR_QUEUE;
+    }
+    const int rc = maybe_initiate(w, i);
+    if (rc < 0) return rc;
+    return ev_push(w, w->now + random_standard_exponential(c->bg), EV_ACTION, i, 0);
+}
+
+/* ServiceEngine._handle_arrival with AdmissionController.decide */
+static int arrival(ew *w, int64_t r) {
+    ev_cfg *c = w->c;
+    double *st = c->st;
+    w->acc[OFFERED]++;
+    const int64_t a = c->arr_a[r], b = c->arr_b[r];
+    const int64_t target = c->l[a] <= c->l[b] ? a : b;
+    if (c->brownout && !c->arr_crit[r]) {
+        w->acc[SHED_BROWNOUT]++;
+        return 0;
+    }
+    const double dt = w->now - st[T_LAST];
+    if (dt > 0) {  /* TokenBucket._refill */
+        const double filled = st[TOKENS] + dt * c->rate * c->scale;
+        st[TOKENS] = filled < c->burst ? filled : c->burst;
+        st[T_LAST] = w->now;
+    }
+    if (!(st[TOKENS] >= 1.0)) {
+        w->acc[SHED_BUCKET]++;
+        return 0;
+    }
+    st[TOKENS] -= 1.0;
+    if (c->depth[target] >= c->qcap) {
+        w->acc[SHED_DEPTH]++;
+        return 0;
+    }
+    w->acc[ADMITTED]++;
+    push_task(c, target, w->now);
+    c->l[target]++;
+    return maybe_initiate(w, target);
+}
+
+/* Deliver every event with time <= horizon and time < stop, in (time,
+ * seq) order.  Returns 0 when none is left, 1 when the sojourn buffer
+ * is full (grow it and call again: the next event is still pending), or
+ * a negative error code. */
+long long event_walk(ev_cfg *c, double stop, double horizon) {
+    const size_t slots = (size_t)c->delta + 1, cap = c->qcap > 0 ? (size_t)c->qcap : 1;
+    int64_t *mem = malloc(3 * slots * sizeof(int64_t));
+    double *fmem = malloc((slots + 1) * cap * sizeof(double));
+    if (!mem || !fmem) {
+        free(mem);
+        free(fmem);
+        return ERR_NOMEM;
+    }
+    ew w = {
+        .c = c, .acc = c->acc, .now = c->st[NOW],
+        .picks = mem, .before = mem + slots, .after = mem + 2 * slots,
+        .moving = fmem, .merged = fmem + slots * cap,
+    };
+    long long rc = 0;
+    while (rc == 0 && w.acc[HEAP_SIZE] > 0) {
+        const double t = c->heap[0].t;
+        if (!(t <= horizon && t < stop)) break;
+        if (c->service && w.acc[N_SOJOURNS] >= c->soj_cap) {
+            rc = 1;
+            break;
+        }
+        const event e = ev_pop(&w);
+        w.now = e.t;
+        switch (e.kind) {
+        case EV_ACTION: rc = action(&w, e.proc); break;
+        case EV_COMPLETE: rc = complete(&w, e.proc, e.arg); break;
+        case EV_RETRY:
+            c->pending[e.proc] = 0;
+            rc = maybe_initiate(&w, e.proc);
+            break;
+        case EV_ARRIVAL: rc = c->service ? arrival(&w, e.arg) : ERR_EVENT; break;
+        default: rc = ERR_EVENT;
+        }
+    }
+    c->st[NOW] = w.now;
+    free(mem);
+    free(fmem);
+    return rc;
+}
+"""
+)
+
 _LL = ctypes.POINTER(ctypes.c_longlong)
 
 # compiled-library singleton: None until first build attempt, then the
@@ -810,9 +1155,12 @@ _lib: ctypes.CDLL | bool | None = None
 # entry point once loaded (False: unavailable)
 _walk_build: Path | Exception | None = None
 _walk_fn = None
+# the event walk, likewise
+_event_build: Path | Exception | None = None
+_event_fn = None
 
 # probe verdicts per (replay, bit-generator class): "pcg64" | "next32" |
-# "python", and "walk" | "python" for the tick walk
+# "python", and "walk" | "python" per (walk, bit-generator class)
 _TIER_CACHE: dict[tuple[str, type], str] = {}
 
 
@@ -831,8 +1179,11 @@ def _abi_tag() -> str:
     return re.sub(r"[^0-9A-Za-z]+", "_", suffix.rsplit(".", 1)[0]).strip("_")
 
 
-def _compile(cache: Path, name: str, source: str, flags: list[str]) -> Path:
-    """``cache/{name}.so`` built from ``source`` unless already there."""
+def _compile(
+    cache: Path, name: str, source: str, flags: list[str], libs: tuple[str, ...] = ()
+) -> Path:
+    """``cache/{name}.so`` built from ``source`` (linked with ``libs``)
+    unless already there."""
     so = cache / f"{name}.so"
     if so.exists():
         return so
@@ -845,7 +1196,7 @@ def _compile(cache: Path, name: str, source: str, flags: list[str]) -> Path:
     for cc in ("cc", "gcc", "clang"):
         try:
             res = subprocess.run(
-                [cc, "-O3", "-shared", "-fPIC", *flags, "-o", str(tmp_so), str(csrc)],
+                [cc, "-O3", "-shared", "-fPIC", *flags, "-o", str(tmp_so), str(csrc), *libs],
                 capture_output=True,
                 timeout=120,
             )
@@ -885,7 +1236,7 @@ def _build_library() -> ctypes.CDLL | None:
     compiler is available — callers fall back to pure numpy/python, and
     the second case warns once per process.
     """
-    global _lib, _walk_build
+    global _lib, _walk_build, _event_build
     if _lib is not None:
         return _lib if _lib is not False else None
     if os.environ.get("REPRO_NO_CKERNEL"):
@@ -893,7 +1244,9 @@ def _build_library() -> ctypes.CDLL | None:
         return None
     try:
         tag = _abi_tag()
-        digest = hashlib.sha256((_C_SOURCE + _WALK_SOURCE).encode()).hexdigest()[:16]
+        digest = hashlib.sha256(
+            (_C_SOURCE + _WALK_SOURCE + _EVENT_SOURCE).encode()
+        ).hexdigest()[:16]
         cache = Path(tempfile.gettempdir()) / f"repro_ckernel_{tag}_{digest}"
         fresh = not cache.exists()
         so = _compile(cache, "kernel", _C_SOURCE, [])
@@ -924,6 +1277,10 @@ def _build_library() -> ctypes.CDLL | None:
         _walk_build = _compile(cache, "walk", _WALK_SOURCE, [f"-I{include}"])
     except (OSError, KeyError) as exc:
         _walk_build = exc  # reported when a tick first needs the walk
+    try:
+        _event_build = _compile(cache, "event", _EVENT_SOURCE, *event_build_flags())
+    except (OSError, KeyError) as exc:
+        _event_build = exc  # reported when a run first needs the walk
     if fresh:
         _remove_stale_builds(cache, tag)
     _lib = lib
@@ -953,6 +1310,47 @@ def walk_function():
             fn.restype = obj
             _walk_fn = fn
     return _walk_fn or None
+
+
+def event_build_flags() -> tuple[list[str], tuple[str, ...]]:
+    """Compiler flags and link inputs of the event walk: the interpreter's
+    and numpy's headers, numpy's ``libnpyrandom.a`` and libm.  No
+    floating-point contraction, so every product rounds as Python's.
+    Raises OSError when numpy ships no ``libnpyrandom.a``."""
+    lib = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+    if not lib.is_file():
+        raise OSError(f"numpy ships no {lib.name}")
+    include = sysconfig.get_paths()["include"]
+    flags = [f"-I{include}", f"-I{np.get_include()}", "-ffp-contract=off"]
+    return flags, (str(lib), "-lm")
+
+
+def load_event_walk(so: Path):
+    """The ``event_walk`` entry point of the library at ``so``."""
+    fn = ctypes.CDLL(str(so)).event_walk
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_double, ctypes.c_double]
+    fn.restype = ctypes.c_longlong
+    return fn
+
+
+def event_walk_function():
+    """The compiled event walk (``event_walk``), loaded at its first use.
+
+    None when the kernels are off or the walk failed to build or load;
+    that failure warns once.
+    """
+    global _event_fn
+    if _build_library() is None:
+        return None
+    if _event_fn is None:
+        _event_fn = False
+        try:
+            if not isinstance(_event_build, Path):
+                raise OSError(f"not built: {_event_build}")
+            _event_fn = load_event_walk(_event_build)
+        except (OSError, AttributeError) as exc:
+            _warn_fallback(f"the compiled event walk is unavailable ({exc})", "python")
+    return _event_fn or None
 
 
 def kernel_available() -> bool:
@@ -1064,10 +1462,10 @@ def _resolve_tier(replay: str, bitgen_cls) -> str:
     return tier
 
 
-def walk_probed(bitgen_cls, probe) -> bool:
-    """Whether the tick walk passed ``probe(bitgen_cls)``: probed once
-    per process and bit-generator class; a failure warns once."""
-    key = ("walk", bitgen_cls)
+def walk_probed(bitgen_cls, probe, walk: str = "tick walk") -> bool:
+    """Whether ``walk`` passed ``probe(bitgen_cls)``: probed once per
+    process, walk and bit-generator class; a failure warns once."""
+    key = (walk, bitgen_cls)
     tier = _TIER_CACHE.get(key)
     if tier is None:
         try:
@@ -1077,7 +1475,7 @@ def walk_probed(bitgen_cls, probe) -> bool:
         tier = _TIER_CACHE[key] = "walk" if ok else "python"
         if not ok:
             _warn_fallback(
-                f"the tick walk failed its exactness probe on {bitgen_cls.__name__}",
+                f"the {walk} failed its exactness probe on {bitgen_cls.__name__}",
                 "python",
             )
     return tier == "walk"
@@ -1157,13 +1555,19 @@ class ChoiceReplayer:
     def _bind(self, tier: str) -> None:
         self.tier = tier
         self._fn = None if tier == "python" else _kernel("choice", self.rng, tier)
+        self._out = np.empty(0, dtype=np.int64)
+        self._out_addr = self._out.ctypes.data
 
     def choice(self, m: int, size: int, skip: int) -> np.ndarray:
         fn = self._fn
         if fn is not None and 0 < size <= m <= 0xFFFFFFFF and floyd_branch(m, size):
-            picks = np.empty(size, dtype=np.int64)
-            if fn(m, size, skip, picks.ctypes.data) == 0:
-                return picks
+            # the kernel writes into one buffer, whose address is looked
+            # up only when it grows; the caller gets a copy
+            if size > len(self._out):
+                self._out = np.empty(size, dtype=np.int64)
+                self._out_addr = self._out.ctypes.data
+            if fn(m, size, skip, self._out_addr) == 0:
+                return self._out[:size].copy()
         return _choice_python(self.rng, m, size, skip)
 
 
@@ -1231,11 +1635,48 @@ def deep_horizon(trigger, l, l_old, diag, b_row_sums) -> int:  # noqa: E741
     fallback when the kernels are off).  See
     :meth:`~repro.core.columnar.ColumnarEngine._deep_horizon`.
     """
-    lib = _build_library()
-    if lib is None:
-        return _deep_horizon_numpy(trigger, l, l_old, diag, b_row_sums)
-    cols = [np.ascontiguousarray(c, dtype=np.int64) for c in (l, l_old, diag, b_row_sums)]
-    n = len(cols[0])
-    if any(len(c) != n for c in cols):
-        raise ValueError(f"column lengths differ: {[len(c) for c in cols]}")
-    return lib.deep_horizon(*(c.ctypes.data for c in cols), n, trigger.f, trigger.strict)
+    return DeepHorizon(l, l_old, diag, b_row_sums)(trigger)
+
+
+class DeepHorizon:
+    """:func:`deep_horizon` bound to four columns.
+
+    The column addresses are looked up once, here: an engine keeps one
+    per set of column objects (:meth:`bound_to`) and rebinds when a
+    column is replaced.  Columns that are not contiguous int64 are
+    converted on every call instead.
+    """
+
+    def __init__(self, l, l_old, diag, b_row_sums) -> None:  # noqa: E741
+        self.cols = (l, l_old, diag, b_row_sums)
+        self._lib = _build_library()
+        self._fn = None
+        if self._lib is None:
+            return
+        cols = self._contiguous()
+        if all(a is b for a, b in zip(cols, self.cols)):
+            self._fn = functools.partial(
+                self._lib.deep_horizon, *(c.ctypes.data for c in cols), len(cols[0])
+            )
+
+    def _contiguous(self) -> list[np.ndarray]:
+        cols = [np.ascontiguousarray(c, dtype=np.int64) for c in self.cols]
+        n = len(cols[0])
+        if any(len(c) != n for c in cols):
+            raise ValueError(f"column lengths differ: {[len(c) for c in cols]}")
+        return cols
+
+    def bound_to(self, l, l_old, diag, b_row_sums) -> bool:  # noqa: E741
+        """Whether these are the bound column objects."""
+        c = self.cols
+        return l is c[0] and l_old is c[1] and diag is c[2] and b_row_sums is c[3]
+
+    def __call__(self, trigger) -> int:
+        if self._fn is not None:
+            return self._fn(trigger.f, trigger.strict)
+        if self._lib is None:
+            return _deep_horizon_numpy(trigger, *self.cols)
+        cols = self._contiguous()
+        return self._lib.deep_horizon(
+            *(c.ctypes.data for c in cols), len(cols[0]), trigger.f, trigger.strict
+        )

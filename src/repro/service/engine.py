@@ -43,6 +43,7 @@ from repro.core.async_engine import (
     AsyncResult,
     ConstantRates,
 )
+from repro.core.event_walk import EventWalk, same_run
 from repro.faults.plan import FaultPlan
 from repro.params import LBParams
 from repro.service.admission import AdmissionController, TokenBucket
@@ -138,7 +139,15 @@ class ServiceEngine(AsyncEngine):
     Requires a *consume-only* rate provider (``g == 0``): in service
     mode every unit of work enters through the admitted arrival stream,
     never through the closed-loop generate path.
+
+    Under the conditions of :class:`AsyncEngine`, with the stock
+    admission controller, token bucket and task queues (wired to each
+    other) and a rate table that never generates, the run takes the
+    compiled event walk (:mod:`repro.core.event_walk`): arrivals,
+    admission and the task queues in C, the snapshot hooks in Python.
     """
+
+    _WALK_MODE = "service"
 
     def __init__(
         self,
@@ -173,14 +182,28 @@ class ServiceEngine(AsyncEngine):
         self.telemetry = telemetry
         if telemetry is not None:
             telemetry.bind_service(self)
+        # every scheduled arrival; an arrival event carries its row
+        self._arrivals: list[Arrival] = []
+        g_table = getattr(rates, "g_table", g0)
+        if self._walk is None and not (
+            type(queues) is TaskQueues
+            and type(admission) is AdmissionController
+            and type(admission.bucket) is TokenBucket
+            and admission.queues is queues
+            and not np.any(g_table)
+        ):
+            self._walk = False
 
     # -- arrivals ---------------------------------------------------------
 
     def schedule_arrivals(self, arrivals: list[Arrival]) -> None:
         """Push the pre-generated arrival schedule onto the event queue
         (call before :meth:`run`)."""
-        for a in arrivals:
-            self.queue.push(a.time, (_ARRIVAL, a.targets[0], a))
+        row = len(self._arrivals)
+        self._arrivals.extend(arrivals)
+        push = self.queue.push
+        for k, a in enumerate(arrivals, row):
+            push(a.time, (_ARRIVAL, a.targets[0], a, k))
 
     def _kind_name(self, kind: int) -> str:
         if kind == _ARRIVAL:
@@ -209,6 +232,30 @@ class ServiceEngine(AsyncEngine):
         # processor itself initiates nothing)
         if self.faults is None or not self.faults.crashed(target, self.time):
             self._maybe_initiate(target)
+
+    @classmethod
+    def _probe_event_walk(cls, fn, bitgen_cls) -> bool:
+        """A short seeded service run through the walk and through the
+        Python handlers: bucket, depth and brown-out sheds, the ladder's
+        knob changes, contended operations with retries, migrations.
+        Loads, counters, queues, sojourns, admission, the SLO series, the
+        ladder timeline and RNG state must agree: everything the service
+        document is built from (building it would pull numpy's
+        percentile machinery into every first run)."""
+        cfg = _PROBE_CONFIG
+        arrivals = _traffic(cfg).arrivals(cfg.horizon)
+        runs = []
+        for walked in (True, False):
+            engine = _engine(cfg, None, seed=np.random.Generator(bitgen_cls(cfg.seed)))
+            engine._walk = EventWalk(fn, engine) if walked else False
+            engine.schedule_arrivals(arrivals)
+            runs.append((engine, engine.run(cfg.horizon)))
+        (a, ra), (b, rb) = runs
+        return (
+            same_run(a, b, ra, rb)
+            and a.slo.series() == b.slo.series()
+            and a.ladder.transitions == b.ladder.transitions
+        )
 
     # -- hook overrides ---------------------------------------------------
 
@@ -295,17 +342,7 @@ def service_run(
             )
         traffic = ReplayTraffic(replay)
     else:
-        traffic = make_traffic(
-            cfg.traffic,
-            cfg.n,
-            cfg.rate,
-            seed=cfg.seed,
-            burst_at=cfg.burst_at,
-            burst_duration=cfg.burst_duration,
-            burst_mult=cfg.burst_mult,
-            period=cfg.period,
-            critical_frac=cfg.critical_frac,
-        )
+        traffic = _traffic(cfg)
     arrivals = traffic.arrivals(cfg.horizon)
 
     if chaos is True:
@@ -315,28 +352,14 @@ def service_run(
     else:
         plan = chaos
 
-    params = cfg.params()
-    rates = ConstantRates(
-        np.zeros(cfg.n), np.full(cfg.n, cfg.consume)
-    )
-    queues = TaskQueues(cfg.n, cfg.queue_cap)
-    admission = AdmissionController(
-        TokenBucket(cfg.admission_rate, cfg.admission_burst), queues
-    )
-    engine = ServiceEngine(
-        params,
-        rates,
-        queues=queues,
-        admission=admission,
-        slo=SLOTracker(params),
-        latency=cfg.latency,
-        snapshot_dt=cfg.snapshot_dt,
+    engine = _engine(
+        cfg,
+        plan,
         seed=cfg.seed,
         monitors=monitors,
         tracer=tracer,
         profiler=profiler,
         telemetry=telemetry,
-        faults=plan,
     )
     engine.schedule_arrivals(arrivals)
     result = engine.run(cfg.horizon)
@@ -345,8 +368,8 @@ def service_run(
         config=cfg.describe(),
         traffic=traffic.describe(),
         slo=engine.slo,
-        queues=queues,
-        admission=admission,
+        queues=engine.queues,
+        admission=engine.admission,
         ladder=engine.ladder,
         result=result,
         horizon=cfg.horizon,
@@ -354,6 +377,54 @@ def service_run(
     )
     trace = ArrivalTrace.from_arrivals(cfg.n, arrivals)
     return ServiceRun(doc=doc, result=result, engine=engine, trace=trace)
+
+
+def _traffic(cfg: ServiceConfig):
+    return make_traffic(
+        cfg.traffic,
+        cfg.n,
+        cfg.rate,
+        seed=cfg.seed,
+        burst_at=cfg.burst_at,
+        burst_duration=cfg.burst_duration,
+        burst_mult=cfg.burst_mult,
+        period=cfg.period,
+        critical_frac=cfg.critical_frac,
+    )
+
+
+def _engine(cfg: ServiceConfig, plan: FaultPlan | None, **kwargs) -> ServiceEngine:
+    """The engine of one episode, its queues and admission wired up."""
+    params = cfg.params()
+    rates = ConstantRates(
+        np.zeros(cfg.n), np.full(cfg.n, cfg.consume)
+    )
+    queues = TaskQueues(cfg.n, cfg.queue_cap)
+    admission = AdmissionController(
+        TokenBucket(cfg.admission_rate, cfg.admission_burst), queues
+    )
+    return ServiceEngine(
+        params,
+        rates,
+        queues=queues,
+        admission=admission,
+        slo=SLOTracker(params),
+        latency=cfg.latency,
+        snapshot_dt=cfg.snapshot_dt,
+        faults=plan,
+        **kwargs,
+    )
+
+
+# the walk's first-use probe: a small, overloaded service whose queues
+# fill within the first interval (depth sheds put the ladder in
+# shedding, so the brown-out and the widened trigger act), with a
+# latency long enough that partners are often busy
+_PROBE_CONFIG = ServiceConfig(
+    n=8, horizon=6.0, seed=28, latency=0.3, traffic="bursty", rate=18.0,
+    burst_at=1.5, burst_duration=2.0, burst_mult=2.0, queue_cap=3,
+    admission_rate=12.0, admission_burst=6.0,
+)
 
 
 def _plan_summary(plan: FaultPlan) -> dict:

@@ -25,12 +25,22 @@ full queue (reject-newest — see
 watermark fractions feed the backpressure signals the degradation
 ladder consumes (:meth:`hot_fraction`).
 
+Representation
+--------------
+The queues are columnar, so the compiled event walk of
+:mod:`repro.core.event_walk` reads and writes them in place: an
+``(n, cap)`` float64 ring of arrival times with a head and a depth
+column, and the sojourns in a growable float64 buffer
+(:attr:`TaskQueues.sojourns` is a read-only view of its filled part).
+Both lanes of the async engine use this one representation; the
+Python handlers go through the methods below, the walk transcribes
+them.
+
 Everything here is deterministic and RNG-free.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 
 import numpy as np
@@ -48,48 +58,82 @@ class TaskQueues:
             raise ValueError(f"queue cap must be >= 1, got {cap}")
         self.n = n
         self.cap = cap
-        self._q: list[deque[float]] = [deque() for _ in range(n)]
-        self.sojourns: list[float] = []
+        # queue i holds _ring[i, (_head[i] + k) % cap] for k < _depth[i],
+        # oldest first
+        self._ring = np.zeros((n, cap), dtype=np.float64)
+        self._head = np.zeros(n, dtype=np.int64)
+        self._depth = np.zeros(n, dtype=np.int64)
+        self._soj = np.zeros(1024, dtype=np.float64)
+        self._nsoj = 0
         self.completed = 0
         self.migrated_tasks = 0
 
     # -- depth signals ----------------------------------------------------
 
     def depth(self, i: int) -> int:
-        return len(self._q[i])
+        return int(self._depth[i])
 
     def depths(self) -> np.ndarray:
-        return np.array([len(q) for q in self._q], dtype=np.int64)
+        return self._depth.copy()
 
     def full(self, i: int) -> bool:
-        return len(self._q[i]) >= self.cap
+        return self._depth[i] >= self.cap
 
     def total(self) -> int:
-        return sum(len(q) for q in self._q)
+        return int(self._depth.sum())
 
     def hot_fraction(self, watermark: float) -> float:
         """Fraction of processors whose depth exceeds ``watermark * cap``."""
         level = watermark * self.cap
-        return sum(1 for q in self._q if len(q) > level) / self.n
+        return int(np.count_nonzero(self._depth > level)) / self.n
+
+    def contents(self, i: int) -> list[float]:
+        """Queue ``i``'s arrival times, oldest first."""
+        idx = (int(self._head[i]) + np.arange(int(self._depth[i]))) % self.cap
+        return self._ring[i, idx].tolist()
+
+    @property
+    def sojourns(self) -> np.ndarray:
+        """Completed-task sojourn times in completion order (read-only)."""
+        view = self._soj[: self._nsoj]
+        view.flags.writeable = False
+        return view
 
     # -- task flow --------------------------------------------------------
 
     def push(self, i: int, t_arrival: float) -> None:
         """Enqueue an admitted task (the caller checked :meth:`full`)."""
-        if len(self._q[i]) >= self.cap:
+        d = int(self._depth[i])
+        if d >= self.cap:
             raise RuntimeError(
                 f"queue {i} is full (cap {self.cap}); admission must "
                 "reject before pushing"
             )
-        self._q[i].append(t_arrival)
+        self._ring[i, (int(self._head[i]) + d) % self.cap] = t_arrival
+        self._depth[i] = d + 1
 
     def pop_oldest(self, i: int, now: float) -> float:
         """Complete the oldest task on ``i``; record and return its sojourn."""
-        t_arrival = self._q[i].popleft()
-        sojourn = now - t_arrival
-        self.sojourns.append(sojourn)
+        d = int(self._depth[i])
+        if d == 0:
+            raise IndexError(f"pop from empty queue {i}")
+        h = int(self._head[i])
+        sojourn = now - float(self._ring[i, h])
+        self._head[i] = (h + 1) % self.cap
+        self._depth[i] = d - 1
+        self._reserve(1)
+        self._soj[self._nsoj] = sojourn
+        self._nsoj += 1
         self.completed += 1
         return sojourn
+
+    def _reserve(self, extra: int) -> None:
+        """Room for ``extra`` more sojourns (the buffer doubles)."""
+        need = self._nsoj + extra
+        if need > len(self._soj):
+            grown = np.zeros(max(need, 2 * len(self._soj)), dtype=np.float64)
+            grown[: self._nsoj] = self._soj[: self._nsoj]
+            self._soj = grown
 
     def migrate(
         self, alive_idx: Sequence[int], before: Sequence[int], after: Sequence[int]
@@ -103,12 +147,20 @@ class TaskQueues:
         FIFO (arrival-order) invariant survives.  Returns the number of
         tasks moved.
         """
+        cap, ring = self.cap, self._ring
         moving: list[float] = []
         for k, i in enumerate(alive_idx):
+            i = int(i)
             give = int(before[k]) - int(after[k])
-            q = self._q[int(i)]
-            for _ in range(give):
-                moving.append(q.pop())
+            if give <= 0:
+                continue
+            d = int(self._depth[i])
+            if give > d:
+                raise RuntimeError(f"queue {i} holds {d} tasks, cannot give {give}")
+            h = int(self._head[i])
+            for x in range(d - 1, d - give - 1, -1):  # newest first
+                moving.append(float(ring[i, (h + x) % cap]))
+            self._depth[i] = d - give
         if not moving:
             return 0
         moving.sort()  # oldest first: receivers absorb seniors first
@@ -119,11 +171,13 @@ class TaskQueues:
             take = int(after[k]) - int(before[k])
             if take <= 0:
                 continue
-            q = self._q[int(i)]
-            merged = sorted(list(q) + moving[pos:pos + take])
+            i = int(i)
+            merged = sorted(self.contents(i) + moving[pos:pos + take])
             pos += take
-            q.clear()
-            q.extend(merged)
+            if len(merged) > cap:
+                raise RuntimeError(f"migrate overfills queue {i} (cap {cap})")
+            ring[i, (int(self._head[i]) + np.arange(len(merged))) % cap] = merged
+            self._depth[i] = len(merged)
         if pos != moved:  # pragma: no cover - split bookkeeping bug
             raise RuntimeError(
                 f"migrate imbalance: {moved} donated, {pos} received"
@@ -134,9 +188,9 @@ class TaskQueues:
 
     def sojourn_percentiles(self, *qs: float) -> list[float]:
         """Percentiles of completed-task sojourn times (0 when none)."""
-        if not self.sojourns:
+        if not self._nsoj:
             return [0.0 for _ in qs]
-        arr = np.asarray(self.sojourns)
+        arr = self.sojourns
         return [float(np.percentile(arr, q)) for q in qs]
 
     def worst_sojourns(self, k: int = 10) -> list[tuple[float, float]]:
@@ -144,12 +198,9 @@ class TaskQueues:
 
         The share is the completion index divided by the total count —
         a cheap "when in the run did the slow tasks finish" signal for
-        the report's waterfall.
+        the report's waterfall.  Ties rank in completion order.
         """
-        order = sorted(
-            range(len(self.sojourns)),
-            key=lambda j: self.sojourns[j],
-            reverse=True,
-        )[:k]
-        total = max(len(self.sojourns), 1)
-        return [(self.sojourns[j], (j + 1) / total) for j in order]
+        soj = self.sojourns
+        order = np.argsort(-soj, kind="stable")[:k].tolist()
+        total = max(len(soj), 1)
+        return [(float(soj[j]), (j + 1) / total) for j in order]

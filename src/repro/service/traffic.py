@@ -112,7 +112,9 @@ class _ThinnedTraffic:
             if t > horizon:
                 break
             accept = rng.random() < self.rate_at(t) / peak
-            a, b = (int(x) for x in rng.integers(self.n, size=2))
+            # two scalar draws: the same words as integers(n, size=2)
+            # (each bounded draw takes its own), without the array set-up
+            a, b = int(rng.integers(self.n)), int(rng.integers(self.n))
             critical = bool(rng.random() < self.critical_frac)
             # candidate/criticality draws happen for rejected points
             # too, so the stream position depends only on (seed, peak,

@@ -62,6 +62,20 @@ class EventQueue(Generic[P]):
     def __bool__(self) -> bool:
         return bool(self._heap)
 
+    def take_all(self) -> tuple[list[Event], int]:
+        """Remove every pending event; return them (in heap order) with
+        the next sequence number, for :meth:`restore`."""
+        events, self._heap = self._heap, []
+        return events, self._seq
+
+    def restore(self, events: list[Event], seq: int) -> None:
+        """Replace the pending events (any order; ``seq`` values unique
+        and below ``seq``) and the next sequence number."""
+        heap = list(events)
+        heapq.heapify(heap)
+        self._heap = heap
+        self._seq = seq
+
     def drain_until(self, horizon: float) -> Iterator[Event]:
         """Pop events with ``time <= horizon`` in order."""
         heap = self._heap

@@ -171,6 +171,20 @@ class TestChoiceReplayer:
         second = replayer.choice(100, 3, 0)
         assert not np.shares_memory(first, second)
 
+    def test_output_buffer_rebinds_when_it_grows(self):
+        # the kernel writes into one buffer whose address is cached; a
+        # larger draw replaces it, and earlier results stay untouched
+        ref, cand = np.random.default_rng(8), np.random.default_rng(8)
+        replayer = ChoiceReplayer(cand)
+        got = []
+        for m, size, skip in [(1023, 2, 5), (10_000, 300, 7), (1023, 3, 0), (255, 2, 254)]:
+            want = _reference_choice(ref, m, size, skip)
+            got.append((want, replayer.choice(m, size, skip)))
+            assert np.array_equal(*got[-1])
+            assert _states_equal(_state(ref), _state(cand))
+        assert all(np.array_equal(want, pick) for want, pick in got)
+        assert len({id(pick) for _, pick in got}) == len(got)
+
     def test_kernel_off_forces_python_tier(self, python_tier):
         assert ChoiceReplayer(np.random.default_rng(0)).tier == "python"
 
@@ -225,6 +239,7 @@ class TestBuildCache:
             pytest.skip("no compiled kernels on this machine")
         monkeypatch.setattr(rngadvance, "_lib", None)
         monkeypatch.setattr(rngadvance, "_walk_build", None)
+        monkeypatch.setattr(rngadvance, "_event_build", None)
         monkeypatch.setattr(rngadvance.tempfile, "gettempdir", lambda: str(tmp_path))
 
     def _builds(self, tmp_path):
@@ -247,7 +262,7 @@ class TestBuildCache:
             (d / "kernel.so").write_bytes(b"")
         assert rngadvance._build_library() is not None
         (build,) = self._builds(tmp_path)
-        assert {p.name for p in (tmp_path / build).iterdir()} == {"kernel.so", "walk.so"}
+        assert {p.name for p in (tmp_path / build).iterdir()} == {"kernel.so", "walk.so", "event.so"}
         assert not any(d.exists() for d in removed)
         assert all(d.exists() for d in kept)
 
@@ -425,6 +440,29 @@ class TestDeepHorizon:
         cols = _columns([40], 17, 0, 0, False)
         assert deep_horizon(FactorTrigger(1.3), *cols) == 9
         assert calls == [1]
+
+    def test_a_bound_horizon_reads_in_place_and_rebinds(self):
+        """An engine binds the kernel to its columns once: in-place
+        changes are seen, a replaced column rebinds."""
+        from repro.core.columnar import ColumnarEngine
+        from repro.core.engine import EngineConfig
+        from repro.params import LBParams
+
+        n = 64
+        eng = ColumnarEngine(EngineConfig(n=n, params=LBParams(f=1.3, delta=2, C=4)), rng=0)
+        for e in (eng.l, eng.d.diag, eng.d.row_sums, eng.l_old):
+            e[:] = 40
+        assert eng._deep_horizon() == 9
+        bound = eng._horizon
+        eng.d.diag[5] = 32  # in place: own - lo - 1 = 32 - 30 - 1
+        assert eng._deep_horizon() == 1 and eng._horizon is bound
+        eng.l = eng.l.copy()
+        eng.l[0] = 3  # a replaced column, with a smaller load
+        assert eng._deep_horizon() == 1 and eng._horizon is not bound
+        eng.d.diag[5] = 40
+        assert eng._deep_horizon() == 3
+        cols = (eng.l, eng.l_old, eng.d.diag, eng.b.row_sums)
+        assert eng._deep_horizon() == rngadvance._deep_horizon_numpy(eng.trigger, *cols)
 
     def test_columns_of_different_lengths_rejected(self):
         l, l_old, own, b_rs = _columns([40], 17, 0, 0, False)  # noqa: E741

@@ -16,7 +16,7 @@ class TestBasics:
         assert q.pop_oldest(0, 5.0) == pytest.approx(4.0)  # the t=1 task
         assert q.pop_oldest(0, 5.0) == pytest.approx(3.0)
         assert q.completed == 2
-        assert q.sojourns == [4.0, 3.0]
+        assert q.sojourns.tolist() == [4.0, 3.0]
 
     def test_full_queue_rejects_push(self):
         q = TaskQueues(1, cap=2)
@@ -70,8 +70,8 @@ class TestMigrate:
         q.push(1, 0.5)
         # donor 0 gives its two newest (2.0, 3.0); receiver 1 merges
         q.migrate(np.array([0, 1]), np.array([4, 1]), np.array([2, 3]))
-        assert list(q._q[0]) == [0.0, 1.0]
-        assert list(q._q[1]) == [0.5, 2.0, 3.0]
+        assert q.contents(0) == [0.0, 1.0]
+        assert q.contents(1) == [0.5, 2.0, 3.0]
 
     def test_noop_when_nothing_moves(self):
         q = TaskQueues(2, cap=4)
